@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, InternalConsistencyError
-from .info_measures import entropy
+from .info_measures import EntropyMemo
 from .prob_core import (
     JointPMF,
     adjoin_difference,
@@ -68,23 +68,29 @@ class PixelModelParams:
             raise InputError(f"quantizer step must be >= 1, got {self.Q}")
 
 
+def _point_probs(params: PixelModelParams, on_diag: np.ndarray) -> np.ndarray:
+    """Weight of each support point: the x == xp mass where on_diag holds,
+    the off-diagonal mass elsewhere."""
+    M, p = params.M, params.p
+    diag = p / M**2 + (1 - p) * Fraction(1, M)
+    off = p / M**2
+    probs = np.full(on_diag.shape, float(off))
+    probs[on_diag] = float(diag)
+    return probs
+
+
 def build_joint(params: PixelModelParams) -> JointPMF:
     """Exact joint over (x, xp, xq, r) for the given parameters."""
-    M, p = params.M, params.p
+    M = params.M
     ax = integer_alphabet("x", 0, M - 1)
     axp = integer_alphabet("xp", 0, M - 1)
 
-    diag = p / M**2 + (1 - p) * Fraction(1, M)
-    off = p / M**2
-    if off == 0:
+    if params.p == 0:
+        # every off-diagonal pair has mass 0: the support is x == xp
         idx = np.repeat(np.arange(M, dtype=np.intp)[:, None], 2, axis=1)
-        probs = np.full(M, float(diag))
     else:
-        grid = np.indices((M, M), dtype=np.intp).reshape(2, -1).T
-        idx = np.ascontiguousarray(grid)
-        probs = np.full(M * M, float(off))
-        on_diag = idx[:, 0] == idx[:, 1]
-        probs[on_diag] = float(diag)
+        idx = np.indices((M, M), dtype=np.intp).reshape(2, -1).T
+    probs = _point_probs(params, idx[:, 0] == idx[:, 1])
 
     pmf = JointPMF((ax, axp), idx, probs, _trusted=True)
     pmf = adjoin_map(pmf, "xp", quantizer_map(axp, params.Q, "xq"), "xq")
@@ -128,25 +134,19 @@ def entropy_report(params: PixelModelParams, pmf: JointPMF | None = None) -> Ent
     if pmf is None:
         pmf = build_joint(params)
 
-    memo: dict[tuple[str, ...], float] = {}
-
-    def h(*names: str) -> float:
-        if names not in memo:
-            memo[names] = entropy(pmf, names)
-        return memo[names]
-
+    h = EntropyMemo(pmf)
     rep = EntropyReport(
         Q=float(params.Q),
         p=float(params.p),
         H_R=h("r"),
-        H_X_given_Xp=h("x", "xp") - h("xp"),
-        H_X_given_Xphat=h("x", "xq") - h("xq"),
-        H_R_given_Xphat=h("r", "xq") - h("xq"),
-        H_R_given_Xp=h("r", "xp") - h("xp"),
-        I_X_Xp=h("x") + h("xp") - h("x", "xp"),
-        I_X_Xphat=h("x") + h("xq") - h("x", "xq"),
-        I_R_Xp=h("r") + h("xp") - h("r", "xp"),
-        I_R_Xphat=h("r") + h("xq") - h("r", "xq"),
+        H_X_given_Xp=h.cond("x", "xp"),
+        H_X_given_Xphat=h.cond("x", "xq"),
+        H_R_given_Xphat=h.cond("r", "xq"),
+        H_R_given_Xp=h.cond("r", "xp"),
+        I_X_Xp=h.mi("x", "xp"),
+        I_X_Xphat=h.mi("x", "xq"),
+        I_R_Xp=h.mi("r", "xp"),
+        I_R_Xphat=h.mi("r", "xq"),
     )
     if not (rep.H_R_given_Xp <= rep.H_R_given_Xphat + IDENTITY_TOL
             and rep.H_R_given_Xphat <= rep.H_R + IDENTITY_TOL):
@@ -170,8 +170,17 @@ def sweep_p(p_grid: Sequence, Q_list: Sequence, M: int = 256) -> list[EntropyRep
         raise InputError("p grid and Q list must be nonempty")
     out = []
     for q in sorted(set(qs)):
+        # every 0 < p has the same support at this Q; only the weights change
+        full = None
         for p in sorted(set(ps)):
-            out.append(entropy_report(PixelModelParams(p=p, Q=q, M=M)))
+            params = PixelModelParams(p=p, Q=q, M=M)
+            if p == 0 or full is None:
+                pmf = build_joint(params)
+                if p > 0:
+                    full, on_diag = pmf, pmf.idx[:, 0] == pmf.idx[:, 1]  # x, xp
+            else:
+                pmf = full.with_probs(_point_probs(params, on_diag))
+            out.append(entropy_report(params, pmf))
     return out
 
 

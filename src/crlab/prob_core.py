@@ -117,6 +117,12 @@ def integer_alphabet(name: str, lo: int, hi: int) -> Alphabet:
 
 
 def _cross_alphabet(a: Alphabet, b: Alphabet, op, name: str) -> Alphabet:
+    if a.is_contiguous_int and b.is_contiguous_int:
+        # op is monotone in each argument, so two integer ranges combine
+        # into the integer range spanned by the four corner values
+        corners = [op(u, v) for u in (a.symbols[0], a.symbols[-1])
+                   for v in (b.symbols[0], b.symbols[-1])]
+        return integer_alphabet(name, min(corners), max(corners))
     values = sorted({op(u, v) for u in a.symbols for v in b.symbols})
     return Alphabet(name, tuple(values))
 
@@ -222,6 +228,25 @@ class JointPMF:
         syms = self.variables[c][1].symbols
         return [syms[i] for i in self.idx[:, c]]
 
+    def with_probs(self, probs) -> "JointPMF":
+        """The same variables and support points under new weights.
+
+        The result shares variables and idx with this joint. probs must
+        give one finite, strictly positive weight per support point, in
+        support order, summing to 1 within SUM_TOL.
+        """
+        probs = np.ascontiguousarray(probs, dtype=np.float64)
+        if probs.shape != self.probs.shape:
+            raise InputError(
+                f"need {self.n_points} weights, one per support point; got shape {probs.shape}"
+            )
+        if not np.all(np.isfinite(probs)) or not np.all(probs > 0):
+            raise InputError("weights of support points must be finite and positive")
+        total = float(probs.sum())
+        if abs(total - 1.0) > SUM_TOL:
+            raise InputError(f"probabilities sum to {total!r}, not 1 within {SUM_TOL}")
+        return JointPMF(self.variables, self.idx, probs, _trusted=True)
+
     def __repr__(self) -> str:
         vs = ", ".join(f"{n}[{len(a)}]" for n, a in self.variables)
         return f"JointPMF({vs}; {self.n_points} support points)"
@@ -248,7 +273,7 @@ def _validate_pmf(variables, idx, probs):
     total = float(probs.sum())
     if abs(total - 1.0) > SUM_TOL:
         raise InputError(f"probabilities sum to {total!r}, not 1 within {SUM_TOL}")
-    key = _ravel_rows(idx, [len(a) for _, a in variables])
+    key = _ravel_rows(idx, range(len(variables)), [len(a) for _, a in variables])
     if key is None:
         _, first = np.unique(idx, axis=0, return_index=True)
         if first.size != idx.shape[0]:
@@ -261,16 +286,15 @@ def _validate_pmf(variables, idx, probs):
     return tuple(variables), np.ascontiguousarray(idx[order]), np.ascontiguousarray(probs[order])
 
 
-def _ravel_rows(idx: np.ndarray, sizes: Sequence[int]):
-    """Mixed-radix key per row, or None if the radix product overflows."""
-    total = 1
-    for s in sizes:
-        total *= int(s)
-    if total > 2**62:
+def _ravel_rows(idx: np.ndarray, cols: Sequence[int], sizes: Sequence[int]):
+    """Mixed-radix key of each row over the given columns, or None if the
+    radix product overflows."""
+    if math.prod(sizes) > 2**62:
         return None
     key = np.zeros(idx.shape[0], dtype=np.int64)
-    for c, s in enumerate(sizes):
-        key = key * int(s) + idx[:, c].astype(np.int64)
+    for c, s in zip(cols, sizes):
+        key *= s
+        key += idx[:, c]
     return key
 
 
@@ -281,24 +305,57 @@ def _positions(pmf: JointPMF, names: Iterable[str]) -> list[int]:
     return [pmf.var_pos(n) for n in names]
 
 
-def group_weights(pmf: JointPMF, names: Sequence[str]):
-    """Unique sub-rows over the named variables and their total weights.
+# group with one np.bincount over the whole key range, instead of sorting
+# the keys, while that range is at most this many times the support size
+_DENSE_SPAN = 8
 
-    Returns (rows, weights) with rows sorted by mixed-radix key. This is the
-    grouping kernel behind marginalization and every entropy evaluation.
+
+def _group(pmf: JointPMF, names: Sequence[str]):
+    """(weights, sizes, rows) of the grouping over the named variables.
+
+    On the dense path rows is None and weights has one bin per mixed-radix
+    key, 0 where no support point falls. Otherwise rows and weights list
+    the occupied groups only. Either way the groups come in key order and
+    each weight sums its points in support order.
     """
     cols = _positions(pmf, names)
     if not cols:
         raise InputError("need at least one variable to group by")
-    sub = pmf.idx[:, cols]
     sizes = [len(pmf.variables[c][1]) for c in cols]
-    key = _ravel_rows(sub, sizes)
+    span = math.prod(sizes)
+    key = _ravel_rows(pmf.idx, cols, sizes)
+    if span <= _DENSE_SPAN * pmf.n_points:
+        return np.bincount(key, weights=pmf.probs, minlength=span), sizes, None
+    sub = pmf.idx[:, cols]
     if key is None:
         rows, inverse = np.unique(sub, axis=0, return_inverse=True)
     else:
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         rows = sub[first]
-    weights = np.bincount(inverse, weights=pmf.probs, minlength=rows.shape[0])
+    return np.bincount(inverse, weights=pmf.probs, minlength=rows.shape[0]), sizes, rows
+
+
+def group_probs(pmf: JointPMF, names: Sequence[str]) -> np.ndarray:
+    """Total weight of each group over the named variables, in key order.
+
+    The array may hold zeros for keys that no support point takes; its
+    nonzero entries are the weights of group_weights. Entropy needs only
+    these, so this kernel builds no rows.
+    """
+    return _group(pmf, names)[0]
+
+
+def group_weights(pmf: JointPMF, names: Sequence[str]):
+    """Unique sub-rows over the named variables and their total weights.
+
+    Returns (rows, weights) with rows sorted by mixed-radix key. This is the
+    grouping kernel behind marginalization.
+    """
+    weights, sizes, rows = _group(pmf, names)
+    if rows is None:
+        occupied = np.flatnonzero(weights)
+        rows = np.column_stack(np.unravel_index(occupied, sizes))
+        weights = weights[occupied]
     return rows, weights
 
 

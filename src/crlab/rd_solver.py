@@ -54,6 +54,16 @@ class BAConfig:
         if self.max_iters < 1 or not (self.tol > 0):
             raise InputError(f"bad solver config {self}")
 
+    @property
+    def convexity_tol(self) -> float:
+        """Bits a certified point may sit above a chord of achievable points.
+
+        Its Lagrangian is within tol*log2(e) bits of the optimum at its
+        slope, and time-sharing achieves the chord, so the rate is at most
+        that far above the chord.
+        """
+        return max(CONVEXITY_TOL, self.tol * math.log2(math.e))
+
 
 @dataclass(frozen=True)
 class DistortionMatrix:
@@ -97,10 +107,15 @@ class RDPoint:
 
 @dataclass(frozen=True)
 class RDCurve:
-    """Points on a lower convex envelope, distortion ascending."""
+    """Points on a lower convex envelope, distortion ascending.
+
+    convexity_tol is how far, in bits, a point may sit above the chord of
+    its neighbours: the solver's certified gap, and at least CONVEXITY_TOL.
+    """
 
     label: str
     points: tuple[RDPoint, ...]
+    convexity_tol: float = CONVEXITY_TOL
 
     def __post_init__(self):
         pts = self.points
@@ -113,14 +128,15 @@ class RDCurve:
         for a, m, b in zip(pts, pts[1:], pts[2:]):
             t = (m.distortion - a.distortion) / (b.distortion - a.distortion)
             chord = a.rate + t * (b.rate - a.rate)
-            if m.rate > chord + CONVEXITY_TOL:
+            if m.rate > chord + self.convexity_tol:
                 raise InternalConsistencyError(
                     f"curve {self.label!r} not convex at D={m.distortion}: "
                     f"rate {m.rate} above chord {chord}"
                 )
 
     @classmethod
-    def assemble(cls, label: str, points) -> "RDCurve":
+    def assemble(cls, label: str, points,
+                 convexity_tol: float = CONVEXITY_TOL) -> "RDCurve":
         """Sort, drop duplicates (lower rate wins at equal distortion), and
         prune points dominated in both coordinates."""
         pts = sorted(points, key=lambda p: (p.distortion, p.rate))
@@ -129,7 +145,7 @@ class RDCurve:
             if frontier and p.rate >= frontier[-1].rate - 1e-15:
                 continue
             frontier.append(p)
-        return cls(label, tuple(frontier))
+        return cls(label, tuple(frontier), convexity_tol)
 
     @property
     def distortions(self) -> np.ndarray:
@@ -437,7 +453,7 @@ def rd_curve(source: JointPMF, recon_alphabet: Alphabet, dist: DistortionMatrix,
     P = _source_vector(source)[None, :]
     pts = [RDPoint(float(r[0]), float(dd[0]), float(s), conv)
            for s, (r, dd, conv) in zip(grid, _sweep_slopes(P, dist.d, grid, config))]
-    return RDCurve.assemble(label, pts)
+    return RDCurve.assemble(label, pts, config.convexity_tol)
 
 
 def conditional_rd_curve(joint: JointPMF, source_var: str, cond_var: str,
@@ -465,7 +481,7 @@ def conditional_rd_curve(joint: JointPMF, source_var: str, cond_var: str,
 
     pts = [RDPoint(float(w_c @ r), float(w_c @ dd), float(s), conv)
            for s, (r, dd, conv) in zip(grid, _sweep_slopes(P, dist.d, grid, config))]
-    return RDCurve.assemble(label, pts)
+    return RDCurve.assemble(label, pts, config.convexity_tol)
 
 
 def compare_paradigms(params: PixelModelParams, slope_grid=None,

@@ -42,7 +42,7 @@ from .prob_core import (
     random_pmf,
     splitmix64,
 )
-from .info_measures import entropy
+from .info_measures import EntropyMemo
 
 __all__ = [
     "CHECK_TOL",
@@ -128,30 +128,6 @@ def _inequality(cid: str, margin: float) -> CheckResult:
     return CheckResult(cid, INEQUALITY, margin, ok, pass_count=int(ok))
 
 
-class _H:
-    """Memoized joint-entropy evaluator over one pmf."""
-
-    def __init__(self, pmf: JointPMF):
-        self.pmf = pmf
-        self.memo: dict[tuple[str, ...], float] = {}
-
-    def __call__(self, *names: str) -> float:
-        key = tuple(sorted(names))
-        if key not in self.memo:
-            self.memo[key] = entropy(self.pmf, key)
-        return self.memo[key]
-
-    def cond(self, a: str, b: str) -> float:
-        return self(a, b) - self(b)
-
-    def mi(self, a: str, b: str) -> float:
-        return self(a) + self(b) - self(a, b)
-
-    def cmi(self, a: str, b: str, *given: str) -> float:
-        return (self(a, *given) + self(b, *given)
-                - self(a, b, *given) - self(*given))
-
-
 def _require_vars(pmf: JointPMF, names: Sequence[str]):
     missing = [n for n in names if n not in pmf.names]
     if missing:
@@ -195,7 +171,7 @@ def check_lossless(pmf: JointPMF, seed: int = 0) -> TheoremReport:
     _require_vars(pmf, ("x", "xp", "xq", "r"))
     _require_deterministic(pmf, "xp", "xq")
     _require_difference(pmf, "r", "x", "xp")
-    h = _H(pmf)
+    h = EntropyMemo(pmf)
 
     checks = (
         _identity("residual_rate_split",
@@ -240,7 +216,7 @@ def check_lossy(pmf: JointPMF, seed: int = 0) -> TheoremReport:
         pmf = adjoin_difference(pmf, "xt", "xp", "rt")
     _require_difference(pmf, "r", "x", "xp")
     _require_difference(pmf, "rt", "xt", "xp")
-    h = _H(pmf)
+    h = EntropyMemo(pmf)
 
     checks = (
         _identity("lossy_residual_rate_split",

@@ -76,6 +76,13 @@ class TestSweep:
         assert code == 0
         assert re.search(r"crossover: Q=2 .* changes sign between p=", out)
 
+    def test_bottleneck_wider_than_alphabet(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sweep", "--M", "256", "--Q", "256", "--p", "0.05",
+                           "--out", str(tmp_path))
+        assert code == 0, err
+        row = (tmp_path / "sweep.csv").read_text().splitlines()[2].split(",")
+        assert row[-3] == "0" and row[-1] == "0"   # I_X_Xphat, I_R_Xphat
+
     def test_out_dir_from_environment(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CRLAB_OUT", str(tmp_path / "envdir"))
         code, _, _ = run(capsys, "sweep", "--p", "0.5", "--Q", "1", "--M", "8")

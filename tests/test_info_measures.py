@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crlab.errors import InputError
+from crlab.errors import InputError, InternalConsistencyError
 from crlab.info_measures import (
+    EntropyMemo,
+    _plogp_sum,
     conditional_entropy,
     conditional_mutual_information,
     entropy,
@@ -124,3 +126,22 @@ def test_unknown_variable_rejected():
     pmf = random_pmf((3, 3), seed=5, names=["a", "b"])
     with pytest.raises(InputError):
         entropy(pmf, "zz")
+
+
+def test_whole_mass_group_rounded_above_one_adds_nothing():
+    # one bin summed from 65,536 pixel-model points reaches 1 + 7.6e-13
+    assert _plogp_sum(np.array([1.0 + 7.6e-13])) == 0.0
+    assert _plogp_sum(np.array([0.0, 1.0 + 1e-9, 0.0])) == 0.0
+    with pytest.raises(InternalConsistencyError):
+        _plogp_sum(np.array([1.0 + 2e-9]))
+
+
+def test_memo_matches_plain_measures_and_sorts_keys():
+    pmf = random_pmf((3, 4, 2), seed=11, names=["a", "b", "c"])
+    h = EntropyMemo(pmf)
+    assert h("b", "a") == h("a", "b") == entropy(pmf, ["a", "b"])
+    assert h.cond("a", "b") == conditional_entropy(pmf, "a", "b")
+    assert h.mi("a", "b") == mutual_information(pmf, "a", "b")
+    assert h.cmi("a", "b", "c") == conditional_mutual_information(pmf, "a", "b", "c")
+    assert set(h.memo) == {("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c"),
+                           ("a", "b", "c")}

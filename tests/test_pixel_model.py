@@ -7,8 +7,10 @@ not through this package's adjoin pipeline.
 
 import math
 
+import numpy as np
 import pytest
 
+from crlab import pixel_model, prob_core
 from crlab.errors import InputError
 from crlab.info_measures import conditional_entropy, entropy
 from crlab.pixel_model import (
@@ -122,6 +124,14 @@ class TestReportInvariants:
         assert rep.H_R == 0.0
         assert rep.H_R_given_Xphat == 0.0
 
+    def test_single_cell_bottleneck_carries_no_information(self):
+        # Q >= M collapses xq to one cell whose summed weight rounds to
+        # just above 1; it must read as 0 bits, not crash
+        for Q in (256, 300, 1000):
+            rep = entropy_report(PixelModelParams(p=0.05, Q=Q, M=256))
+            assert rep.I_X_Xphat == 0.0 and rep.I_R_Xphat == 0.0
+            assert rep.H_R_given_Xphat == rep.H_R
+
     def test_report_accepts_prebuilt_joint(self):
         params = PixelModelParams(p=0.3, Q=2, M=16)
         pmf = build_joint(params)
@@ -152,3 +162,39 @@ class TestSweep:
         # at tiny p the bottleneck says strictly worse; at p=0.9 it cannot be
         assert any(r.p == 0.05 for r in worse)
         assert all(r.p != 0.9 for r in worse)
+
+    @pytest.mark.parametrize("Q", [1, 1.4, 2, 64])
+    def test_shared_support_matches_per_point_reports(self, Q):
+        ps = [0, 0.01, 0.5, 1]
+        swept = sweep_p(ps, [Q], M=256)
+        assert swept == [entropy_report(PixelModelParams(p=p, Q=Q, M=256)) for p in ps]
+
+
+class _SortForbidden:
+    """numpy as seen by prob_core, with np.unique failing loudly."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def unique(*args, **kwargs):
+        raise AssertionError("prob_core sorted keys where a bincount fits")
+
+
+def test_full_support_groups_without_sorting_and_builds_once_per_q(monkeypatch):
+    """Guards the sweep's cost model without timing: at M=256 every grouping
+    of an entropy report is a bincount, and a sweep builds one support per
+    Q for all p > 0."""
+    monkeypatch.setattr(prob_core, "np", _SortForbidden())
+    builds = []
+    real_build = pixel_model.build_joint
+
+    def counting_build(params):
+        builds.append(params)
+        return real_build(params)
+
+    monkeypatch.setattr(pixel_model, "build_joint", counting_build)
+    entropy_report(PixelModelParams(p=0.3, Q=1.4, M=256))
+    builds.clear()
+    sweep_p([0.05, 0.5, 1], [1, 64], M=256)
+    assert builds == [PixelModelParams(p=0.05, Q=Q, M=256) for Q in (1, 64)]

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crlab import prob_core
 from crlab.errors import DomainError, InputError
+from crlab.pixel_model import PixelModelParams, build_joint
 from crlab.prob_core import (
     Alphabet,
     DeterministicMap,
@@ -20,12 +22,15 @@ from crlab.prob_core import (
     as_exact,
     condition,
     difference_alphabet,
+    group_probs,
+    group_weights,
     integer_alphabet,
     marginalize,
     quantizer_map,
     random_pmf,
     sample,
     splitmix64,
+    sum_alphabet,
 )
 
 
@@ -84,6 +89,20 @@ class TestAlphabet:
         d = difference_alphabet(a, a)
         assert d.symbols == (-2, -1, 0, 1, 2)
 
+    @pytest.mark.parametrize("lo_a,hi_a,lo_b,hi_b", [(0, 0, 0, 0), (-3, 2, 5, 9), (4, 4, -2, 7)])
+    def test_integer_cross_sets_match_enumeration(self, lo_a, hi_a, lo_b, hi_b):
+        a = integer_alphabet("a", lo_a, hi_a)
+        b = integer_alphabet("b", lo_b, hi_b)
+        pairs = [(u, v) for u in a.symbols for v in b.symbols]
+        assert difference_alphabet(a, b).symbols == tuple(sorted({u - v for u, v in pairs}))
+        assert sum_alphabet(a, b).symbols == tuple(sorted({u + v for u, v in pairs}))
+
+    def test_fraction_cross_set_enumerates(self):
+        a = Alphabet("a", (0, Fraction(7, 5), Fraction(14, 5)))
+        b = integer_alphabet("b", 0, 1)
+        assert difference_alphabet(a, b).symbols == (
+            -1, 0, Fraction(2, 5), Fraction(7, 5), Fraction(9, 5), Fraction(14, 5))
+
 
 class TestQuantizerMap:
     def test_integer_step_truncates(self):
@@ -123,6 +142,24 @@ class TestJointPMF:
         a = integer_alphabet("x", 0, 1)
         with pytest.raises(InputError):
             JointPMF([("x", a)], [[0], [0]], [0.5, 0.5])
+
+    def test_with_probs_shares_support(self):
+        pmf = uniform_pair(4)
+        new = pmf.with_probs([0.1, 0.2, 0.3, 0.4])
+        assert new.variables == pmf.variables and new.idx is pmf.idx
+        assert new.probs.tolist() == [0.1, 0.2, 0.3, 0.4]
+        assert pmf.probs.tolist() == [0.25] * 4
+
+    @pytest.mark.parametrize("probs", [
+        [0.5, 0.5],                      # wrong shape
+        [0.5, 0.5, 0.0, 0.0],            # zero weight
+        [0.5, 0.5, 0.5, -0.5],           # negative weight
+        [0.25, 0.25, 0.25, float("nan")],
+        [0.25, 0.25, 0.25, 0.3],         # sums to 1.05
+    ])
+    def test_with_probs_rejects_bad_weights(self, probs):
+        with pytest.raises(InputError):
+            uniform_pair(4).with_probs(probs)
 
     def test_column_values_and_names(self):
         pmf = uniform_pair(3)
@@ -232,3 +269,51 @@ class TestRandomness:
             random_pmf((0, 2), seed=1)
         with pytest.raises(InputError):
             random_pmf((2, 2), concentration=0.0, seed=1)
+
+
+@st.composite
+def grouping_cases(draw):
+    """A joint and a nonempty ordered subset of its variable names."""
+    kind = draw(st.sampled_from(["random", "fraction", "holes", "diagonal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if kind == "random":
+        shape = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+        pmf = random_pmf(shape, seed=rng)
+    elif kind == "fraction":
+        n = draw(st.integers(2, 12))
+        pmf = random_pmf((n, n), seed=rng, names=("x", "xp"))
+        pmf = adjoin_map(pmf, "xp", quantizer_map(pmf.alphabet("xp"), 1.4, "xq"), "xq")
+    elif kind == "holes":
+        n = draw(st.integers(2, 6))
+        pmf = adjoin_difference(random_pmf((n, n), seed=rng, names=("x", "xp")),
+                                "x", "xp", "r")
+        nr = len(pmf.alphabet("r"))
+        kernel = rng.random((nr, nr)) * (rng.random((nr, nr)) < 0.4) + 0.1 * np.eye(nr)
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        pmf = adjoin_channel(pmf, "r", kernel, Alphabet("rt", pmf.alphabet("r").symbols), "rt")
+    else:
+        pmf = build_joint(PixelModelParams(p=0, Q=draw(st.sampled_from([1, 1.4, 2])),
+                                           M=draw(st.integers(2, 16))))
+    names = draw(st.permutations(pmf.names))
+    return pmf, names[:draw(st.integers(1, len(names)))]
+
+
+def _grouped(pmf, names, dense_span):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prob_core, "_DENSE_SPAN", dense_span)
+        return group_weights(pmf, names), group_probs(pmf, names)
+
+
+@given(grouping_cases())
+@settings(max_examples=80, deadline=None)
+def test_dense_grouping_matches_sorting(case):
+    """The bincount path and the np.unique path group identically, bit for bit."""
+    pmf, names = case
+    (rows_s, w_s), probs_s = _grouped(pmf, names, 0)          # always sort
+    (rows_d, w_d), probs_d = _grouped(pmf, names, math.inf)   # always dense
+    assert rows_d.dtype == rows_s.dtype and rows_d.shape == rows_s.shape
+    assert np.array_equal(rows_d, rows_s)
+    assert w_d.tobytes() == w_s.tobytes()
+    assert probs_s.tobytes() == w_s.tobytes()
+    assert probs_d[probs_d > 0].tobytes() == w_s.tobytes()
+    assert probs_d.size == math.prod(len(pmf.alphabet(n)) for n in names)

@@ -14,6 +14,7 @@ from crlab.errors import DomainError, InputError, InternalConsistencyError
 from crlab.pixel_model import PixelModelParams, build_joint
 from crlab.prob_core import JointPMF, integer_alphabet, marginalize
 from crlab.rd_solver import (
+    CONVEXITY_TOL,
     BAConfig,
     DistortionMatrix,
     RDCurve,
@@ -79,6 +80,14 @@ class TestCurveContainer:
         with pytest.raises(InternalConsistencyError):
             RDCurve("bad", (RDPoint(1.0, 1.0, 1.0), RDPoint(0.99, 2.0, 0.5),
                             RDPoint(0.0, 3.0, 0.1)))
+
+    def test_convexity_tolerance_follows_solver_gap(self):
+        pts = (RDPoint(1.0, 1.0, 1.0), RDPoint(0.5 + 1e-5, 2.0, 0.5), RDPoint(0.0, 3.0, 0.1))
+        with pytest.raises(InternalConsistencyError):
+            RDCurve("c", pts)
+        assert RDCurve.assemble("c", pts, BAConfig(tol=1e-4).convexity_tol).points == pts
+        assert BAConfig().convexity_tol == CONVEXITY_TOL
+        assert BAConfig(tol=1e-2).convexity_tol == pytest.approx(1e-2 * math.log2(math.e))
 
 
 class TestBinaryOracle:
@@ -172,6 +181,15 @@ class TestParadigmComparison:
         for p in condres.points:
             if lo <= p.distortion <= hi:
                 assert p.rate <= res.rate_at(p.distortion) + 1e-6
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-2])
+    def test_loose_solver_tolerance_still_assembles(self, tol):
+        # a point certified to tol nats may sit tol*log2(e) bits above the
+        # chord of its neighbours; the convexity check must allow that
+        curves = compare_paradigms(PixelModelParams(p=0.1, Q=1, M=16),
+                                   config=BAConfig(tol=tol))
+        assert set(curves) == {"res", "cond_ideal", "cond", "condres"}
+        assert all(c.convexity_tol == tol * math.log2(math.e) for c in curves.values())
 
     def test_all_points_certified(self):
         curves = compare_paradigms(PixelModelParams(p=0.7, Q=2, M=8),
