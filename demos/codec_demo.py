@@ -9,6 +9,7 @@ Run:  python3 demos/codec_demo.py
 """
 
 from crlab import (
+    PARADIGMS,
     PixelModelParams,
     build_model,
     decode,
@@ -26,15 +27,13 @@ print("p     Q   paradigm                 H (bits)  measured  overhead")
 for p, Q in [(0.25, 2), (0.25, 1), (1.0, 1)]:
     params = PixelModelParams(p=p, Q=Q, M=M)
     rep = entropy_report(params)
-    bounds = {
-        "residual": rep.H_R,
-        "conditional": rep.H_X_given_Xphat,
-        "conditional-residual": rep.H_R_given_Xphat,
-    }
     pairs = sample_pairs(params, n, seed)
     xp_seq = [xp for _, xp in pairs]
     x_seq = [x for x, _ in pairs]
-    for paradigm, h in bounds.items():
+    for row in PARADIGMS:
+        if row.byte is None:
+            continue
+        paradigm, h = row.name, getattr(rep, row.bound)
         model = build_model(params, paradigm)
         stream = encode(pairs, paradigm, model)
         assert decode(stream, xp_seq, model) == x_seq, "round trip broke"

@@ -26,7 +26,6 @@ from .prob_core import (
     adjoin_channel,
     adjoin_difference,
     adjoin_map,
-    condition,
     integer_alphabet,
     marginalize,
     quantizer_map,
@@ -40,10 +39,10 @@ from .info_measures import (
     mutual_information,
 )
 from .pixel_model import (
+    PARADIGMS,
     EntropyReport,
     PixelModelParams,
     build_joint,
-    conditional_worse_region,
     entropy_report,
     sweep_p,
 )
@@ -58,7 +57,6 @@ from .rd_solver import (
     BAConfig,
     RDCurve,
     RDPoint,
-    blahut_arimoto,
     compare_paradigms,
     conditional_rd_curve,
     rd_curve,

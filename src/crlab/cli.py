@@ -41,8 +41,14 @@ from .errors import (
     ModelCoverageError,
     UsageError,
 )
-from .pixel_model import PixelModelParams, entropy_report, sweep_p
-from .rd_solver import compare_paradigms, default_slope_grid
+from .pixel_model import (
+    PARADIGMS,
+    PixelModelParams,
+    codec_paradigm,
+    entropy_report,
+    sweep_p,
+)
+from .rd_solver import compare_paradigms
 from .theorem_suite import format_report, report_csv_rows, run_randomized_suite
 
 __all__ = ["main", "entrypoint"]
@@ -50,13 +56,9 @@ __all__ = ["main", "entrypoint"]
 _DEFAULT_P_GRID = [round(k * 0.01, 2) for k in range(1, 101)]
 _DEFAULT_Q_LIST = [1.0, 1.4, 2.0, 64.0]
 
-# short alias accepted anywhere a paradigm is named
-_PARADIGM_ALIASES = {
-    "residual": "residual",
-    "conditional": "conditional",
-    "conditional-residual": "conditional-residual",
-    "condres": "conditional-residual",
-}
+# a codec paradigm is named by its codec name or its RD label
+_PARADIGM_SPELLINGS = sorted({s for row in PARADIGMS if row.byte is not None
+                              for s in (row.name, row.label)})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,18 +166,18 @@ def cmd_rd(args) -> int:
 
 
 def cmd_codec(args) -> int:
-    paradigm = _PARADIGM_ALIASES[args.paradigm]
+    row = codec_paradigm(args.paradigm)
     if args.n < 1:
         raise UsageError(f"need at least one symbol, got n={args.n}")
     params = PixelModelParams(p=args.p, Q=args.Q, M=args.M)
 
-    model = build_model(params, paradigm)
+    model = build_model(params, row.name)
     pairs = sample_pairs(params, args.n, args.seed)
     x_seq = [x for x, _ in pairs]
     xp_seq = [xp for _, xp in pairs]
 
     try:
-        stream = encode(pairs, paradigm, model)
+        stream = encode(pairs, row.name, model)
         decoded = decode(stream, xp_seq, model)
     except (IntegrityError, FormatError, ModelCoverageError) as e:
         print(f"codec integrity failure: {e}", file=sys.stderr)
@@ -187,21 +189,16 @@ def cmd_codec(args) -> int:
         return 2
 
     rate = measure_rate(stream, args.n)
-    bounds = entropy_report(params)
-    bound = {
-        "residual": bounds.H_R,
-        "conditional": bounds.H_X_given_Xphat,
-        "conditional-residual": bounds.H_R_given_Xphat,
-    }[paradigm]
+    bound = getattr(entropy_report(params), row.bound)
 
-    print(f"round trip exact over {args.n} symbols ({paradigm})")
+    print(f"round trip exact over {args.n} symbols ({row.name})")
     print(f"measured rate   {_fmt(rate)} bits/symbol "
           f"({len(stream.payload)} payload bytes)")
     print(f"entropy bound   {_fmt(bound)} bits/symbol")
     print(f"overhead        {_fmt(rate - bound)} bits/symbol")
 
     if not args.plain:
-        name = f"codec_{paradigm}_p{args.p:g}_Q{args.Q:g}.crlb"
+        name = f"codec_{row.name}_p{args.p:g}_Q{args.Q:g}.crlb"
         path = _out_dir(args) / name
         path.write_bytes(stream.to_bytes())
         print(f"wrote {path} ({len(stream.payload)} payload bytes)")
@@ -292,7 +289,7 @@ def _build_parser() -> _Parser:
     p_codec.add_argument("--n", type=int, default=100000,
                          help="stream length in symbols (default 100000)")
     p_codec.add_argument("--paradigm", required=True,
-                         choices=sorted(_PARADIGM_ALIASES),
+                         choices=_PARADIGM_SPELLINGS,
                          help="which conditional structure to code with")
     p_codec.set_defaults(func=cmd_codec)
     return parser

@@ -1,10 +1,7 @@
 """Lossless codecs for the three coding paradigms over (x, x_p) sequences.
 
-Paradigms (byte values fixed in the bitstream header):
-
-    0 residual               code r = x - x_p, no context
-    1 conditional            code x, context = quantized prediction
-    2 conditional-residual   code r, context = quantized prediction
+The paradigms are the rows of pixel_model.PARADIGMS that carry a header
+byte; each row names the coded variable, its context and its byte.
 
 Models are static frequency tables derived from the exact pixel-model
 PMF, quantized to a fixed total T = 2^16 so that encoder and decoder
@@ -28,8 +25,9 @@ byte it increments the cache and turns the run of pending 0xFF bytes
 into 0x00s. Each symbol narrows the range by (start, size, T) taken
 from the model's cumulative table. The decoder mirrors the arithmetic
 exactly, consuming 5 priming bytes and then one byte per encoder
-renormalization, so an intact stream is consumed in full and a
-truncated one raises IntegrityError.
+renormalization, so an intact stream is consumed in full; a truncated
+stream, or one with bytes left after its last symbol, raises
+IntegrityError.
 """
 
 from __future__ import annotations
@@ -47,14 +45,18 @@ from .errors import (
     IntegrityError,
     ModelCoverageError,
 )
-from .pixel_model import PixelModelParams, build_joint
-from .prob_core import integer_alphabet, marginalize, quantizer_map, sample
+from .pixel_model import PARADIGMS, PixelModelParams, build_joint, codec_paradigm
+from .prob_core import (
+    conditional_table,
+    integer_alphabet,
+    marginalize,
+    quantizer_map,
+    sample,
+)
 
 __all__ = [
     "Bitstream",
     "MAGIC",
-    "PARADIGMS",
-    "PARADIGM_NAMES",
     "ProbabilityModel",
     "RangeDecoder",
     "RangeEncoder",
@@ -73,8 +75,7 @@ MAGIC = b"CRLB"
 VERSION = 1
 TOTAL = 1 << 16
 
-PARADIGMS = {"residual": 0, "conditional": 1, "conditional-residual": 2}
-PARADIGM_NAMES = {v: k for k, v in PARADIGMS.items()}
+_BY_BYTE = {row.byte: row for row in PARADIGMS if row.byte is not None}
 
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
@@ -152,6 +153,12 @@ class RangeDecoder:
             self._range = (self._range << 8) & _MASK32
             self._code = ((self._code << 8) | self._next_byte()) & _MASK32
 
+    def finish(self) -> None:
+        """Require that the last symbol consumed the whole payload."""
+        left = len(self._data) - self._pos
+        if left:
+            raise IntegrityError(f"{left} byte(s) left after the last symbol")
+
 
 def quantize_freq(p: np.ndarray, total: int = TOTAL) -> np.ndarray:
     """Round a PMF to integer counts summing exactly to total.
@@ -195,8 +202,9 @@ def quantize_freq(p: np.ndarray, total: int = TOTAL) -> np.ndarray:
 class ProbabilityModel:
     """Static per-context frequency tables for one paradigm.
 
-    contexts are quantized-prediction values, or (None,) for the
-    contextless residual paradigm. freq rows sum exactly to TOTAL and
+    paradigm is a codec name or label of pixel_model.PARADIGMS and is
+    stored as the name. contexts are quantized-prediction values, or
+    (None,) for a contextless paradigm. freq rows sum exactly to TOTAL and
     every symbol that the exact model can emit has count >= 1.
     """
 
@@ -208,11 +216,9 @@ class ProbabilityModel:
     freq: np.ndarray
 
     def __post_init__(self):
-        if self.paradigm not in PARADIGMS:
-            raise InputError(
-                f"unknown paradigm {self.paradigm!r}; expected one of "
-                f"{sorted(PARADIGMS)}"
-            )
+        row = codec_paradigm(self.paradigm)
+        object.__setattr__(self, "paradigm", row.name)
+        object.__setattr__(self, "_row", row)
         freq = np.ascontiguousarray(self.freq, dtype=np.int64)
         if freq.shape != (len(self.contexts), len(self.symbols)):
             raise InputError(
@@ -235,7 +241,7 @@ class ProbabilityModel:
         object.__setattr__(
             self, "_sym_index", {s: i for i, s in enumerate(self.symbols)}
         )
-        if self.paradigm == "residual":
+        if row.context is None:
             ctx_of = np.zeros(self.M, dtype=np.int64)
         else:
             qmap = quantizer_map(integer_alphabet("xp", 0, self.M - 1), self.Q)
@@ -251,15 +257,6 @@ class ProbabilityModel:
                 ) from None
         object.__setattr__(self, "_ctx_of_xp", ctx_of)
 
-    @property
-    def paradigm_byte(self) -> int:
-        return PARADIGMS[self.paradigm]
-
-    @property
-    def codes_residual(self) -> bool:
-        """True when the coded symbol is r = x - x_p rather than x."""
-        return self.paradigm != "conditional"
-
 
 @dataclass(frozen=True)
 class Bitstream:
@@ -269,7 +266,7 @@ class Bitstream:
     payload: bytes
 
     def __post_init__(self):
-        if self.paradigm not in PARADIGM_NAMES:
+        if self.paradigm not in _BY_BYTE:
             raise InputError(f"unknown paradigm byte {self.paradigm!r}")
         if not 2 <= self.M <= 0xFFFF:
             raise InputError(f"alphabet size {self.M} not encodable in 16 bits")
@@ -282,6 +279,7 @@ class Bitstream:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bitstream":
+        """Parse a stream; any bad header field is a FormatError."""
         if len(data) < _HEADER.size:
             raise FormatError(
                 f"stream too short for header: {len(data)} < {_HEADER.size}"
@@ -291,41 +289,20 @@ class Bitstream:
             raise FormatError(f"bad magic {magic!r}")
         if version != VERSION:
             raise FormatError(f"unsupported format version {version}")
-        if paradigm not in PARADIGM_NAMES:
-            raise FormatError(f"unknown paradigm byte {paradigm}")
-        return cls(paradigm, m, n, bytes(data[_HEADER.size:]))
-
-
-def _dense_conditionals(params: PixelModelParams, paradigm: str):
-    """(context weights, p(symbol|context) rows, symbols, contexts)."""
-    joint = build_joint(params)
-    sym_var = "x" if paradigm == "conditional" else "r"
-    sym_alph = joint.alphabet(sym_var)
-    if paradigm == "residual":
-        pmf = marginalize(joint, [sym_var])
-        p = np.zeros((1, len(sym_alph)))
-        p[0, pmf.idx[:, 0]] = pmf.probs
-        return np.ones(1), p, sym_alph.symbols, (None,)
-    pmf = marginalize(joint, [sym_var, "xq"])
-    ctx_alph = joint.alphabet("xq")
-    p = np.zeros((len(ctx_alph), len(sym_alph)))
-    p[pmf.idx[:, 1], pmf.idx[:, 0]] = pmf.probs
-    w = p.sum(axis=1)
-    keep = w > 0.0
-    p = p[keep] / w[keep, None]
-    contexts = tuple(s for s, k in zip(ctx_alph.symbols, keep) if k)
-    return w[keep], p, sym_alph.symbols, contexts
+        try:
+            return cls(paradigm, m, n, bytes(data[_HEADER.size:]))
+        except InputError as e:
+            raise FormatError(f"bad header field: {e}") from None
 
 
 def build_model(params: PixelModelParams, paradigm: str) -> ProbabilityModel:
     """Static tables for one paradigm from the exact pixel-model PMF."""
-    if paradigm not in PARADIGMS:
-        raise InputError(
-            f"unknown paradigm {paradigm!r}; expected one of {sorted(PARADIGMS)}"
-        )
-    _, p, symbols, contexts = _dense_conditionals(params, paradigm)
-    freq = np.stack([quantize_freq(row) for row in p])
-    return ProbabilityModel(paradigm, params.M, params.Q, symbols, contexts, freq)
+    row = codec_paradigm(paradigm)
+    joint = build_joint(params)
+    _, p, contexts = conditional_table(joint, row.coded, row.context)
+    freq = np.stack([quantize_freq(r) for r in p])
+    return ProbabilityModel(row.name, params.M, params.Q,
+                            joint.alphabet(row.coded).symbols, contexts, freq)
 
 
 def expected_rate(model: ProbabilityModel, params: PixelModelParams) -> float:
@@ -334,7 +311,8 @@ def expected_rate(model: ProbabilityModel, params: PixelModelParams) -> float:
     Exceeds the matching conditional entropy only by the frequency
     quantization loss (zero when the exact PMF hits the count grid).
     """
-    w, p, _, _ = _dense_conditionals(params, model.paradigm)
+    row = model._row
+    w, p, _ = conditional_table(build_joint(params), row.coded, row.context)
     if p.shape != model.freq.shape:
         raise InputError("model tables do not match these parameters")
     mask = p > 0.0
@@ -355,11 +333,7 @@ def _check_pair(x, xp, M):
 
 def encode(seq, paradigm: str, model: ProbabilityModel) -> Bitstream:
     """Encode (x, x_p) pairs; the quantized context is recomputed here."""
-    if paradigm not in PARADIGMS:
-        raise InputError(
-            f"unknown paradigm {paradigm!r}; expected one of {sorted(PARADIGMS)}"
-        )
-    if paradigm != model.paradigm:
+    if codec_paradigm(paradigm) is not model._row:
         raise InputError(
             f"model is for {model.paradigm!r}, requested {paradigm!r}"
         )
@@ -369,7 +343,7 @@ def encode(seq, paradigm: str, model: ProbabilityModel) -> Bitstream:
     sym_index = model._sym_index
     ctx_of = model._ctx_of_xp
     freq_rows, cum_rows = model._freq_rows, model._cum_rows
-    residual = model.codes_residual
+    residual = model._row.coded == "r"
     for x, xp in pairs:
         _check_pair(x, xp, M)
         sym = int(x) - int(xp) if residual else int(x)
@@ -384,14 +358,14 @@ def encode(seq, paradigm: str, model: ProbabilityModel) -> Bitstream:
             )
         enc.encode(cum_rows[ci][si], f, TOTAL)
     payload = enc.finish() if pairs else b""
-    return Bitstream(model.paradigm_byte, M, len(pairs), payload)
+    return Bitstream(model._row.byte, M, len(pairs), payload)
 
 
 def decode(bs: Bitstream, x_p_seq, model: ProbabilityModel) -> list[int]:
     """Recover the x sequence from a stream plus the shared predictions."""
-    if bs.paradigm != model.paradigm_byte:
+    if bs.paradigm != model._row.byte:
         raise FormatError(
-            f"stream paradigm {PARADIGM_NAMES[bs.paradigm]!r} does not match "
+            f"stream paradigm {_BY_BYTE[bs.paradigm].name!r} does not match "
             f"model {model.paradigm!r}"
         )
     if bs.M != model.M:
@@ -402,12 +376,16 @@ def decode(bs: Bitstream, x_p_seq, model: ProbabilityModel) -> list[int]:
             f"stream carries {bs.n} symbols but {len(preds)} predictions given"
         )
     if bs.n == 0:
+        if bs.payload:
+            raise IntegrityError(
+                f"empty stream carries {len(bs.payload)} payload bytes"
+            )
         return []
     dec = RangeDecoder(bs.payload)
     ctx_of = model._ctx_of_xp
     freq_rows, cum_rows = model._freq_rows, model._cum_rows
     symbols = model.symbols
-    residual = model.codes_residual
+    residual = model._row.coded == "r"
     M = model.M
     out = []
     for xp in preds:
@@ -420,6 +398,7 @@ def decode(bs: Bitstream, x_p_seq, model: ProbabilityModel) -> list[int]:
         dec.consume(cum[si], freq_rows[ci][si])
         sym = symbols[si]
         out.append(int(sym) + xp if residual else int(sym))
+    dec.finish()
     return out
 
 

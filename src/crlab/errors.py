@@ -10,7 +10,7 @@ class InputError(CrLabError):
 
 
 class DomainError(CrLabError):
-    """Mathematically undefined request, e.g. conditioning on a null event."""
+    """Mathematically undefined request, e.g. a rate outside a curve's span."""
 
 
 class PreconditionError(CrLabError):

@@ -33,10 +33,12 @@ from .prob_core import (
 
 __all__ = [
     "EntropyReport",
+    "PARADIGMS",
+    "Paradigm",
     "PixelModelParams",
     "REPORT_FIELDS",
     "build_joint",
-    "conditional_worse_region",
+    "codec_paradigm",
     "entropy_report",
     "sweep_p",
 ]
@@ -184,7 +186,39 @@ def sweep_p(p_grid: Sequence, Q_list: Sequence, M: int = 256) -> list[EntropyRep
     return out
 
 
-def conditional_worse_region(reports: Sequence[EntropyReport]) -> list[EntropyReport]:
-    """Grid points where the bottlenecked conditional coder loses to the
-    plain residual coder, i.e. H(X|Xphat) > H(R)."""
-    return [r for r in reports if r.H_X_given_Xphat > r.H_R]
+@dataclass(frozen=True)
+class Paradigm:
+    """One coder of the study.
+
+    label   : its name in RD curves and CSVs
+    name    : its name in the codec and on the command line
+    coded   : the joint variable it codes (x, or the residual r)
+    context : the joint variable it conditions on, or None
+    bound   : the EntropyReport field that bounds its lossless rate
+    byte    : its bitstream header byte, or None if the codec lacks it
+    """
+
+    label: str
+    name: str
+    coded: str
+    context: str | None
+    bound: str
+    byte: int | None
+
+
+# cond_ideal sees the raw prediction, which the decoder never has: it is
+# the RD study's reference, not a codec
+PARADIGMS = (
+    Paradigm("res", "residual", "r", None, "H_R", 0),
+    Paradigm("cond_ideal", "conditional", "x", "xp", "H_X_given_Xp", None),
+    Paradigm("cond", "conditional", "x", "xq", "H_X_given_Xphat", 1),
+    Paradigm("condres", "conditional-residual", "r", "xq", "H_R_given_Xphat", 2),
+)
+
+
+def codec_paradigm(spelling: str) -> Paradigm:
+    """The codec row whose name or label is spelling."""
+    for row in PARADIGMS:
+        if row.byte is not None and spelling in (row.name, row.label):
+            return row
+    raise InputError(f"unknown codec paradigm {spelling!r}")

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import InputError
 
 __all__ = [
     "Alphabet",
@@ -38,7 +38,7 @@ __all__ = [
     "adjoin_map",
     "adjoin_sum",
     "as_exact",
-    "condition",
+    "conditional_table",
     "difference_alphabet",
     "integer_alphabet",
     "marginalize",
@@ -369,23 +369,29 @@ def marginalize(pmf: JointPMF, keep: Sequence[str]) -> JointPMF:
     return JointPMF(variables, rows, weights, _trusted=True)
 
 
-def condition(pmf: JointPMF, var: str, value) -> JointPMF:
-    """Normalized slice at var == value, over the remaining variables."""
-    c = pmf.var_pos(var)
-    if len(pmf.variables) == 1:
-        raise InputError("cannot condition away the only variable")
-    value = as_exact(value)
-    vi = pmf.variables[c][1].index.get(value)
-    if vi is None:
-        raise InputError(f"{value!r} is not a symbol of variable {var!r}")
-    mask = pmf.idx[:, c] == vi
-    total = float(pmf.probs[mask].sum())
-    if total <= 0.0:
-        raise DomainError(f"conditioning event {var}={value!r} has probability 0")
-    cols = [i for i in range(len(pmf.variables)) if i != c]
-    variables = [pmf.variables[i] for i in cols]
-    return JointPMF(variables, pmf.idx[np.ix_(mask.nonzero()[0], cols)],
-                    pmf.probs[mask] / total, _trusted=True)
+def conditional_table(pmf: JointPMF, target: str, given: str | None = None):
+    """Dense p(target | given) over the whole alphabet of target.
+
+    Returns (w, P, contexts): the mass of each given cell that the support
+    reaches, its row-normalized conditional, and the given symbols of those
+    cells in alphabet order. With given=None the marginal of target is one
+    row, as summed and not renormalized, with weight exactly 1.0 and
+    contexts (None,).
+    """
+    n = len(pmf.alphabet(target))
+    if given is None:
+        rows, weights = group_weights(pmf, [target])
+        P = np.zeros((1, n))
+        P[0, rows[:, 0]] = weights
+        return np.ones(1), P, (None,)
+    rows, weights = group_weights(pmf, [given, target])
+    symbols = pmf.alphabet(given).symbols
+    P = np.zeros((len(symbols), n))
+    P[rows[:, 0], rows[:, 1]] = weights
+    w = P.sum(axis=1)
+    keep = w > 0.0
+    contexts = tuple(s for s, k in zip(symbols, keep) if k)
+    return w[keep], P[keep] / w[keep, None], contexts
 
 
 def _check_new_name(pmf: JointPMF, new_var: str):

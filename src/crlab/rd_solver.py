@@ -15,13 +15,13 @@ are deterministic: uniform q init, fixed iteration order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InputError, InternalConsistencyError
-from .pixel_model import PixelModelParams, build_joint
-from .prob_core import Alphabet, JointPMF, group_weights, marginalize
+from .pixel_model import PARADIGMS, PixelModelParams, build_joint
+from .prob_core import Alphabet, JointPMF, conditional_table
 
 __all__ = [
     "BAConfig",
@@ -29,7 +29,6 @@ __all__ = [
     "DistortionMatrix",
     "RDCurve",
     "RDPoint",
-    "blahut_arimoto",
     "compare_paradigms",
     "conditional_rd_curve",
     "default_slope_grid",
@@ -38,8 +37,6 @@ __all__ = [
 ]
 
 CONVEXITY_TOL = 1e-6
-
-PARADIGM_LABELS = ("res", "cond_ideal", "cond", "condres")
 
 
 @dataclass(frozen=True)
@@ -409,59 +406,25 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slope: float, config: BAConfig):
     return np.maximum(rates, 0.0), dists, converged, q
 
 
-def _source_vector(source: JointPMF) -> np.ndarray:
+def rd_curve(source: JointPMF, recon_alphabet: Alphabet, dist: DistortionMatrix,
+             slope_grid=None, config: BAConfig = BAConfig(),
+             label: str = "rd") -> RDCurve:
+    """Envelope of a single-variable source: the one-cell conditional case."""
     if len(source.names) != 1:
         raise InputError(
             f"source must be a single-variable distribution, has {source.names}"
         )
-    p = np.zeros(len(source.variables[0][1]))
-    p[source.idx[:, 0]] = source.probs
-    return p
+    return conditional_rd_curve(source, source.names[0], None, recon_alphabet,
+                                dist, slope_grid, config, label)
 
 
-def blahut_arimoto(source: JointPMF, recon_alphabet: Alphabet,
-                   dist: DistortionMatrix, slope: float,
-                   config: BAConfig = BAConfig()) -> RDPoint:
-    """One rate-distortion point of a single-variable source at one slope."""
-    if dist.recon.symbols != recon_alphabet.symbols:
-        raise InputError("distortion matrix recon alphabet mismatch")
-    if dist.source.symbols != source.variables[0][1].symbols:
-        raise InputError("distortion matrix source alphabet mismatch")
-    P = _source_vector(source)[None, :]
-    rates, dists, conv, _ = _ba_stack(P, dist.d, slope, config)
-    return RDPoint(float(rates[0]), float(dists[0]), float(slope), conv)
-
-
-def _sweep_slopes(P: np.ndarray, d: np.ndarray, grid, config: BAConfig):
-    """Independent cold-start solves, one per slope."""
-    out = []
-    for s in grid:
-        rates, dists, conv, _ = _ba_stack(P, d, float(s), config)
-        out.append((rates, dists, conv))
-    return out
-
-
-def rd_curve(source: JointPMF, recon_alphabet: Alphabet, dist: DistortionMatrix,
-             slope_grid=None, config: BAConfig = BAConfig(),
-             label: str = "rd") -> RDCurve:
-    """Sweep slopes and assemble the unconditional envelope."""
-    if dist.recon.symbols != recon_alphabet.symbols:
-        raise InputError("distortion matrix recon alphabet mismatch")
-    if dist.source.symbols != source.variables[0][1].symbols:
-        raise InputError("distortion matrix source alphabet mismatch")
-    grid = default_slope_grid() if slope_grid is None else slope_grid
-    P = _source_vector(source)[None, :]
-    pts = [RDPoint(float(r[0]), float(dd[0]), float(s), conv)
-           for s, (r, dd, conv) in zip(grid, _sweep_slopes(P, dist.d, grid, config))]
-    return RDCurve.assemble(label, pts, config.convexity_tol)
-
-
-def conditional_rd_curve(joint: JointPMF, source_var: str, cond_var: str,
+def conditional_rd_curve(joint: JointPMF, source_var: str, cond_var: str | None,
                          recon_alphabet: Alphabet, dist: DistortionMatrix,
                          slope_grid=None, config: BAConfig = BAConfig(),
                          label: str | None = None) -> RDCurve:
     """Envelope of the conditional problem: per slope, solve each condition
-    cell independently and weight rate and distortion by the cell mass."""
+    cell independently and weight rate and distortion by the cell mass.
+    cond_var=None codes source_var unconditionally, as one cell."""
     if dist.recon.symbols != recon_alphabet.symbols:
         raise InputError("distortion matrix recon alphabet mismatch")
     if dist.source.symbols != joint.alphabet(source_var).symbols:
@@ -470,52 +433,33 @@ def conditional_rd_curve(joint: JointPMF, source_var: str, cond_var: str,
     if label is None:
         label = f"{source_var}|{cond_var}"
 
-    rows, weights = group_weights(joint, (cond_var, source_var))
-    cond_rows, cell_inverse = np.unique(rows[:, 0], return_inverse=True)
-    C = cond_rows.size
-    n = len(joint.alphabet(source_var))
-    P = np.zeros((C, n))
-    P[cell_inverse, rows[:, 1]] = weights
-    w_c = P.sum(axis=1)
-    P = P / w_c[:, None]
-
-    pts = [RDPoint(float(w_c @ r), float(w_c @ dd), float(s), conv)
-           for s, (r, dd, conv) in zip(grid, _sweep_slopes(P, dist.d, grid, config))]
+    w, P, _ = conditional_table(joint, source_var, cond_var)
+    pts = []
+    for s in grid:
+        rates, dists, conv, _ = _ba_stack(P, dist.d, float(s), config)
+        pts.append(RDPoint(float(w @ rates), float(w @ dists), float(s), conv))
     return RDCurve.assemble(label, pts, config.convexity_tol)
 
 
 def compare_paradigms(params: PixelModelParams, slope_grid=None,
                       config: BAConfig = BAConfig(),
                       force: bool = False) -> dict[str, RDCurve]:
-    """The four paradigm envelopes for one pixel-model instance.
-
-    res        : residual r coded unconditionally
-    cond_ideal : x coded given the raw prediction xp
-    cond       : x coded given the bottlenecked prediction xq
-    condres    : r coded given xq
+    """One envelope per row of pixel_model.PARADIGMS, keyed by its label.
 
     Residual-side distortion (r vs its reconstruction) equals the symbol
     distortion under squared error because the decoder adds xp back, so
-    the four curves share one distortion axis.
+    the curves share one distortion axis.
     """
     if params.M > 64 and not force:
         raise InputError(
             f"M={params.M} makes the solve expensive; pass force=True to override"
         )
     joint = build_joint(params)
-    x_alph = joint.alphabet("x")
-    r_alph = joint.alphabet("r")
-    d_x = squared_error(x_alph, x_alph)
-    d_r = squared_error(r_alph, r_alph)
     grid = default_slope_grid() if slope_grid is None else slope_grid
-
-    return {
-        "res": rd_curve(marginalize(joint, ["r"]), r_alph, d_r, grid, config,
-                        label="res"),
-        "cond_ideal": conditional_rd_curve(joint, "x", "xp", x_alph, d_x, grid,
-                                           config, label="cond_ideal"),
-        "cond": conditional_rd_curve(joint, "x", "xq", x_alph, d_x, grid,
-                                     config, label="cond"),
-        "condres": conditional_rd_curve(joint, "r", "xq", r_alph, d_r, grid,
-                                        config, label="condres"),
-    }
+    curves = {}
+    for row in PARADIGMS:
+        alph = joint.alphabet(row.coded)
+        curves[row.label] = conditional_rd_curve(
+            joint, row.coded, row.context, alph, squared_error(alph, alph),
+            grid, config, label=row.label)
+    return curves

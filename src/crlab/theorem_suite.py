@@ -23,7 +23,7 @@ margins can go negative; the identity checks hold regardless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np

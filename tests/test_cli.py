@@ -6,6 +6,7 @@ import pytest
 
 from crlab.cli import main
 from crlab.codec import Bitstream
+from crlab.pixel_model import PARADIGMS, PixelModelParams, entropy_report
 
 
 def run(capsys, *argv):
@@ -159,8 +160,6 @@ class TestCodec:
         assert list(tmp_path.glob("*.crlb")) == []
 
     def test_reports_entropy_bound(self, capsys, tmp_path):
-        from crlab.pixel_model import PixelModelParams, entropy_report
-
         code, out, _ = run(capsys, "codec", "--p", "0.5", "--Q", "2",
                            "--M", "16", "--n", "4000",
                            "--paradigm", "conditional", "--out", str(tmp_path))
@@ -168,3 +167,30 @@ class TestCodec:
         bound = float(re.search(r"entropy bound\s+(\S+)", out).group(1))
         want = entropy_report(PixelModelParams(p=0.5, Q=2, M=16)).H_X_given_Xphat
         assert abs(bound - want) < 1e-9
+
+
+class TestParadigmTable:
+    @pytest.mark.parametrize("row", PARADIGMS, ids=lambda row: row.label)
+    def test_codec_spellings(self, capsys, tmp_path, row):
+        argv = ["codec", "--p", "0.3", "--Q", "2", "--M", "16", "--n", "500",
+                "--seed", "3"]
+        if row.byte is None:
+            code, _, _ = run(capsys, *argv, "--paradigm", row.label,
+                             "--out", str(tmp_path))
+            assert code == 64
+            return
+        blobs = []
+        for spelling in (row.name, row.label):
+            out_dir = tmp_path / spelling
+            code, out, _ = run(capsys, *argv, "--paradigm", spelling,
+                               "--out", str(out_dir))
+            assert code == 0
+            assert f"({row.name})" in out
+            bound = float(re.search(r"entropy bound\s+(\S+)", out).group(1))
+            report = entropy_report(PixelModelParams(p=0.3, Q=2, M=16))
+            assert bound == float(f"{getattr(report, row.bound):.12g}")
+            files = list(out_dir.glob("*.crlb"))
+            assert [f.name for f in files] == [f"codec_{row.name}_p0.3_Q2.crlb"]
+            blobs.append(files[0].read_bytes())
+        assert blobs[0] == blobs[1]
+        assert blobs[0][5] == row.byte

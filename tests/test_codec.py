@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crlab.codec import (
-    PARADIGMS,
     TOTAL,
     Bitstream,
     RangeDecoder,
@@ -25,7 +24,9 @@ from crlab.errors import (
     IntegrityError,
     ModelCoverageError,
 )
-from crlab.pixel_model import PixelModelParams, entropy_report
+from crlab.pixel_model import PARADIGMS, PixelModelParams, codec_paradigm, entropy_report
+
+CODEC_NAMES = sorted(row.name for row in PARADIGMS if row.byte is not None)
 
 
 def small_params(p=0.5, Q=2, M=16):
@@ -108,8 +109,8 @@ class TestRangeCoderPrimitive:
 
 class TestModel:
     def test_paradigm_table(self):
-        assert PARADIGMS == {"residual": 0, "conditional": 1,
-                             "conditional-residual": 2}
+        assert {row.name: row.byte for row in PARADIGMS if row.byte is not None} \
+            == {"residual": 0, "conditional": 1, "conditional-residual": 2}
 
     def test_bad_paradigm_rejected(self):
         with pytest.raises(InputError):
@@ -128,7 +129,7 @@ class TestModel:
 
 
 class TestEndToEnd:
-    @pytest.mark.parametrize("paradigm", sorted(PARADIGMS))
+    @pytest.mark.parametrize("paradigm", CODEC_NAMES)
     @pytest.mark.parametrize("p,Q", [(0.25, 1), (0.5, 2), (1.0, 64), (0.0, 2)])
     def test_roundtrip_exact(self, paradigm, p, Q):
         params = small_params(p=p, Q=Q, M=16)
@@ -175,7 +176,7 @@ class TestBitstreamFormat:
         blob = stream.to_bytes()
         assert blob[:4] == b"CRLB"
         assert blob[4] == 1  # version
-        assert blob[5] == PARADIGMS["residual"]
+        assert blob[5] == codec_paradigm("residual").byte
         parsed = Bitstream.from_bytes(blob)
         assert parsed == stream
 
@@ -210,6 +211,34 @@ class TestBitstreamFormat:
         with pytest.raises(IntegrityError):
             decode(clipped, [xp for _, xp in pairs], model)
 
+    @pytest.mark.parametrize("paradigm", CODEC_NAMES)
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_trailing_bytes_raise_integrity(self, paradigm, n):
+        params = small_params()
+        model = build_model(params, paradigm)
+        pairs = sample_pairs(params, n, seed=n)
+        xp = [p for _, p in pairs]
+        stream = encode(pairs, paradigm, model)
+        assert decode(stream, xp, model) == [x for x, _ in pairs]
+        for extra in (b"\x00", bytes(50)):
+            padded = Bitstream(stream.paradigm, stream.M, stream.n,
+                               stream.payload + extra)
+            with pytest.raises(IntegrityError):
+                decode(padded, xp, model)
+
+    def test_empty_stream_with_payload_raises_integrity(self):
+        model = build_model(small_params(), "residual")
+        with pytest.raises(IntegrityError):
+            decode(Bitstream(0, 16, 0, b"\x00"), [], model)
+
+    @pytest.mark.parametrize("M", [0, 1])
+    def test_bad_alphabet_size_in_header_is_format_error(self, M):
+        stream, _, _ = self.roundtrip_stream()
+        blob = bytearray(stream.to_bytes())
+        blob[6:8] = M.to_bytes(2, "big")
+        with pytest.raises(FormatError):
+            Bitstream.from_bytes(bytes(blob))
+
 
 class TestInputGuards:
     def test_out_of_range_symbols_rejected(self):
@@ -228,7 +257,7 @@ class TestInputGuards:
             encode([(5, 0)], "conditional-residual", model)
 
     def test_measure_rate_validates_n(self):
-        stream = Bitstream(PARADIGMS["residual"], 16, 4, b"abcd")
+        stream = Bitstream(codec_paradigm("residual").byte, 16, 4, b"abcd")
         assert measure_rate(stream, 4) == 8.0
         with pytest.raises(InputError):
             measure_rate(stream, 0)

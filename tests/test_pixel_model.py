@@ -14,10 +14,10 @@ from crlab import pixel_model, prob_core
 from crlab.errors import InputError
 from crlab.info_measures import conditional_entropy, entropy
 from crlab.pixel_model import (
+    PARADIGMS,
     REPORT_FIELDS,
     PixelModelParams,
     build_joint,
-    conditional_worse_region,
     entropy_report,
     sweep_p,
 )
@@ -145,6 +145,14 @@ class TestReportInvariants:
         assert len(row) == len(REPORT_FIELDS)
         assert row[REPORT_FIELDS.index("H_R")] == rep.H_R
 
+    @pytest.mark.parametrize("row", PARADIGMS, ids=lambda row: row.label)
+    def test_paradigm_bound_is_entropy_of_its_variables(self, row):
+        params = PixelModelParams(p=0.3, Q=2, M=16)
+        joint = build_joint(params)
+        want = conditional_entropy(joint, row.coded, row.context or ())
+        got = getattr(entropy_report(params, joint), row.bound)
+        assert got == pytest.approx(want, abs=1e-12)
+
 
 class TestSweep:
     def test_row_count_and_membership(self):
@@ -155,10 +163,8 @@ class TestSweep:
 
     def test_conditional_worse_region_filter(self):
         reports = sweep_p([0.05, 0.3, 0.9], [2], M=64)
-        worse = conditional_worse_region(reports)
-        for r in worse:
-            assert r.H_X_given_Xphat > r.H_R
-        assert {(r.p, r.Q) for r in worse} <= {(r.p, r.Q) for r in reports}
+        # where the bottlenecked conditional coder loses to the residual coder
+        worse = [r for r in reports if r.H_X_given_Xphat > r.H_R]
         # at tiny p the bottleneck says strictly worse; at p=0.9 it cannot be
         assert any(r.p == 0.05 for r in worse)
         assert all(r.p != 0.9 for r in worse)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crlab import prob_core
-from crlab.errors import DomainError, InputError
+from crlab.errors import InputError
 from crlab.pixel_model import PixelModelParams, build_joint
 from crlab.prob_core import (
     Alphabet,
@@ -20,7 +20,7 @@ from crlab.prob_core import (
     adjoin_map,
     adjoin_sum,
     as_exact,
-    condition,
+    conditional_table,
     difference_alphabet,
     group_probs,
     group_weights,
@@ -174,23 +174,20 @@ class TestJointPMF:
         assert m.names == ("x",)
         np.testing.assert_allclose(m.probs, 0.25)
 
-    def test_condition_slices_and_normalizes(self):
-        a = integer_alphabet("x", 0, 1)
-        b = integer_alphabet("y", 0, 1)
-        idx = [[0, 0], [0, 1], [1, 0]]
-        pmf = JointPMF([("x", a), ("y", b)], idx, [0.2, 0.2, 0.6])
-        c = condition(pmf, "x", 0)
-        assert c.names == ("y",)
-        np.testing.assert_allclose(sorted(c.probs), [0.5, 0.5])
-
-    def test_condition_on_null_event_is_domain_error(self):
-        a = integer_alphabet("x", 0, 1)
-        b = integer_alphabet("y", 0, 1)
-        pmf = JointPMF([("x", a), ("y", b)], [[0, 0], [0, 1]], [0.5, 0.5])
-        with pytest.raises(DomainError):
-            condition(pmf, "x", 1)
-        with pytest.raises(InputError):
-            condition(marginalize(pmf, ["x"]), "x", 0)
+    def test_conditional_table(self):
+        a = integer_alphabet("x", 0, 2)
+        b = integer_alphabet("y", 0, 2)
+        idx = [[0, 0], [1, 0], [2, 2]]
+        pmf = JointPMF([("x", a), ("y", b)], idx, [0.25, 0.25, 0.5])
+        w, P, contexts = conditional_table(pmf, "x", "y")
+        # y=1 has no mass, so its cell is left out
+        assert contexts == (0, 2)
+        assert w.tolist() == [0.5, 0.5]
+        assert P.tolist() == [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]
+        w, P, contexts = conditional_table(pmf, "y")
+        assert contexts == (None,)
+        assert w.tolist() == [1.0]
+        assert P.tolist() == [[0.5, 0.0, 0.5]]
 
 
 class TestAdjoin:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from crlab.errors import DomainError, InputError, InternalConsistencyError
-from crlab.pixel_model import PixelModelParams, build_joint
+from crlab.pixel_model import PARADIGMS, PixelModelParams, build_joint
 from crlab.prob_core import JointPMF, integer_alphabet, marginalize
 from crlab.rd_solver import (
     CONVEXITY_TOL,
@@ -19,7 +19,6 @@ from crlab.rd_solver import (
     DistortionMatrix,
     RDCurve,
     RDPoint,
-    blahut_arimoto,
     compare_paradigms,
     conditional_rd_curve,
     default_slope_grid,
@@ -100,7 +99,7 @@ class TestBinaryOracle:
 
     def test_single_point_certificate(self):
         a, src, hamming = binary_uniform()
-        pt = blahut_arimoto(src, a, hamming, slope=1.0)
+        pt = rd_curve(src, a, hamming, [1.0]).points[0]
         assert pt.converged
         # slope 1: optimal D solves log2((1-D)/D) = 1, i.e. D = 1/3
         assert abs(pt.distortion - 1 / 3) < 1e-6
@@ -117,13 +116,13 @@ class TestDegenerateSources:
 
     def test_steep_slope_reaches_entropy(self):
         a, src, hamming = binary_uniform()
-        pt = blahut_arimoto(src, a, hamming, slope=60.0)
+        pt = rd_curve(src, a, hamming, [60.0]).points[0]
         assert pt.distortion < 1e-12
         assert abs(pt.rate - 1.0) < 1e-6
 
     def test_shallow_slope_reaches_zero_rate(self):
         a, src, hamming = binary_uniform()
-        pt = blahut_arimoto(src, a, hamming, slope=1e-4)
+        pt = rd_curve(src, a, hamming, [1e-4]).points[0]
         assert pt.rate < 1e-6
 
 
@@ -166,7 +165,9 @@ class TestParadigmComparison:
     def test_labels_and_guard(self):
         curves = compare_paradigms(PixelModelParams(p=0.3, Q=2, M=8),
                                    np.geomspace(0.05, 50, 12))
-        assert set(curves) == {"res", "cond_ideal", "cond", "condres"}
+        assert list(curves) == [row.label for row in PARADIGMS]
+        assert list(curves) == ["res", "cond_ideal", "cond", "condres"]
+        assert [c.label for c in curves.values()] == list(curves)
         with pytest.raises(InputError):
             compare_paradigms(PixelModelParams(p=0.3, Q=2, M=128))
 
@@ -203,7 +204,7 @@ class TestInputGuards:
         pmf = build_joint(PixelModelParams(p=0.3, Q=2, M=8))
         a = pmf.alphabet("x")
         with pytest.raises(InputError):
-            blahut_arimoto(pmf, a, squared_error(a, a), 1.0)
+            rd_curve(pmf, a, squared_error(a, a), [1.0])
 
     def test_alphabet_mismatch_rejected(self):
         a, src, hamming = binary_uniform()
