@@ -136,6 +136,8 @@ def cmd_rd(args) -> int:
     if args.M > 64 and not args.force:
         raise UsageError(
             f"M={args.M} makes the solve expensive; pass --force to override")
+    if args.slopes < 1:
+        raise UsageError(f"need at least one slope, got --slopes {args.slopes}")
     params = PixelModelParams(p=args.p, Q=args.Q, M=args.M)
     grid = np.geomspace(1e-3, 1e3, args.slopes)
     curves = compare_paradigms(params, grid, force=args.force)

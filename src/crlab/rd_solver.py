@@ -8,8 +8,10 @@ Lagrangian slope (bits per unit distortion) the alternating updates
 
 converge to a point on the lower convex envelope of R(D). The
 conditional problem decomposes per condition value at a shared slope, so
-conditional curves are weighted sums of per-cell solutions. All solves
-are deterministic: uniform q init, fixed iteration order.
+conditional curves are weighted sums of per-cell solutions. Every
+(slope, cell) pair of the curves that share a distortion matrix is one
+row of a single stacked solve. All solves are deterministic: uniform q
+init, fixed iteration order.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 CONVEXITY_TOL = 1e-6
+_LOG2E = math.log2(math.e)
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ class BAConfig:
         slope, and time-sharing achieves the chord, so the rate is at most
         that far above the chord.
         """
-        return max(CONVEXITY_TOL, self.tol * math.log2(math.e))
+        return max(CONVEXITY_TOL, self.tol * _LOG2E)
 
 
 @dataclass(frozen=True)
@@ -91,10 +94,17 @@ def squared_error(source: Alphabet, recon: Alphabet) -> DistortionMatrix:
 
 @dataclass(frozen=True)
 class RDPoint:
+    """One envelope point. gap_bits is the solver's certificate, a bound
+    in bits on how far rate + slope*distortion sits above the optimum at
+    its slope; iters is the basic updates its slowest cell took (0 for a
+    point the solver did not make)."""
+
     rate: float
     distortion: float
     slope: float
     converged: bool = True
+    gap_bits: float = 0.0
+    iters: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.rate) and math.isfinite(self.distortion)
@@ -169,44 +179,59 @@ def default_slope_grid() -> np.ndarray:
 
 
 class _BAProblem:
-    """One slope's reduced problem over the output marginal q.
+    """Stacked rows of the reduced problem over the output marginal q.
 
-    For C stacked sources sharing a distortion matrix, the parametric
-    solve reduces to minimizing the convex F_c(q) = -sum_n P_cn ln Z_cn
-    with Z = q @ K^T, K = exp(-s*d), over the simplex. One multiplicative
-    update is q <- q*c with c = (P/Z) @ K, and convexity gives a
-    certificate: the gap to the per-cell optimum is at most max_j c_j - 1
-    nats, so convergence is declared on that bound, not on iterate
-    movement (which stalls near flat valleys and on zero-rate sources).
+    Row i is one cell at slope index sid[i]; rows of one slope are
+    contiguous. For each cell the parametric solve reduces to minimizing
+    the convex F(q) = -sum_n P_n ln Z_n with Z = q @ K_s^T, K_s = exp(-s*d),
+    over the simplex. One multiplicative update is q <- q*c with
+    c = (P/Z) @ K_s, and convexity gives a certificate: the gap to the
+    cell's optimum is at most max_j c_j - 1 nats, so convergence is
+    declared on that bound, not on iterate movement (which stalls near
+    flat valleys and on zero-rate sources).
     """
 
-    def __init__(self, P: np.ndarray, d: np.ndarray, slope: float):
-        if not (slope > 0):
-            raise InputError(f"slope must be positive, got {slope!r}")
-        s = slope * math.log(2.0)
+    def __init__(self, P: np.ndarray, d: np.ndarray, slopes: np.ndarray):
+        S, C = slopes.size, P.shape[0]
+        # one (S, n, m) kernel for every row: rows index it by slope, never
+        # gather a per-row copy
+        K = np.multiply(-(slopes * math.log(2.0))[:, None, None],
+                        d - d.min(axis=1, keepdims=True))
+        self.K = np.exp(K, out=K)
+        self._set_rows(np.tile(P, (S, 1)), np.repeat(np.arange(S), C))
+
+    def _set_rows(self, P: np.ndarray, sid: np.ndarray):
         self.P = P
-        self.d = d
-        self.K = np.exp(-s * (d - d.min(axis=1, keepdims=True)))
-        self.Kt = np.ascontiguousarray(self.K.T)
+        self.sid = sid
         self.src_mask = P > 0.0
+        edges = [0, *(np.flatnonzero(np.diff(sid)) + 1).tolist(), sid.size]
+        self.segments = [(int(sid[a]), a, b) for a, b in zip(edges, edges[1:])]
+
+    def _per_slope(self, x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+        """x[a:b] @ kernels[s] for each slope segment, one matmul each."""
+        out = np.empty((x.shape[0], kernels.shape[2]))
+        for s, a, b in self.segments:
+            np.matmul(x[a:b], kernels[s], out=out[a:b])
+        return out
 
     def step(self, q: np.ndarray, strict: bool = True):
-        """Returns (q*c, c, F(q) per cell, bad mask); F in nats up to a
-        constant. Cells whose partition function degenerates are flagged
+        """Returns (q*c, c, F(q) per row, bad mask); F in nats up to a
+        constant. Rows whose partition function degenerates are flagged
         bad (F=inf) when strict is off, raised when on."""
+        K = self.K
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            Z = q @ self.Kt
-            bad = np.any(self.src_mask & ~(Z > 1e-300), axis=1)
-            if strict and np.any(bad):
+            Z = self._per_slope(q, K.transpose(0, 2, 1))
+            bad = (self.src_mask & ~(Z > 1e-300)).any(axis=1)
+            if strict and bad.any():
                 raise InternalConsistencyError("partition function underflowed to zero")
             safe_Z = np.where(Z > 1e-300, Z, 1.0)
             ratio = np.where(self.src_mask, self.P / safe_Z, 0.0)
-            c = ratio @ self.K
+            c = self._per_slope(ratio, K)
             F = -np.einsum(
                 "cn,cn->c", self.P, np.where(self.src_mask, np.log(safe_Z), 0.0)
             )
         bad |= ~np.isfinite(c).all(axis=1)
-        if np.any(bad):
+        if bad.any():
             F = np.where(bad, np.inf, F)
             c = np.where(bad[:, None], 2.0, c)
         return q * c, c, F, bad
@@ -215,13 +240,10 @@ class _BAProblem:
         return c.max(axis=1) - 1.0
 
     def restrict(self, keep: np.ndarray) -> "_BAProblem":
-        """Copy with a row subset of the sources; K is shared."""
+        """Copy with a row subset; K is shared."""
         sub = object.__new__(_BAProblem)
-        sub.P = self.P[keep]
-        sub.d = self.d
         sub.K = self.K
-        sub.Kt = self.Kt
-        sub.src_mask = self.src_mask[keep]
+        sub._set_rows(self.P[keep], self.sid[keep])
         return sub
 
 
@@ -328,32 +350,40 @@ def _newton_polish(P_row: np.ndarray, src_row: np.ndarray, K: np.ndarray,
 _POLISH_GATE = 1e-5
 
 
-def _ba_stack(P: np.ndarray, d: np.ndarray, slope: float, config: BAConfig):
-    """Run BA on C stacked sources sharing one distortion matrix and slope.
+def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray, config: BAConfig):
+    """Run BA on C sources sharing one distortion matrix, at S slopes.
 
-    P: (C, n) rows summing to 1. Returns (rates, distortions, converged, q)
-    with q the certified iterate. config.tol bounds the per-cell gap to
-    the true envelope point (in nats); max_iters counts basic updates.
+    P: (C, n) rows summing to 1. Every (slope, cell) pair is one row of
+    a single stack; all rows start from uniform q at iteration 0 and move
+    in lock-step, leaving the stack as they certify, so each follows the
+    path it would follow alone. Returns (rates, distortions, gaps,
+    iters, certified), each of shape (S, C): gaps are max_j c_j - 1 in
+    nats at the returned q, iters the basic updates the row took.
+    config.tol bounds each row's gap to its true envelope point (in
+    nats); max_iters counts basic updates per row.
     """
-    full = _BAProblem(P, d, slope)
-    C, m = P.shape[0], d.shape[1]
-    qout = np.full((C, m), 1.0 / m)
-    done = np.zeros(C, dtype=bool)
-    act = np.arange(C)
+    full = _BAProblem(P, d, slopes)
+    K = full.K
+    (S, _, m), C = K.shape, P.shape[0]
+    R = S * C
+    qout = np.full((R, m), 1.0 / m)
+    done = np.zeros(R, dtype=bool)
+    row_iters = np.zeros(R, dtype=np.int64)
+    act = np.arange(R)
     prob = full
-    q = np.full((C, m), 1.0 / m)
-    cap = np.full(C, 64.0)
-    tries = np.zeros(C, dtype=np.int64)
+    q = np.full((R, m), 1.0 / m)
+    cap = np.full(R, 64.0)
+    tries = np.zeros(R, dtype=np.int64)
     iters = 0
     while iters < config.max_iters and act.size:
         q1, c0, F0, _ = prob.step(q)
         iters += 1
-        # certificate checkpoint: freeze cells once individually certified,
+        # certificate checkpoint: freeze rows once individually certified,
         # so later extrapolation noise cannot un-converge them
         g0 = prob.gaps(c0)
         fin = g0 < config.tol
-        for i in np.flatnonzero(~fin & (g0 < _POLISH_GATE) & (tries < 3)):
-            qp = _newton_polish(prob.P[i], prob.src_mask[i], full.K,
+        for i in (~fin & (g0 < _POLISH_GATE) & (tries < 3)).nonzero()[0]:
+            qp = _newton_polish(prob.P[i], prob.src_mask[i], K[prob.sid[i]],
                                 q[i], config.tol)
             if qp is None:
                 tries[i] += 1
@@ -363,12 +393,13 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slope: float, config: BAConfig):
         if fin.any():
             qout[act[fin]] = q[fin]
             done[act[fin]] = True
+            row_iters[act[fin]] = iters
             keep = ~fin
             act, q, q1, cap = act[keep], q[keep], q1[keep], cap[keep]
             tries = tries[keep]
-            prob = prob.restrict(keep)
             if act.size == 0:
                 break
+            prob = prob.restrict(keep)
         if iters + 2 > config.max_iters:
             q = q1
             break
@@ -376,8 +407,8 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slope: float, config: BAConfig):
         qx, alpha = _extrapolate(q, c0[~fin] if fin.any() else c0, c1, q2, cap)
         q3, c2, Fx, bad = prob.step(qx, strict=False)
         iters += 2
-        # keep extrapolated cells only where the objective did not worsen;
-        # grow the step cap on cells that used it fully, shrink on misses
+        # keep extrapolated rows only where the objective did not worsen;
+        # grow the step cap on rows that used it fully, shrink on misses
         accept = ~bad & (Fx <= F1 + 1e-13)
         q = np.where(accept[:, None], q3, q2)
         hit = accept & (alpha >= cap - 1e-9)
@@ -386,24 +417,65 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slope: float, config: BAConfig):
 
     if act.size:
         qout[act] = q
-    converged = bool(done.all())
-    q = qout
+        row_iters[act] = iters
 
-    A = q[:, None, :] * full.K[None, :, :]
-    Z = A.sum(axis=2)
-    if not np.all(Z[full.src_mask] > 0.0):
-        raise InternalConsistencyError("partition function underflowed to zero")
-    W = A / np.where(Z > 0.0, Z, 1.0)[:, :, None]
-    q_m = np.einsum("cn,cnm->cm", P, W)
-    # q_m can underflow to 0 beneath a denormal W; such cells carry no mass
-    mask = full.src_mask[:, :, None] & (W > 0.0) & (q_m[:, None, :] > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = np.where(
-            mask, W * np.log2(np.where(mask, W, 1.0) / q_m[:, None, :]), 0.0
-        )
-    rates = np.einsum("cn,cnm->c", P, terms)
-    dists = np.einsum("cn,cnm->c", P, W * d[None, :, :])
-    return np.maximum(rates, 0.0), dists, converged, q
+    # evaluated one slope at a time: an (S*C, n, m) temporary would cost
+    # S times the memory of the solve itself
+    src_mask = P > 0.0
+    rates, dists, gaps = np.empty((S, C)), np.empty((S, C)), np.empty((S, C))
+    for s in range(S):
+        q = qout[s * C:(s + 1) * C]
+        A = q[:, None, :] * K[s][None, :, :]
+        Z = A.sum(axis=2)
+        if not np.all(Z[src_mask] > 0.0):
+            raise InternalConsistencyError("partition function underflowed to zero")
+        safe_Z = np.where(Z > 0.0, Z, 1.0)
+        W = A / safe_Z[:, :, None]
+        q_m = np.einsum("cn,cnm->cm", P, W)
+        # q_m can underflow to 0 beneath a denormal W; such cells carry no mass
+        mask = src_mask[:, :, None] & (W > 0.0) & (q_m[:, None, :] > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            terms = np.where(
+                mask, W * np.log2(np.where(mask, W, 1.0) / q_m[:, None, :]), 0.0
+            )
+        rates[s] = np.einsum("cn,cnm->c", P, terms)
+        dists[s] = np.einsum("cn,cnm->c", P, W * d[None, :, :])
+        gaps[s] = full.gaps(np.where(src_mask, P / safe_Z, 0.0) @ K[s])
+    return (np.maximum(rates, 0.0), dists, np.maximum(gaps, 0.0),
+            row_iters.reshape(S, C), done.reshape(S, C))
+
+
+def _stack_curves(tables, d: np.ndarray, grid: np.ndarray,
+                  config: BAConfig) -> dict[str, RDCurve]:
+    """Envelopes of conditional tables that share distortion matrix d,
+    solved as one stack. tables holds (label, w, P) per curve; per slope,
+    each cell is solved on its own and rate and distortion are weighted
+    by the cell mass. A point is converged when all its cells are."""
+    rates, dists, gaps, iters, done = _ba_stack(
+        np.vstack([P for _, _, P in tables]), d, grid, config)
+    curves, a = {}, 0
+    for label, w, _ in tables:
+        cols = slice(a, a + len(w))
+        a = cols.stop
+        pts = [RDPoint(float(w @ rates[s, cols]), float(w @ dists[s, cols]),
+                       float(slope), bool(done[s, cols].all()),
+                       float(w @ gaps[s, cols]) * _LOG2E,
+                       int(iters[s, cols].max()))
+               for s, slope in enumerate(grid)]
+        curves[label] = RDCurve.assemble(label, pts, config.convexity_tol)
+    return curves
+
+
+def _slope_grid(slope_grid) -> np.ndarray:
+    """The grid as a float array, default_slope_grid() for None; rejected
+    before any solve unless it is nonempty, 1-D, finite and positive."""
+    grid = default_slope_grid() if slope_grid is None else np.asarray(
+        slope_grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0:
+        raise InputError(f"slope grid must be a nonempty 1-D sequence, got {slope_grid!r}")
+    if not np.all(np.isfinite(grid) & (grid > 0.0)):
+        raise InputError(f"slopes must be finite and positive, got {slope_grid!r}")
+    return grid
 
 
 def rd_curve(source: JointPMF, recon_alphabet: Alphabet, dist: DistortionMatrix,
@@ -429,16 +501,12 @@ def conditional_rd_curve(joint: JointPMF, source_var: str, cond_var: str | None,
         raise InputError("distortion matrix recon alphabet mismatch")
     if dist.source.symbols != joint.alphabet(source_var).symbols:
         raise InputError("distortion matrix source alphabet mismatch")
-    grid = default_slope_grid() if slope_grid is None else slope_grid
+    grid = _slope_grid(slope_grid)
     if label is None:
         label = f"{source_var}|{cond_var}"
 
     w, P, _ = conditional_table(joint, source_var, cond_var)
-    pts = []
-    for s in grid:
-        rates, dists, conv, _ = _ba_stack(P, dist.d, float(s), config)
-        pts.append(RDPoint(float(w @ rates), float(w @ dists), float(s), conv))
-    return RDCurve.assemble(label, pts, config.convexity_tol)
+    return _stack_curves([(label, w, P)], dist.d, grid, config)[label]
 
 
 def compare_paradigms(params: PixelModelParams, slope_grid=None,
@@ -454,12 +522,16 @@ def compare_paradigms(params: PixelModelParams, slope_grid=None,
         raise InputError(
             f"M={params.M} makes the solve expensive; pass force=True to override"
         )
+    grid = _slope_grid(slope_grid)
     joint = build_joint(params)
-    grid = default_slope_grid() if slope_grid is None else slope_grid
-    curves = {}
+    # one stack per distortion matrix: rows coding the same variable share it
+    by_coded: dict[str, list] = {}
     for row in PARADIGMS:
-        alph = joint.alphabet(row.coded)
-        curves[row.label] = conditional_rd_curve(
-            joint, row.coded, row.context, alph, squared_error(alph, alph),
-            grid, config, label=row.label)
-    return curves
+        by_coded.setdefault(row.coded, []).append(row)
+    curves = {}
+    for coded, rows in by_coded.items():
+        alph = joint.alphabet(coded)
+        tables = [(row.label, *conditional_table(joint, coded, row.context)[:2])
+                  for row in rows]
+        curves.update(_stack_curves(tables, squared_error(alph, alph).d, grid, config))
+    return {row.label: curves[row.label] for row in PARADIGMS}

@@ -124,6 +124,14 @@ class TestRd:
         assert code == 64
         assert "--force" in err
 
+    @pytest.mark.parametrize("slopes", ["0", "-3"])
+    def test_slope_count_below_one(self, capsys, tmp_path, slopes):
+        code, _, err = run(capsys, "rd", "--M", "8", "--slopes", slopes,
+                           "--out", str(tmp_path))
+        assert code == 64
+        assert "at least one slope" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCodec:
     def test_roundtrip_writes_bitstream(self, capsys, tmp_path):

@@ -6,10 +6,14 @@ copied side information, certificates, convexity of the envelope).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crlab import rd_solver
 from crlab.errors import DomainError, InputError, InternalConsistencyError
 from crlab.pixel_model import PARADIGMS, PixelModelParams, build_joint
 from crlab.prob_core import JointPMF, integer_alphabet, marginalize
@@ -216,3 +220,113 @@ class TestInputGuards:
         g = default_slope_grid()
         assert len(g) == 64
         assert g[0] == pytest.approx(1e-3) and g[-1] == pytest.approx(1e3)
+
+    @pytest.mark.parametrize("grid", [[], [1.0, 0.0], [1.0, -2.0], [1.0, math.nan],
+                                      [1.0, math.inf], [[1.0, 2.0]]])
+    def test_bad_slope_grid_rejected_before_any_solve(self, grid, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the grid was checked")
+
+        monkeypatch.setattr(rd_solver, "_ba_stack", no_solve)
+        a, src, hamming = binary_uniform()
+        with pytest.raises(InputError):
+            rd_curve(src, a, hamming, grid)
+        with pytest.raises(InputError):
+            compare_paradigms(PixelModelParams(p=0.3, Q=2, M=8), grid)
+
+
+class TestCertificates:
+    def test_points_carry_their_certificate(self):
+        config = BAConfig()
+        curves = compare_paradigms(PixelModelParams(p=0.3, Q=2, M=16), config=config)
+        for curve in curves.values():
+            for pt in curve.points:
+                assert pt.converged, (curve.label, pt)
+                assert 0.0 <= pt.gap_bits <= config.tol * math.log2(math.e)
+                assert 1 <= pt.iters <= config.max_iters
+
+    def test_gap_bounds_an_uncertified_point(self):
+        # binary source p(1) = 0.2 under Hamming distortion: at slope s > 2
+        # the optimum is D* = 1/(1 + 2^s), R* = h2(0.2) - h2(D*); after one
+        # update, R + s*D exceeds the optimum by no more than gap_bits
+        a = integer_alphabet("u", 0, 1)
+        src = JointPMF([("u", a)], [[0], [1]], [0.8, 0.2])
+        hamming = DistortionMatrix(a, a, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        slope = 4.0
+        pt = rd_curve(src, a, hamming, [slope], BAConfig(max_iters=1)).points[0]
+        assert not pt.converged and pt.iters == 1
+        d_opt = 1 / (1 + 2 ** slope)
+        excess = pt.rate + slope * pt.distortion - (h2(0.2) - h2(d_opt) + slope * d_opt)
+        assert 1e-6 < excess <= pt.gap_bits + 1e-12
+
+
+@st.composite
+def conditional_problems(draw):
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(2, 8))
+    cells = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(0, 9), min_size=n * cells, max_size=n * cells)
+                   .filter(any))
+    u, s = integer_alphabet("u", 0, n - 1), integer_alphabet("s", 0, cells - 1)
+    w = np.array(weights, dtype=np.float64)
+    joint = JointPMF([("u", u), ("s", s)],
+                     [[i, j] for i in range(n) for j in range(cells)], w / w.sum())
+    costs = draw(st.lists(st.integers(0, 4), min_size=n * m, max_size=n * m))
+    dist = DistortionMatrix(u, integer_alphabet("v", 0, m - 1),
+                            np.array(costs, dtype=np.float64).reshape(n, m))
+    grid = sorted(draw(st.sets(st.floats(-2.0, 1.5), min_size=1, max_size=6)))
+    return joint, dist, [10.0 ** e for e in grid]
+
+
+def _same_point(a, b, tol=1e-12):
+    return (a.slope == b.slope and a.converged == b.converged
+            and abs(a.rate - b.rate) <= tol and abs(a.distortion - b.distortion) <= tol)
+
+
+class TestSlopeStacking:
+    @given(conditional_problems())
+    @settings(max_examples=25, deadline=None)
+    def test_stacked_grid_matches_one_call_per_slope(self, problem):
+        joint, dist, grid = problem
+        stacked = conditional_rd_curve(joint, "u", "s", dist.recon, dist, grid)
+        for pt in stacked.points:
+            alone = conditional_rd_curve(joint, "u", "s", dist.recon, dist, [pt.slope])
+            assert _same_point(pt, alone.points[0]), (pt, alone.points[0])
+            assert pt.iters == alone.points[0].iters
+
+    @pytest.mark.parametrize("p,Q", [(0.1, 2), (0.7, 4)])
+    def test_compare_paradigms_matches_one_curve_per_label(self, p, Q):
+        grid = np.geomspace(0.05, 50, 12)
+        joint = build_joint(PixelModelParams(p=p, Q=Q, M=8))
+        curves = compare_paradigms(PixelModelParams(p=p, Q=Q, M=8), grid)
+        for row in PARADIGMS:
+            alph = joint.alphabet(row.coded)
+            alone = conditional_rd_curve(joint, row.coded, row.context, alph,
+                                         squared_error(alph, alph), grid)
+            got = curves[row.label].points
+            assert len(got) == len(alone.points), row.label
+            assert all(_same_point(a, b) for a, b in zip(got, alone.points)), row.label
+
+    @pytest.mark.parametrize("slopes", [4, 16])
+    def test_one_stack_per_distortion_matrix(self, slopes, monkeypatch):
+        built = []
+        real_init = rd_solver._BAProblem.__init__
+
+        def counting_init(self, P, d, grid):
+            built.append(d.shape)
+            real_init(self, P, d, grid)
+
+        monkeypatch.setattr(rd_solver._BAProblem, "__init__", counting_init)
+        compare_paradigms(PixelModelParams(p=0.3, Q=2, M=8), np.geomspace(0.05, 50, slopes))
+        assert built == [(15, 15), (8, 8)]  # r for res and condres, x for the others
+
+    def test_kernel_is_never_copied_per_row(self):
+        # a copy of its slope's (n, m) kernel for each row of the r stack
+        # would take 64 slopes x 17 cells x 63 x 63 x 8 bytes = 34.5 MB
+        tracemalloc.start()
+        try:
+            compare_paradigms(PixelModelParams(p=0.3, Q=2, M=32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17e6, f"peak {peak / 1e6:.1f} MB"
