@@ -54,7 +54,6 @@ from .theorem_suite import (
     run_randomized_suite,
 )
 from .rd_solver import (
-    BAConfig,
     RDCurve,
     RDPoint,
     compare_paradigms,

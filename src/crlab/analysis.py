@@ -114,24 +114,23 @@ def bd_rate(reference: QualityCurve, test: QualityCurve) -> float:
 
 
 RATE_FLOOR = 1e-6
+_N_ANCHORS = 8
+_BAND = (0.01, 0.99)
 
 
-def quality_curve_from_rd(curve: RDCurve, peak: float, n_anchors: int = 8,
-                          band: tuple[float, float] = (0.01, 0.99)) -> QualityCurve:
+def quality_curve_from_rd(curve: RDCurve, peak: float) -> QualityCurve:
     """Sample an RD envelope into a BD-comparable (rate, PSNR) curve.
 
     The cubic BD fit expects a handful of points from a coder's working
     band, not a full envelope: the saturated top (distortion -> 0, PSNR
     unbounded) and the near-free tail (rate -> 0, log10 unbounded) both
     wreck a global polynomial fit. So the envelope is restricted to the
-    band where rate is within the given fractions of its maximum (and
-    above RATE_FLOOR bits), then interpolated at n_anchors evenly
+    band where rate is within _BAND's fractions of its maximum (and
+    above RATE_FLOOR bits), then interpolated at _N_ANCHORS evenly
     spaced quality values. Raises InputError when no usable band is
     left (e.g. an all-zero-rate curve), which bd_rate_matrix surfaces
     as an undefined entry.
     """
-    if n_anchors < 4:
-        raise InputError(f"need >= 4 anchors for the cubic fit, got {n_anchors}")
     pts = sorted(
         (mse_to_psnr(p.distortion, peak), p.rate)
         for p in curve.points
@@ -140,14 +139,14 @@ def quality_curve_from_rd(curve: RDCurve, peak: float, n_anchors: int = 8,
     if len(pts) < 2:
         raise InputError(f"curve {curve.label!r} has no usable band")
     rmax = max(r for _, r in pts)
-    lo_r = max(band[0] * rmax, RATE_FLOOR)
-    hi_r = band[1] * rmax
+    lo_r = max(_BAND[0] * rmax, RATE_FLOOR)
+    hi_r = _BAND[1] * rmax
     pts = [(q, r) for q, r in pts if lo_r <= r <= hi_r]
     if len(pts) < 2:
         raise InputError(f"curve {curve.label!r} has no usable band")
     q_arr = np.array([q for q, _ in pts])
     r_arr = np.array([r for _, r in pts])
-    anchors = np.linspace(q_arr[0], q_arr[-1], n_anchors)
+    anchors = np.linspace(q_arr[0], q_arr[-1], _N_ANCHORS)
     rates = np.interp(anchors, q_arr, r_arr)
     return QualityCurve(curve.label, tuple(zip(rates, anchors)))
 
@@ -177,8 +176,8 @@ def bd_rate_matrix(curves, peak: float) -> dict[tuple[str, str], float | None]:
     return out
 
 
-def write_csv(path, header, rows, provenance: str | None = None) -> None:
-    """Write one table; a provenance comment goes first when given.
+def write_csv(path, header, rows, provenance: str) -> None:
+    """Write one table under a provenance comment line.
 
     Floats are rendered with 9 significant digits; everything else via
     str(). Comment lines start with '#' and are skipped by read_csv.
@@ -190,8 +189,7 @@ def write_csv(path, header, rows, provenance: str | None = None) -> None:
 
     try:
         with open(path, "w", newline="") as fh:
-            if provenance is not None:
-                fh.write(f"# {provenance}\n")
+            fh.write(f"# {provenance}\n")
             w = csv.writer(fh)
             w.writerow(header)
             for row in rows:

@@ -178,12 +178,8 @@ def cmd_codec(args) -> int:
     x_seq = [x for x, _ in pairs]
     xp_seq = [xp for _, xp in pairs]
 
-    try:
-        stream = encode(pairs, row.name, model)
-        decoded = decode(stream, xp_seq, model)
-    except (IntegrityError, FormatError, ModelCoverageError) as e:
-        print(f"codec integrity failure: {e}", file=sys.stderr)
-        return 2
+    stream = encode(pairs, row.name, model)
+    decoded = decode(stream, xp_seq, model)
     if decoded != x_seq:
         bad = next(i for i, (a, b) in enumerate(zip(decoded, x_seq)) if a != b)
         print(f"round-trip FAILED: first mismatch at symbol {bad}",
@@ -308,7 +304,7 @@ def main(argv=None) -> int:
     except (UsageError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 64
-    except IntegrityError as e:
+    except (IntegrityError, FormatError, ModelCoverageError) as e:
         print(f"codec integrity failure: {e}", file=sys.stderr)
         return 2
     except CrLabError as e:

@@ -57,6 +57,7 @@ from .prob_core import (
 __all__ = [
     "Bitstream",
     "MAGIC",
+    "MAX_M",
     "ProbabilityModel",
     "RangeDecoder",
     "RangeEncoder",
@@ -74,6 +75,8 @@ __all__ = [
 MAGIC = b"CRLB"
 VERSION = 1
 TOTAL = 1 << 16
+# largest alphabet the 16-bit header field can carry
+MAX_M = 0xFFFF
 
 _BY_BYTE = {row.byte: row for row in PARADIGMS if row.byte is not None}
 
@@ -160,8 +163,8 @@ class RangeDecoder:
             raise IntegrityError(f"{left} byte(s) left after the last symbol")
 
 
-def quantize_freq(p: np.ndarray, total: int = TOTAL) -> np.ndarray:
-    """Round a PMF to integer counts summing exactly to total.
+def quantize_freq(p: np.ndarray) -> np.ndarray:
+    """Round a PMF to integer counts summing exactly to TOTAL.
 
     Floor then largest-remainder (ties to the lower index), then raise
     every positive-probability symbol to count >= 1, paying from the
@@ -176,24 +179,24 @@ def quantize_freq(p: np.ndarray, total: int = TOTAL) -> np.ndarray:
     n_sup = int(support.sum())
     if n_sup == 0:
         raise InputError("pmf has empty support")
-    if n_sup > total:
-        raise InputError(f"support size {n_sup} exceeds frequency total {total}")
-    f = np.floor(p * total).astype(np.int64)
-    rem = int(total - f.sum())
+    if n_sup > TOTAL:
+        raise InputError(f"support size {n_sup} exceeds frequency total {TOTAL}")
+    f = np.floor(p * TOTAL).astype(np.int64)
+    rem = int(TOTAL - f.sum())
     if rem < 0:
         for _ in range(-rem):
             f[int(np.argmax(f))] -= 1
     elif rem > 0:
-        frac = p * total - f
+        frac = p * TOTAL - f
         order = np.lexsort((np.arange(p.size), -frac))
         f[order[:rem]] += 1
     need = support & (f == 0)
     for _ in range(int(need.sum())):
         f[int(np.argmax(f))] -= 1
     f[need] = 1
-    if f[np.argmax(f)] < 1 or int(f.sum()) != total or np.any(f[support] < 1):
+    if f[np.argmax(f)] < 1 or int(f.sum()) != TOTAL or np.any(f[support] < 1):
         raise InputError(
-            f"cannot allocate {total} counts over {n_sup} support symbols"
+            f"cannot allocate {TOTAL} counts over {n_sup} support symbols"
         )
     return f
 
@@ -234,7 +237,6 @@ class ProbabilityModel:
         object.__setattr__(self, "freq", freq)
         cum = np.zeros((freq.shape[0], freq.shape[1] + 1), dtype=np.int64)
         np.cumsum(freq, axis=1, out=cum[:, 1:])
-        object.__setattr__(self, "_cum", cum)
         # hot-loop lookups: plain lists beat ndarray scalar indexing
         object.__setattr__(self, "_freq_rows", [list(map(int, r)) for r in freq])
         object.__setattr__(self, "_cum_rows", [list(map(int, r)) for r in cum])
@@ -268,7 +270,7 @@ class Bitstream:
     def __post_init__(self):
         if self.paradigm not in _BY_BYTE:
             raise InputError(f"unknown paradigm byte {self.paradigm!r}")
-        if not 2 <= self.M <= 0xFFFF:
+        if not 2 <= self.M <= MAX_M:
             raise InputError(f"alphabet size {self.M} not encodable in 16 bits")
         if self.n < 0:
             raise InputError(f"negative symbol count {self.n}")
@@ -298,6 +300,8 @@ class Bitstream:
 def build_model(params: PixelModelParams, paradigm: str) -> ProbabilityModel:
     """Static tables for one paradigm from the exact pixel-model PMF."""
     row = codec_paradigm(paradigm)
+    if params.M > MAX_M:
+        raise InputError(f"alphabet size {params.M} not encodable in 16 bits")
     joint = build_joint(params)
     _, p, contexts = conditional_table(joint, row.coded, row.context)
     freq = np.stack([quantize_freq(r) for r in p])
@@ -324,11 +328,23 @@ def expected_rate(model: ProbabilityModel, params: PixelModelParams) -> float:
     return float(w @ bits.sum(axis=1))
 
 
-def _check_pair(x, xp, M):
-    if not (isinstance(x, (int, np.integer)) and isinstance(xp, (int, np.integer))):
-        raise InputError(f"symbols must be integers, got ({x!r}, {xp!r})")
-    if not (0 <= x < M and 0 <= xp < M):
-        raise InputError(f"pair ({x}, {xp}) outside alphabet 0..{M - 1}")
+def _symbols(values, M: int, pairs: bool) -> np.ndarray:
+    """values as int64, shape (n, 2) for (x, x_p) pairs or (n,) for
+    predictions, every entry in 0..M-1; anything else is an InputError."""
+    shape = (-1, 2) if pairs else (-1,)
+    try:
+        a = np.asarray(list(values))
+    except (TypeError, ValueError):  # not iterable, or ragged
+        a = None
+    if a is not None and a.shape == (0,):
+        a = a.reshape(shape).astype(np.int64)
+    if a is None or a.dtype.kind not in "iu" or a.shape[1:] != shape[1:]:
+        raise InputError("symbols must be a sequence of "
+                         + ("(x, x_p) integer pairs" if pairs else "integers"))
+    out = (a < 0) | (a >= M)
+    if out.any():
+        raise InputError(f"symbol {a[out][0]} outside alphabet 0..{M - 1}")
+    return a.astype(np.int64, copy=False)
 
 
 def encode(seq, paradigm: str, model: ProbabilityModel) -> Bitstream:
@@ -337,28 +353,24 @@ def encode(seq, paradigm: str, model: ProbabilityModel) -> Bitstream:
         raise InputError(
             f"model is for {model.paradigm!r}, requested {paradigm!r}"
         )
-    pairs = list(seq)
-    M = model.M
+    pairs = _symbols(seq, model.M, pairs=True)
+    x, xp = pairs[:, 0], pairs[:, 1]
+    coded = x - xp if model._row.coded == "r" else x
     enc = RangeEncoder()
     sym_index = model._sym_index
-    ctx_of = model._ctx_of_xp
     freq_rows, cum_rows = model._freq_rows, model._cum_rows
-    residual = model._row.coded == "r"
-    for x, xp in pairs:
-        _check_pair(x, xp, M)
-        sym = int(x) - int(xp) if residual else int(x)
+    for sym, ci in zip(coded.tolist(), model._ctx_of_xp[xp].tolist()):
         si = sym_index.get(sym)
         if si is None:
             raise InputError(f"symbol {sym!r} outside the model alphabet")
-        ci = ctx_of[int(xp)]
         f = freq_rows[ci][si]
         if f == 0:
             raise ModelCoverageError(
                 f"symbol {sym!r} has zero count in context {model.contexts[ci]!r}"
             )
         enc.encode(cum_rows[ci][si], f, TOTAL)
-    payload = enc.finish() if pairs else b""
-    return Bitstream(model._row.byte, M, len(pairs), payload)
+    payload = enc.finish() if len(pairs) else b""
+    return Bitstream(model._row.byte, model.M, len(pairs), payload)
 
 
 def decode(bs: Bitstream, x_p_seq, model: ProbabilityModel) -> list[int]:
@@ -370,7 +382,7 @@ def decode(bs: Bitstream, x_p_seq, model: ProbabilityModel) -> list[int]:
         )
     if bs.M != model.M:
         raise FormatError(f"stream M={bs.M} does not match model M={model.M}")
-    preds = [int(v) for v in x_p_seq]
+    preds = _symbols(x_p_seq, model.M, pairs=False)
     if len(preds) != bs.n:
         raise FormatError(
             f"stream carries {bs.n} symbols but {len(preds)} predictions given"
@@ -382,16 +394,11 @@ def decode(bs: Bitstream, x_p_seq, model: ProbabilityModel) -> list[int]:
             )
         return []
     dec = RangeDecoder(bs.payload)
-    ctx_of = model._ctx_of_xp
     freq_rows, cum_rows = model._freq_rows, model._cum_rows
     symbols = model.symbols
     residual = model._row.coded == "r"
-    M = model.M
     out = []
-    for xp in preds:
-        if not 0 <= xp < M:
-            raise InputError(f"prediction {xp} outside alphabet 0..{M - 1}")
-        ci = ctx_of[xp]
+    for xp, ci in zip(preds.tolist(), model._ctx_of_xp[preds].tolist()):
         cum = cum_rows[ci]
         v = dec.decode_target(TOTAL)
         si = bisect_right(cum, v) - 1
@@ -411,5 +418,4 @@ def measure_rate(bs: Bitstream, n: int) -> float:
 
 def sample_pairs(params: PixelModelParams, n: int, seed) -> list[tuple[int, int]]:
     """n iid (x, x_p) draws from the pixel model, reproducible by seed."""
-    pmf = marginalize(build_joint(params), ["x", "xp"])
-    return [(int(x), int(xp)) for x, xp in sample(pmf, n, seed)]
+    return sample(marginalize(build_joint(params), ["x", "xp"]), n, seed)

@@ -38,6 +38,7 @@ __all__ = [
     "adjoin_map",
     "adjoin_sum",
     "as_exact",
+    "combined_index",
     "conditional_table",
     "difference_alphabet",
     "integer_alphabet",
@@ -414,30 +415,38 @@ def adjoin_map(pmf: JointPMF, source_var: str, dmap: DeterministicMap,
     return JointPMF(variables, idx, pmf.probs, _trusted=True)
 
 
-def _adjoin_combined(pmf: JointPMF, a: str, b: str, new_var: str, sign: int,
-                     codomain: Alphabet) -> JointPMF:
-    _check_new_name(pmf, new_var)
+def combined_index(pmf: JointPMF, a: str, b: str, sign: int,
+                   alphabet: Alphabet) -> np.ndarray:
+    """Index in alphabet of a + sign*b (sign is +1 or -1) at every support
+    point, or -1 where that value is not in alphabet."""
     ca, cb = pmf.var_pos(a), pmf.var_pos(b)
     alph_a = pmf.variables[ca][1]
     alph_b = pmf.variables[cb][1]
-    if alph_a.is_contiguous_int and alph_b.is_contiguous_int and codomain.is_contiguous_int:
+    if alph_a.is_contiguous_int and alph_b.is_contiguous_int and alphabet.is_contiguous_int:
         va = pmf.idx[:, ca] + int(alph_a.symbols[0])
         vb = pmf.idx[:, cb] + int(alph_b.symbols[0])
-        new_col = va + sign * vb - int(codomain.symbols[0])
-    else:
-        # exact symbol arithmetic; only small tables reach this path
-        pair_cache: dict[tuple[int, int], int] = {}
-        sa, sb = alph_a.symbols, alph_b.symbols
-        cindex = codomain.index
-        new_col = np.empty(pmf.n_points, dtype=np.intp)
-        for r, (ia, ib) in enumerate(zip(pmf.idx[:, ca], pmf.idx[:, cb])):
-            k = (int(ia), int(ib))
-            j = pair_cache.get(k)
-            if j is None:
-                j = cindex[sa[k[0]] + sign * sb[k[1]]]
-                pair_cache[k] = j
-            new_col[r] = j
-    idx = np.column_stack([pmf.idx, new_col])
+        col = va + sign * vb - int(alphabet.symbols[0])
+        return np.where((col >= 0) & (col < len(alphabet)), col, -1)
+    # exact symbol arithmetic; only small tables reach this path
+    pair_cache: dict[tuple[int, int], int] = {}
+    sa, sb = alph_a.symbols, alph_b.symbols
+    index = alphabet.index
+    col = np.empty(pmf.n_points, dtype=np.intp)
+    for r, (ia, ib) in enumerate(zip(pmf.idx[:, ca], pmf.idx[:, cb])):
+        k = (int(ia), int(ib))
+        j = pair_cache.get(k)
+        if j is None:
+            j = index.get(sa[k[0]] + sign * sb[k[1]], -1)
+            pair_cache[k] = j
+        col[r] = j
+    return col
+
+
+def _adjoin_combined(pmf: JointPMF, a: str, b: str, new_var: str, sign: int,
+                     codomain: Alphabet) -> JointPMF:
+    """codomain is the full cross set, so every index is found."""
+    _check_new_name(pmf, new_var)
+    idx = np.column_stack([pmf.idx, combined_index(pmf, a, b, sign, codomain)])
     variables = list(pmf.variables) + [(new_var, codomain)]
     return JointPMF(variables, idx, pmf.probs, _trusted=True)
 
@@ -517,14 +526,12 @@ def sample(pmf: JointPMF, n: int, seed) -> list[tuple]:
     return [tuple(col[i] for col in columns) for i in picks]
 
 
-def random_pmf(shape: Sequence[int], concentration: float = 1.0, *, seed,
+def random_pmf(shape: Sequence[int], *, seed,
                names: Sequence[str] | None = None) -> JointPMF:
-    """Dirichlet-distributed joint over a full integer grid of the given shape."""
+    """Flat-Dirichlet joint over a full integer grid of the given shape."""
     shape = [int(s) for s in shape]
     if not shape or any(s < 1 for s in shape):
         raise InputError(f"all alphabet sizes must be >= 1, got {shape}")
-    if not (concentration > 0):
-        raise InputError(f"concentration must be positive, got {concentration!r}")
     if names is None:
         names = [f"v{i}" for i in range(len(shape))]
     if len(names) != len(shape):
@@ -532,7 +539,7 @@ def random_pmf(shape: Sequence[int], concentration: float = 1.0, *, seed,
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(_as_seed(seed))
     cells = int(np.prod(shape))
-    probs = rng.dirichlet(np.full(cells, float(concentration)))
+    probs = rng.dirichlet(np.ones(cells))
     idx = np.indices(shape).reshape(len(shape), -1).T
     variables = [(n, integer_alphabet(n, 0, s - 1)) for n, s in zip(names, shape)]
     return JointPMF(variables, idx, probs)

@@ -26,11 +26,12 @@ from .pixel_model import PARADIGMS, PixelModelParams, build_joint
 from .prob_core import Alphabet, JointPMF, conditional_table
 
 __all__ = [
-    "BAConfig",
     "CONVEXITY_TOL",
     "DistortionMatrix",
+    "MAX_ITERS",
     "RDCurve",
     "RDPoint",
+    "TOL",
     "compare_paradigms",
     "conditional_rd_curve",
     "default_slope_grid",
@@ -38,31 +39,16 @@ __all__ = [
     "squared_error",
 ]
 
+# TOL is the certified suboptimality bound in nats: a returned point sits
+# at most TOL*log2(e) bits above the true envelope. MAX_ITERS counts basic
+# updates per row.
+TOL = 1e-9
+MAX_ITERS = 5000
+# Bits a point may sit above the chord of its neighbours. A certified
+# point's Lagrangian is within TOL*log2(e) bits of the optimum at its
+# slope, and time-sharing achieves the chord, so this must exceed that.
 CONVEXITY_TOL = 1e-6
 _LOG2E = math.log2(math.e)
-
-
-@dataclass(frozen=True)
-class BAConfig:
-    """tol is the certified suboptimality bound in nats; a returned point
-    sits at most tol*log2(e) bits above the true envelope."""
-
-    max_iters: int = 5000
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.max_iters < 1 or not (self.tol > 0):
-            raise InputError(f"bad solver config {self}")
-
-    @property
-    def convexity_tol(self) -> float:
-        """Bits a certified point may sit above a chord of achievable points.
-
-        Its Lagrangian is within tol*log2(e) bits of the optimum at its
-        slope, and time-sharing achieves the chord, so the rate is at most
-        that far above the chord.
-        """
-        return max(CONVEXITY_TOL, self.tol * _LOG2E)
 
 
 @dataclass(frozen=True)
@@ -114,15 +100,11 @@ class RDPoint:
 
 @dataclass(frozen=True)
 class RDCurve:
-    """Points on a lower convex envelope, distortion ascending.
-
-    convexity_tol is how far, in bits, a point may sit above the chord of
-    its neighbours: the solver's certified gap, and at least CONVEXITY_TOL.
-    """
+    """Points on a lower convex envelope, distortion ascending; a point
+    may sit up to CONVEXITY_TOL bits above the chord of its neighbours."""
 
     label: str
     points: tuple[RDPoint, ...]
-    convexity_tol: float = CONVEXITY_TOL
 
     def __post_init__(self):
         pts = self.points
@@ -135,15 +117,14 @@ class RDCurve:
         for a, m, b in zip(pts, pts[1:], pts[2:]):
             t = (m.distortion - a.distortion) / (b.distortion - a.distortion)
             chord = a.rate + t * (b.rate - a.rate)
-            if m.rate > chord + self.convexity_tol:
+            if m.rate > chord + CONVEXITY_TOL:
                 raise InternalConsistencyError(
                     f"curve {self.label!r} not convex at D={m.distortion}: "
                     f"rate {m.rate} above chord {chord}"
                 )
 
     @classmethod
-    def assemble(cls, label: str, points,
-                 convexity_tol: float = CONVEXITY_TOL) -> "RDCurve":
+    def assemble(cls, label: str, points) -> "RDCurve":
         """Sort, drop duplicates (lower rate wins at equal distortion), and
         prune points dominated in both coordinates."""
         pts = sorted(points, key=lambda p: (p.distortion, p.rate))
@@ -152,7 +133,7 @@ class RDCurve:
             if frontier and p.rate >= frontier[-1].rate - 1e-15:
                 continue
             frontier.append(p)
-        return cls(label, tuple(frontier), convexity_tol)
+        return cls(label, tuple(frontier))
 
     @property
     def distortions(self) -> np.ndarray:
@@ -268,7 +249,7 @@ def _extrapolate(q0, c0, c1, q2, cap):
 
 
 def _newton_polish(P_row: np.ndarray, src_row: np.ndarray, K: np.ndarray,
-                   q0: np.ndarray, tol: float):
+                   q0: np.ndarray):
     """Active-set Newton refinement of one cell's reduced problem.
 
     The multiplicative update identifies the optimal support slowly
@@ -277,7 +258,7 @@ def _newton_polish(P_row: np.ndarray, src_row: np.ndarray, K: np.ndarray,
     stationarity system c_S(q) = 1 on the current support directly:
     Newton steps on the positive orthant, dropping columns driven to
     zero and entering the worst violator until the full certificate
-    max_j c_j - 1 clears tol. Returns the certified q or None; a None
+    max_j c_j - 1 clears TOL. Returns the certified q or None; a None
     simply leaves the cell to the iterative path, so this routine may
     be conservative.
     """
@@ -310,7 +291,7 @@ def _newton_polish(P_row: np.ndarray, src_row: np.ndarray, K: np.ndarray,
         if np.abs(g).max() < 1e-13:
             c_full = ratio @ Kp
             gap = c_full.max() - 1.0
-            if gap < tol:
+            if gap < TOL:
                 out = np.zeros(m)
                 out[idx] = qs / qs.sum()
                 return out
@@ -350,7 +331,7 @@ def _newton_polish(P_row: np.ndarray, src_row: np.ndarray, K: np.ndarray,
 _POLISH_GATE = 1e-5
 
 
-def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray, config: BAConfig):
+def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray):
     """Run BA on C sources sharing one distortion matrix, at S slopes.
 
     P: (C, n) rows summing to 1. Every (slope, cell) pair is one row of
@@ -359,8 +340,8 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray, config: BAConfig
     path it would follow alone. Returns (rates, distortions, gaps,
     iters, certified), each of shape (S, C): gaps are max_j c_j - 1 in
     nats at the returned q, iters the basic updates the row took.
-    config.tol bounds each row's gap to its true envelope point (in
-    nats); max_iters counts basic updates per row.
+    TOL bounds each row's gap to its true envelope point (in nats);
+    MAX_ITERS counts basic updates per row.
     """
     full = _BAProblem(P, d, slopes)
     K = full.K
@@ -375,16 +356,15 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray, config: BAConfig
     cap = np.full(R, 64.0)
     tries = np.zeros(R, dtype=np.int64)
     iters = 0
-    while iters < config.max_iters and act.size:
+    while iters < MAX_ITERS and act.size:
         q1, c0, F0, _ = prob.step(q)
         iters += 1
         # certificate checkpoint: freeze rows once individually certified,
         # so later extrapolation noise cannot un-converge them
         g0 = prob.gaps(c0)
-        fin = g0 < config.tol
+        fin = g0 < TOL
         for i in (~fin & (g0 < _POLISH_GATE) & (tries < 3)).nonzero()[0]:
-            qp = _newton_polish(prob.P[i], prob.src_mask[i], K[prob.sid[i]],
-                                q[i], config.tol)
+            qp = _newton_polish(prob.P[i], prob.src_mask[i], K[prob.sid[i]], q[i])
             if qp is None:
                 tries[i] += 1
             else:
@@ -400,7 +380,7 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray, config: BAConfig
             if act.size == 0:
                 break
             prob = prob.restrict(keep)
-        if iters + 2 > config.max_iters:
+        if iters + 2 > MAX_ITERS:
             q = q1
             break
         q2, c1, F1, _ = prob.step(q1)
@@ -445,14 +425,13 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray, config: BAConfig
             row_iters.reshape(S, C), done.reshape(S, C))
 
 
-def _stack_curves(tables, d: np.ndarray, grid: np.ndarray,
-                  config: BAConfig) -> dict[str, RDCurve]:
+def _stack_curves(tables, d: np.ndarray, grid: np.ndarray) -> dict[str, RDCurve]:
     """Envelopes of conditional tables that share distortion matrix d,
     solved as one stack. tables holds (label, w, P) per curve; per slope,
     each cell is solved on its own and rate and distortion are weighted
     by the cell mass. A point is converged when all its cells are."""
     rates, dists, gaps, iters, done = _ba_stack(
-        np.vstack([P for _, _, P in tables]), d, grid, config)
+        np.vstack([P for _, _, P in tables]), d, grid)
     curves, a = {}, 0
     for label, w, _ in tables:
         cols = slice(a, a + len(w))
@@ -462,7 +441,7 @@ def _stack_curves(tables, d: np.ndarray, grid: np.ndarray,
                        float(w @ gaps[s, cols]) * _LOG2E,
                        int(iters[s, cols].max()))
                for s, slope in enumerate(grid)]
-        curves[label] = RDCurve.assemble(label, pts, config.convexity_tol)
+        curves[label] = RDCurve.assemble(label, pts)
     return curves
 
 
@@ -479,21 +458,19 @@ def _slope_grid(slope_grid) -> np.ndarray:
 
 
 def rd_curve(source: JointPMF, recon_alphabet: Alphabet, dist: DistortionMatrix,
-             slope_grid=None, config: BAConfig = BAConfig(),
-             label: str = "rd") -> RDCurve:
+             slope_grid=None, label: str = "rd") -> RDCurve:
     """Envelope of a single-variable source: the one-cell conditional case."""
     if len(source.names) != 1:
         raise InputError(
             f"source must be a single-variable distribution, has {source.names}"
         )
     return conditional_rd_curve(source, source.names[0], None, recon_alphabet,
-                                dist, slope_grid, config, label)
+                                dist, slope_grid, label)
 
 
 def conditional_rd_curve(joint: JointPMF, source_var: str, cond_var: str | None,
                          recon_alphabet: Alphabet, dist: DistortionMatrix,
-                         slope_grid=None, config: BAConfig = BAConfig(),
-                         label: str | None = None) -> RDCurve:
+                         slope_grid=None, label: str | None = None) -> RDCurve:
     """Envelope of the conditional problem: per slope, solve each condition
     cell independently and weight rate and distortion by the cell mass.
     cond_var=None codes source_var unconditionally, as one cell."""
@@ -506,11 +483,10 @@ def conditional_rd_curve(joint: JointPMF, source_var: str, cond_var: str | None,
         label = f"{source_var}|{cond_var}"
 
     w, P, _ = conditional_table(joint, source_var, cond_var)
-    return _stack_curves([(label, w, P)], dist.d, grid, config)[label]
+    return _stack_curves([(label, w, P)], dist.d, grid)[label]
 
 
 def compare_paradigms(params: PixelModelParams, slope_grid=None,
-                      config: BAConfig = BAConfig(),
                       force: bool = False) -> dict[str, RDCurve]:
     """One envelope per row of pixel_model.PARADIGMS, keyed by its label.
 
@@ -533,5 +509,5 @@ def compare_paradigms(params: PixelModelParams, slope_grid=None,
         alph = joint.alphabet(coded)
         tables = [(row.label, *conditional_table(joint, coded, row.context)[:2])
                   for row in rows]
-        curves.update(_stack_curves(tables, squared_error(alph, alph).d, grid, config))
+        curves.update(_stack_curves(tables, squared_error(alph, alph).d, grid))
     return {row.label: curves[row.label] for row in PARADIGMS}

@@ -43,7 +43,7 @@ from crlab.info_measures import entropy
 from crlab.pixel_model import PixelModelParams, build_joint, entropy_report, sweep_p
 from crlab.prob_core import JointPMF, integer_alphabet, marginalize
 from crlab.rd_solver import (
-    BAConfig,
+    TOL,
     DistortionMatrix,
     compare_paradigms,
     conditional_rd_curve,
@@ -204,7 +204,7 @@ def _check_below(violations, where, lower, upper, clause):
 
 
 def test_criterion_6_lossy_paradigm_ordering():
-    slack = BAConfig().tol * math.log2(math.e)
+    slack = TOL * math.log2(math.e)
     t0 = time.perf_counter()
     violations, bottlenecked, forced = [], [], []
     for p in (0.1, 0.3, 0.7):

@@ -118,12 +118,6 @@ class TestEnvelopeSampling:
         assert max(rates) <= 0.99 * top + 1e-12
         assert min(rates) >= 0.01 * top - 1e-12
 
-    def test_anchor_count_configurable(self):
-        qc = quality_curve_from_rd(self.envelope(), peak=15.0, n_anchors=5)
-        assert len(qc.points) == 5
-        with pytest.raises(InputError):
-            quality_curve_from_rd(self.envelope(), peak=15.0, n_anchors=3)
-
     def test_zero_rate_curve_has_no_band(self):
         flat = RDCurve("flat", (RDPoint(1e-9, 0.1, 1.0),
                                 RDPoint(1e-10, 0.5, 0.5)))
@@ -180,13 +174,13 @@ class TestCsv:
 
     def test_nine_significant_digits(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ("v",), [(math.pi,)])
+        write_csv(path, ("v",), [(math.pi,)], "t")
         _, rows = read_csv(path)
         assert rows[0][0] == "3.14159265"
 
     def test_unwritable_path_is_input_error(self, tmp_path):
         with pytest.raises(InputError):
-            write_csv(tmp_path / "no" / "dir" / "t.csv", ("a",), [(1,)])
+            write_csv(tmp_path / "no" / "dir" / "t.csv", ("a",), [(1,)], "t")
 
     def test_sweep_rows_match_header(self):
         rep = entropy_report(PixelModelParams(p=0.5, Q=2, M=16))

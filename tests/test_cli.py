@@ -4,8 +4,11 @@ import re
 
 import pytest
 
+import crlab.cli
+import crlab.codec
 from crlab.cli import main
 from crlab.codec import Bitstream
+from crlab.errors import FormatError
 from crlab.pixel_model import PARADIGMS, PixelModelParams, entropy_report
 
 
@@ -175,6 +178,28 @@ class TestCodec:
         bound = float(re.search(r"entropy bound\s+(\S+)", out).group(1))
         want = entropy_report(PixelModelParams(p=0.5, Q=2, M=16)).H_X_given_Xphat
         assert abs(bound - want) < 1e-9
+
+    def test_alphabet_beyond_header_exits_64(self, capsys, tmp_path, monkeypatch):
+        def no_joint(*args, **kwargs):
+            raise AssertionError("built the joint for an unencodable M")
+
+        monkeypatch.setattr(crlab.codec, "build_joint", no_joint)
+        code, _, err = run(capsys, "codec", "--p", "0.5", "--M", "65536",
+                           "--paradigm", "residual", "--out", str(tmp_path))
+        assert code == 64
+        assert "16 bits" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_format_error_is_integrity_failure(self, capsys, tmp_path, monkeypatch):
+        def bad_decode(*args, **kwargs):
+            raise FormatError("header does not match")
+
+        monkeypatch.setattr(crlab.cli, "decode", bad_decode)
+        code, _, err = run(capsys, "codec", "--p", "0.5", "--M", "8",
+                           "--n", "100", "--paradigm", "residual",
+                           "--out", str(tmp_path))
+        assert code == 2
+        assert "codec integrity failure" in err
 
 
 class TestParadigmTable:

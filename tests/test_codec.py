@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crlab import codec
 from crlab.codec import (
     TOTAL,
     Bitstream,
@@ -62,10 +63,10 @@ class TestQuantizeFreq:
         assert np.all(f[p == 0] == 0)
 
     def test_largest_remainder_tie_prefers_lower_index(self):
-        # four equal remainders competing for one leftover unit
-        p = np.array([0.25, 0.25, 0.25, 0.25])
-        f = quantize_freq(p, total=9)
-        assert f.tolist() == [3, 2, 2, 2]
+        # three equal remainders competing for one leftover unit
+        p = np.array([1 / 3] * 3)
+        f = quantize_freq(p)
+        assert f.tolist() == [21846, 21845, 21845]
 
 
 class TestRangeCoderPrimitive:
@@ -248,6 +249,36 @@ class TestInputGuards:
             encode([(16, 0)], "residual", model)
         with pytest.raises(InputError):
             encode([(0, -1)], "residual", model)
+
+    @pytest.mark.parametrize("seq", [[(1, 2, 3)], [5], 5, [(1,)], [(1, 2), (3,)],
+                                     [(1.0, 2)], [("1", 2)], [(None, 2)]])
+    def test_malformed_pairs_rejected(self, seq):
+        model = build_model(small_params(M=16), "residual")
+        with pytest.raises(InputError):
+            encode(seq, "residual", model)
+
+    @pytest.mark.parametrize("preds", [[1.5], ["3"], [None], [0, 16], [-1], [[1]]])
+    def test_malformed_predictions_rejected(self, preds):
+        model = build_model(small_params(M=16), "residual")
+        stream = encode([(3, 3)] * len(preds), "residual", model)
+        with pytest.raises(InputError):
+            decode(stream, preds, model)
+
+    def test_numpy_symbols_accepted(self):
+        model = build_model(small_params(M=16), "residual")
+        pairs = np.array([(3, 5), (0, 15), (15, 0)], dtype=np.uint8)
+        stream = encode(pairs, "residual", model)
+        assert stream.to_bytes() == encode(pairs.tolist(), "residual", model).to_bytes()
+        assert decode(stream, pairs[:, 1], model) == [3, 0, 15]
+        assert decode(stream, iter([5, 15, 0]), model) == [3, 0, 15]
+
+    def test_alphabet_beyond_header_rejected_before_joint(self, monkeypatch):
+        def no_joint(*args, **kwargs):
+            raise AssertionError("built the joint for an unencodable M")
+
+        monkeypatch.setattr(codec, "build_joint", no_joint)
+        with pytest.raises(InputError):
+            build_model(PixelModelParams(p=0.5, Q=1, M=0x10000), "residual")
 
     def test_uncovered_symbol_is_coverage_error(self):
         # p=0 leaves only r=0 in the model; any other residual cannot code

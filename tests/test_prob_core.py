@@ -20,6 +20,7 @@ from crlab.prob_core import (
     adjoin_map,
     adjoin_sum,
     as_exact,
+    combined_index,
     conditional_table,
     difference_alphabet,
     group_probs,
@@ -208,6 +209,17 @@ class TestAdjoin:
         ext = adjoin_map(pmf, "x", quantizer_map(a, 4, name="xq"), "xq")
         assert ext.column_values("xq") == [0, 0, 0, 0, 4, 4, 4, 4]
 
+    @pytest.mark.parametrize("step", [1, Fraction(1, 2)])
+    def test_combined_index_marks_values_outside_the_alphabet(self, step):
+        # x in {0, step, 2*step}, xp = 0 or step; step = 1/2 takes the exact path
+        x = Alphabet("x", (0, step, 2 * step))
+        xp = Alphabet("xp", (0, step))
+        pmf = JointPMF([("x", x), ("xp", xp)], [[0, 0], [0, 1], [1, 1], [2, 0]],
+                       np.full(4, 0.25))
+        out = Alphabet("out", (0, step))  # lacks -step and 2*step
+        assert combined_index(pmf, "x", "xp", -1, out).tolist() == [0, -1, 0, -1]
+        assert combined_index(pmf, "x", "xp", +1, out).tolist() == [0, 1, -1, -1]
+
     def test_adjoin_rejects_name_collision(self):
         pmf = uniform_pair(3)
         with pytest.raises(InputError):
@@ -264,8 +276,6 @@ class TestRandomness:
         np.testing.assert_array_equal(pmf.probs, pmf2.probs)
         with pytest.raises(InputError):
             random_pmf((0, 2), seed=1)
-        with pytest.raises(InputError):
-            random_pmf((2, 2), concentration=0.0, seed=1)
 
 
 @st.composite

@@ -19,7 +19,8 @@ from crlab.pixel_model import PARADIGMS, PixelModelParams, build_joint
 from crlab.prob_core import JointPMF, integer_alphabet, marginalize
 from crlab.rd_solver import (
     CONVEXITY_TOL,
-    BAConfig,
+    MAX_ITERS,
+    TOL,
     DistortionMatrix,
     RDCurve,
     RDPoint,
@@ -43,12 +44,6 @@ def binary_uniform():
 
 
 class TestConfigAndMatrices:
-    def test_config_validation(self):
-        with pytest.raises(InputError):
-            BAConfig(max_iters=0)
-        with pytest.raises(InputError):
-            BAConfig(tol=0.0)
-
     def test_distortion_matrix_validation(self):
         a = integer_alphabet("u", 0, 1)
         with pytest.raises(InputError):
@@ -88,9 +83,7 @@ class TestCurveContainer:
         pts = (RDPoint(1.0, 1.0, 1.0), RDPoint(0.5 + 1e-5, 2.0, 0.5), RDPoint(0.0, 3.0, 0.1))
         with pytest.raises(InternalConsistencyError):
             RDCurve("c", pts)
-        assert RDCurve.assemble("c", pts, BAConfig(tol=1e-4).convexity_tol).points == pts
-        assert BAConfig().convexity_tol == CONVEXITY_TOL
-        assert BAConfig(tol=1e-2).convexity_tol == pytest.approx(1e-2 * math.log2(math.e))
+        assert TOL * math.log2(math.e) < CONVEXITY_TOL
 
 
 class TestBinaryOracle:
@@ -187,15 +180,6 @@ class TestParadigmComparison:
             if lo <= p.distortion <= hi:
                 assert p.rate <= res.rate_at(p.distortion) + 1e-6
 
-    @pytest.mark.parametrize("tol", [1e-4, 1e-2])
-    def test_loose_solver_tolerance_still_assembles(self, tol):
-        # a point certified to tol nats may sit tol*log2(e) bits above the
-        # chord of its neighbours; the convexity check must allow that
-        curves = compare_paradigms(PixelModelParams(p=0.1, Q=1, M=16),
-                                   config=BAConfig(tol=tol))
-        assert set(curves) == {"res", "cond_ideal", "cond", "condres"}
-        assert all(c.convexity_tol == tol * math.log2(math.e) for c in curves.values())
-
     def test_all_points_certified(self):
         curves = compare_paradigms(PixelModelParams(p=0.7, Q=2, M=8),
                                    np.geomspace(0.05, 50, 12))
@@ -237,15 +221,14 @@ class TestInputGuards:
 
 class TestCertificates:
     def test_points_carry_their_certificate(self):
-        config = BAConfig()
-        curves = compare_paradigms(PixelModelParams(p=0.3, Q=2, M=16), config=config)
+        curves = compare_paradigms(PixelModelParams(p=0.3, Q=2, M=16))
         for curve in curves.values():
             for pt in curve.points:
                 assert pt.converged, (curve.label, pt)
-                assert 0.0 <= pt.gap_bits <= config.tol * math.log2(math.e)
-                assert 1 <= pt.iters <= config.max_iters
+                assert 0.0 <= pt.gap_bits <= TOL * math.log2(math.e)
+                assert 1 <= pt.iters <= MAX_ITERS
 
-    def test_gap_bounds_an_uncertified_point(self):
+    def test_gap_bounds_an_uncertified_point(self, monkeypatch):
         # binary source p(1) = 0.2 under Hamming distortion: at slope s > 2
         # the optimum is D* = 1/(1 + 2^s), R* = h2(0.2) - h2(D*); after one
         # update, R + s*D exceeds the optimum by no more than gap_bits
@@ -253,7 +236,8 @@ class TestCertificates:
         src = JointPMF([("u", a)], [[0], [1]], [0.8, 0.2])
         hamming = DistortionMatrix(a, a, np.array([[0.0, 1.0], [1.0, 0.0]]))
         slope = 4.0
-        pt = rd_curve(src, a, hamming, [slope], BAConfig(max_iters=1)).points[0]
+        monkeypatch.setattr(rd_solver, "MAX_ITERS", 1)
+        pt = rd_curve(src, a, hamming, [slope]).points[0]
         assert not pt.converged and pt.iters == 1
         d_opt = 1 / (1 + 2 ** slope)
         excess = pt.rate + slope * pt.distortion - (h2(0.2) - h2(d_opt) + slope * d_opt)

@@ -1,11 +1,13 @@
 """Identity and inequality checks on hand-built and randomized joints."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from crlab.errors import InputError, PreconditionError
 from crlab.pixel_model import PixelModelParams, build_joint
+from crlab.prob_core import Alphabet, JointPMF
 from crlab.theorem_suite import (
     CHECK_TOL,
     check_lossless,
@@ -42,6 +44,36 @@ class TestLossless:
 
         pmf = random_pmf((3, 3), seed=1, names=["x", "y"])
         with pytest.raises((InputError, PreconditionError)):
+            check_lossless(pmf)
+
+
+def half_step_pmf(r_symbols, r_values):
+    """x, xp on half-integer alphabets, xq = xp, and the given r column."""
+    h = Fraction(1, 2)
+    pairs = [(h, 0), (0, h), (1, h)]
+    alphs = [Alphabet("x", (0, h, 1)), Alphabet("xp", (0, h)),
+             Alphabet("xq", (0, h)), Alphabet("r", r_symbols)]
+    idx = [[alphs[0].index[x], alphs[1].index[xp], alphs[2].index[xp],
+            alphs[3].index[r]] for (x, xp), r in zip(pairs, r_values)]
+    return JointPMF(alphs, idx, [0.5, 0.25, 0.25])
+
+
+class TestDifferencePrecondition:
+    h = Fraction(1, 2)
+
+    def test_exact_residual_passes(self):
+        pmf = half_step_pmf((-self.h, self.h), (self.h, -self.h, self.h))
+        assert check_lossless(pmf).all_passed
+
+    def test_wrong_residual_rejected(self):
+        pmf = half_step_pmf((-self.h, self.h), (self.h, -self.h, -self.h))
+        with pytest.raises(PreconditionError):
+            check_lossless(pmf)
+
+    def test_residual_missing_from_alphabet_rejected(self):
+        q = Fraction(1, 4)
+        pmf = half_step_pmf((-self.h, q), (q, -self.h, q))
+        with pytest.raises(PreconditionError):
             check_lossless(pmf)
 
 
