@@ -32,7 +32,15 @@ from .analysis import (
     sweep_rows,
     write_csv,
 )
-from .codec import build_model, decode, encode, measure_rate, sample_pairs
+from .codec import (
+    build_model,
+    decode,
+    encode,
+    expected_rate,
+    measure_rate,
+    require_encodable,
+    sample_arrays,
+)
 from .errors import (
     CrLabError,
     FormatError,
@@ -44,6 +52,7 @@ from .errors import (
 from .pixel_model import (
     PARADIGMS,
     PixelModelParams,
+    build_joint,
     codec_paradigm,
     entropy_report,
     sweep_p,
@@ -173,27 +182,30 @@ def cmd_codec(args) -> int:
         raise UsageError(f"need at least one symbol, got n={args.n}")
     params = PixelModelParams(p=args.p, Q=args.Q, M=args.M)
 
-    model = build_model(params, row.name)
-    pairs = sample_pairs(params, args.n, args.seed)
-    x_seq = [x for x, _ in pairs]
-    xp_seq = [xp for _, xp in pairs]
+    # the one joint of the op: model, draws and bound all read it
+    require_encodable(params.M)
+    joint = build_joint(params)
+    model = build_model(params, row.name, joint)
+    x, xp = sample_arrays(params, args.n, args.seed, joint)
 
-    stream = encode(pairs, row.name, model)
-    decoded = decode(stream, xp_seq, model)
-    if decoded != x_seq:
-        bad = next(i for i, (a, b) in enumerate(zip(decoded, x_seq)) if a != b)
-        print(f"round-trip FAILED: first mismatch at symbol {bad}",
+    stream = encode(np.column_stack((x, xp)), row.name, model)
+    wrong = np.flatnonzero(np.asarray(decode(stream, xp, model)) != x)
+    if wrong.size:
+        print(f"round-trip FAILED: first mismatch at symbol {wrong[0]}",
               file=sys.stderr)
         return 2
 
     rate = measure_rate(stream, args.n)
-    bound = getattr(entropy_report(params), row.bound)
+    bound = getattr(entropy_report(params, joint), row.bound)
+    expected = expected_rate(model, params, joint)
 
     print(f"round trip exact over {args.n} symbols ({row.name})")
     print(f"measured rate   {_fmt(rate)} bits/symbol "
           f"({len(stream.payload)} payload bytes)")
     print(f"entropy bound   {_fmt(bound)} bits/symbol")
     print(f"overhead        {_fmt(rate - bound)} bits/symbol")
+    print(f"quantization loss {_fmt(expected - bound)} bits/symbol")
+    print(f"finite-n cost     {_fmt(rate - expected)} bits/symbol")
 
     if not args.plain:
         name = f"codec_{row.name}_p{args.p:g}_Q{args.Q:g}.crlb"

@@ -19,14 +19,15 @@ interoperate:
     16      -     payload: range-coded bytes (absent when n = 0)
 
 The payload is produced by a 32-bit range coder with byte-wise
-renormalization and carry propagation via pending-byte counting: the
-encoder keeps a 33-bit low accumulator; when a carry reaches the cached
-byte it increments the cache and turns the run of pending 0xFF bytes
-into 0x00s. Each symbol narrows the range by (start, size, T) taken
-from the model's cumulative table. The decoder mirrors the arithmetic
-exactly, consuming 5 priming bytes and then one byte per encoder
-renormalization, so an intact stream is consumed in full; a truncated
-stream, or one with bytes left after its last symbol, raises
+renormalization: it starts with a 0x00 byte, writes the top byte of its
+32-bit low at each renormalization and the four bytes of low at the
+end. A carry out of low adds into the bytes already written, turning
+their trailing run of 0xFF bytes into 0x00s. Each symbol narrows the
+range by (start, size, T) taken from the model's cumulative table; the
+coder takes whole arrays of them at once. The decoder mirrors the
+arithmetic exactly, consuming 5 priming bytes and then one byte per
+encoder renormalization, so an intact stream is consumed in full; a
+truncated stream, or one with bytes left after its last symbol, raises
 IntegrityError.
 """
 
@@ -47,11 +48,12 @@ from .errors import (
 )
 from .pixel_model import PARADIGMS, PixelModelParams, build_joint, codec_paradigm
 from .prob_core import (
+    JointPMF,
     conditional_table,
     integer_alphabet,
     marginalize,
     quantizer_map,
-    sample,
+    sample_columns,
 )
 
 __all__ = [
@@ -69,6 +71,8 @@ __all__ = [
     "expected_rate",
     "measure_rate",
     "quantize_freq",
+    "require_encodable",
+    "sample_arrays",
     "sample_pairs",
 ]
 
@@ -91,74 +95,76 @@ class RangeEncoder:
     def __init__(self):
         self._low = 0
         self._range = _MASK32
-        self._cache = 0
-        self._cache_size = 1
-        self._out = bytearray()
+        # the leading 0x00 absorbs the carry into the first written byte
+        self._out = bytearray(1)
 
-    def encode(self, start: int, size: int, total: int) -> None:
-        r = self._range // total
-        self._low += start * r
-        self._range = size * r
-        while self._range < _TOP:
-            self._range = (self._range << 8) & _MASK32
-            self._shift_low()
-
-    def _shift_low(self) -> None:
-        low = self._low
-        if (low & _MASK32) < 0xFF000000 or low > _MASK32:
-            carry = low >> 32
-            out = self._out
-            out.append((self._cache + carry) & 0xFF)
-            filler = (0xFF + carry) & 0xFF
-            for _ in range(self._cache_size - 1):
-                out.append(filler)
-            self._cache = (low >> 24) & 0xFF
-            self._cache_size = 0
-        self._cache_size += 1
-        self._low = (low << 8) & _MASK32
+    def encode(self, starts, sizes, total: int) -> None:
+        """Narrow by the cumulative span [start, start+size) of each
+        symbol in turn, out of total."""
+        low, rng, out = self._low, self._range, self._out
+        for start, size in zip(starts, sizes):
+            r = rng // total
+            low += start * r
+            rng = size * r
+            if low > _MASK32:
+                # carry into the bytes already written: a trailing run
+                # of 0xFF turns to 0x00 and the byte before it steps up
+                low &= _MASK32
+                i = len(out) - 1
+                while out[i] == 0xFF:
+                    out[i] = 0
+                    i -= 1
+                out[i] += 1
+            while rng < _TOP:
+                rng <<= 8
+                out.append(low >> 24)
+                low = (low << 8) & _MASK32
+        self._low, self._range = low, rng
 
     def finish(self) -> bytes:
-        for _ in range(5):
-            self._shift_low()
-        return bytes(self._out)
+        return bytes(self._out + self._low.to_bytes(4, "big"))
 
 
 class RangeDecoder:
     """Mirror of RangeEncoder over a fixed byte payload."""
 
     def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
+        self._bytes = iter(data)
         self._range = _MASK32
         self._code = 0
-        self._r = 1
-        for _ in range(5):
-            self._code = ((self._code << 8) | self._next_byte()) & _MASK32
+        try:
+            for _ in range(5):
+                self._code = ((self._code << 8) | next(self._bytes)) & _MASK32
+        except StopIteration:
+            raise IntegrityError("bitstream truncated mid-symbol") from None
 
-    def _next_byte(self) -> int:
-        pos = self._pos
-        if pos >= len(self._data):
-            raise IntegrityError("bitstream truncated mid-symbol")
-        self._pos = pos + 1
-        return self._data[pos]
-
-    def decode_target(self, total: int) -> int:
-        """Cumulative-frequency target of the next symbol in [0, total)."""
-        self._r = self._range // total
-        v = self._code // self._r
-        return total - 1 if v >= total else v
-
-    def consume(self, start: int, size: int) -> None:
-        """Commit the symbol whose cumulative span is [start, start+size)."""
-        self._code -= start * self._r
-        self._range = size * self._r
-        while self._range < _TOP:
-            self._range = (self._range << 8) & _MASK32
-            self._code = ((self._code << 8) | self._next_byte()) & _MASK32
+    def decode(self, cum_rows, contexts, total: int) -> list[int]:
+        """Symbol index of each position, read with the cumulative counts
+        cum_rows[c] of its context c (ascending from 0 to total)."""
+        rng, code, nxt = self._range, self._code, self._bytes.__next__
+        out = []
+        append = out.append
+        try:
+            for ci in contexts:
+                cum = cum_rows[ci]
+                r = rng // total
+                v = code // r
+                si = bisect_right(cum, v if v < total else total - 1) - 1
+                lo = cum[si]
+                code -= lo * r
+                rng = (cum[si + 1] - lo) * r
+                while rng < _TOP:
+                    rng <<= 8
+                    code = ((code << 8) | nxt()) & _MASK32
+                append(si)
+        except StopIteration:
+            raise IntegrityError("bitstream truncated mid-symbol") from None
+        self._range, self._code = rng, code
+        return out
 
     def finish(self) -> None:
         """Require that the last symbol consumed the whole payload."""
-        left = len(self._data) - self._pos
+        left = sum(1 for _ in self._bytes)
         if left:
             raise IntegrityError(f"{left} byte(s) left after the last symbol")
 
@@ -237,12 +243,16 @@ class ProbabilityModel:
         object.__setattr__(self, "freq", freq)
         cum = np.zeros((freq.shape[0], freq.shape[1] + 1), dtype=np.int64)
         np.cumsum(freq, axis=1, out=cum[:, 1:])
-        # hot-loop lookups: plain lists beat ndarray scalar indexing
-        object.__setattr__(self, "_freq_rows", [list(map(int, r)) for r in freq])
-        object.__setattr__(self, "_cum_rows", [list(map(int, r)) for r in cum])
-        object.__setattr__(
-            self, "_sym_index", {s: i for i, s in enumerate(self.symbols)}
-        )
+        object.__setattr__(self, "_cum", cum)
+        # the decoder bisects plain lists, which beat ndarray scalar indexing
+        object.__setattr__(self, "_cum_rows", cum.tolist())
+        # model symbol index of every value the coded variable can take
+        # (x - x_p + M - 1 for a residual, x otherwise); -1 where the
+        # model has no such symbol
+        index = {s: i for i, s in enumerate(self.symbols)}
+        lo = 1 - self.M if row.coded == "r" else 0
+        object.__setattr__(self, "_sym_of", np.array(
+            [index.get(v, -1) for v in range(lo, self.M)], dtype=np.int64))
         if row.context is None:
             ctx_of = np.zeros(self.M, dtype=np.int64)
         else:
@@ -270,8 +280,7 @@ class Bitstream:
     def __post_init__(self):
         if self.paradigm not in _BY_BYTE:
             raise InputError(f"unknown paradigm byte {self.paradigm!r}")
-        if not 2 <= self.M <= MAX_M:
-            raise InputError(f"alphabet size {self.M} not encodable in 16 bits")
+        require_encodable(self.M)
         if self.n < 0:
             raise InputError(f"negative symbol count {self.n}")
 
@@ -297,26 +306,39 @@ class Bitstream:
             raise FormatError(f"bad header field: {e}") from None
 
 
-def build_model(params: PixelModelParams, paradigm: str) -> ProbabilityModel:
-    """Static tables for one paradigm from the exact pixel-model PMF."""
+def require_encodable(M: int) -> None:
+    """InputError unless the 16-bit header field can carry alphabet size M."""
+    if not 2 <= M <= MAX_M:
+        raise InputError(f"alphabet size {M} not encodable in 16 bits")
+
+
+def build_model(params: PixelModelParams, paradigm: str,
+                pmf: JointPMF | None = None) -> ProbabilityModel:
+    """Static tables for one paradigm from the exact pixel-model PMF.
+
+    pmf, when given, must be build_joint(params); it is used instead of
+    building it again.
+    """
     row = codec_paradigm(paradigm)
-    if params.M > MAX_M:
-        raise InputError(f"alphabet size {params.M} not encodable in 16 bits")
-    joint = build_joint(params)
+    require_encodable(params.M)
+    joint = pmf if pmf is not None else build_joint(params)
     _, p, contexts = conditional_table(joint, row.coded, row.context)
     freq = np.stack([quantize_freq(r) for r in p])
     return ProbabilityModel(row.name, params.M, params.Q,
                             joint.alphabet(row.coded).symbols, contexts, freq)
 
 
-def expected_rate(model: ProbabilityModel, params: PixelModelParams) -> float:
+def expected_rate(model: ProbabilityModel, params: PixelModelParams,
+                  pmf: JointPMF | None = None) -> float:
     """Model cross-entropy in bits/symbol: what the coder pays on average.
 
     Exceeds the matching conditional entropy only by the frequency
     quantization loss (zero when the exact PMF hits the count grid).
+    pmf, when given, must be build_joint(params).
     """
     row = model._row
-    w, p, _ = conditional_table(build_joint(params), row.coded, row.context)
+    joint = pmf if pmf is not None else build_joint(params)
+    w, p, _ = conditional_table(joint, row.coded, row.context)
     if p.shape != model.freq.shape:
         raise InputError("model tables do not match these parameters")
     mask = p > 0.0
@@ -332,13 +354,17 @@ def _symbols(values, M: int, pairs: bool) -> np.ndarray:
     """values as int64, shape (n, 2) for (x, x_p) pairs or (n,) for
     predictions, every entry in 0..M-1; anything else is an InputError."""
     shape = (-1, 2) if pairs else (-1,)
-    try:
-        a = np.asarray(list(values))
-    except (TypeError, ValueError):  # not iterable, or ragged
-        a = None
+    if isinstance(values, np.ndarray):
+        a = values
+    else:
+        try:
+            a = np.asarray(list(values))
+        except (TypeError, ValueError):  # not iterable, or ragged
+            a = None
     if a is not None and a.shape == (0,):
         a = a.reshape(shape).astype(np.int64)
-    if a is None or a.dtype.kind not in "iu" or a.shape[1:] != shape[1:]:
+    if (a is None or a.dtype.kind not in "iu" or a.ndim != len(shape)
+            or a.shape[1:] != shape[1:]):
         raise InputError("symbols must be a sequence of "
                          + ("(x, x_p) integer pairs" if pairs else "integers"))
     out = (a < 0) | (a >= M)
@@ -355,20 +381,25 @@ def encode(seq, paradigm: str, model: ProbabilityModel) -> Bitstream:
         )
     pairs = _symbols(seq, model.M, pairs=True)
     x, xp = pairs[:, 0], pairs[:, 1]
-    coded = x - xp if model._row.coded == "r" else x
+    residual = model._row.coded == "r"
+    sym = x - xp if residual else x
+    si = model._sym_of[sym + (model.M - 1) if residual else sym]
+    ci = model._ctx_of_xp[xp]
+    starts = model._cum[ci, si]
+    sizes = model.freq[ci, si]
+    # the first bad position decides the error, as a symbol-by-symbol
+    # coder would meet it
+    bad = (si < 0) | (sizes == 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if si[i] < 0:
+            raise InputError(f"symbol {int(sym[i])!r} outside the model alphabet")
+        raise ModelCoverageError(
+            f"symbol {int(sym[i])!r} has zero count in context "
+            f"{model.contexts[int(ci[i])]!r}"
+        )
     enc = RangeEncoder()
-    sym_index = model._sym_index
-    freq_rows, cum_rows = model._freq_rows, model._cum_rows
-    for sym, ci in zip(coded.tolist(), model._ctx_of_xp[xp].tolist()):
-        si = sym_index.get(sym)
-        if si is None:
-            raise InputError(f"symbol {sym!r} outside the model alphabet")
-        f = freq_rows[ci][si]
-        if f == 0:
-            raise ModelCoverageError(
-                f"symbol {sym!r} has zero count in context {model.contexts[ci]!r}"
-            )
-        enc.encode(cum_rows[ci][si], f, TOTAL)
+    enc.encode(starts.tolist(), sizes.tolist(), TOTAL)
     payload = enc.finish() if len(pairs) else b""
     return Bitstream(model._row.byte, model.M, len(pairs), payload)
 
@@ -394,19 +425,10 @@ def decode(bs: Bitstream, x_p_seq, model: ProbabilityModel) -> list[int]:
             )
         return []
     dec = RangeDecoder(bs.payload)
-    freq_rows, cum_rows = model._freq_rows, model._cum_rows
-    symbols = model.symbols
-    residual = model._row.coded == "r"
-    out = []
-    for xp, ci in zip(preds.tolist(), model._ctx_of_xp[preds].tolist()):
-        cum = cum_rows[ci]
-        v = dec.decode_target(TOTAL)
-        si = bisect_right(cum, v) - 1
-        dec.consume(cum[si], freq_rows[ci][si])
-        sym = symbols[si]
-        out.append(int(sym) + xp if residual else int(sym))
+    si = dec.decode(model._cum_rows, model._ctx_of_xp[preds].tolist(), TOTAL)
     dec.finish()
-    return out
+    x = np.array(model.symbols)[si]
+    return (x + preds if model._row.coded == "r" else x).tolist()
 
 
 def measure_rate(bs: Bitstream, n: int) -> float:
@@ -416,6 +438,15 @@ def measure_rate(bs: Bitstream, n: int) -> float:
     return 8.0 * len(bs.payload) / n
 
 
+def sample_arrays(params: PixelModelParams, n: int, seed,
+                  pmf: JointPMF | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """x and x_p of n iid draws from the pixel model, as int64 arrays,
+    reproducibly by seed. pmf, when given, must be build_joint(params)."""
+    joint = pmf if pmf is not None else build_joint(params)
+    return sample_columns(marginalize(joint, ["x", "xp"]), n, seed)
+
+
 def sample_pairs(params: PixelModelParams, n: int, seed) -> list[tuple[int, int]]:
-    """n iid (x, x_p) draws from the pixel model, reproducible by seed."""
-    return sample(marginalize(build_joint(params), ["x", "xp"]), n, seed)
+    """The draws of sample_arrays as (x, x_p) pairs of Python ints."""
+    x, xp = sample_arrays(params, n, seed)
+    return list(zip(x.tolist(), xp.tolist()))

@@ -46,6 +46,7 @@ __all__ = [
     "quantizer_map",
     "random_pmf",
     "sample",
+    "sample_columns",
     "splitmix64",
     "sum_alphabet",
 ]
@@ -513,17 +514,25 @@ def _as_seed(seed) -> int:
     return seed
 
 
-def sample(pmf: JointPMF, n: int, seed) -> list[tuple]:
-    """Draw n support tuples, reproducibly for a fixed seed."""
+def sample_columns(pmf: JointPMF, n: int, seed) -> tuple[np.ndarray, ...]:
+    """Symbol values of n draws, one array per variable in pmf order,
+    reproducibly for a fixed seed. An all-int alphabet gives an integer
+    array; any other gives an object array of its exact symbols."""
     if not isinstance(n, int) or n < 0:
         raise InputError(f"sample count must be a nonnegative integer, got {n!r}")
     if n == 0:
-        return []
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(_as_seed(seed))
-    picks = rng.choice(pmf.n_points, size=n, p=pmf.probs / pmf.probs.sum())
-    columns = [pmf.column_values(name) for name in pmf.names]
-    return [tuple(col[i] for col in columns) for i in picks]
+        rows = pmf.idx[:0]
+    else:
+        rng = seed if isinstance(seed, np.random.Generator) \
+            else np.random.default_rng(_as_seed(seed))
+        rows = pmf.idx[rng.choice(pmf.n_points, size=n, p=pmf.probs / pmf.probs.sum())]
+    return tuple(np.array(alphabet.symbols)[rows[:, c]]
+                 for c, (_, alphabet) in enumerate(pmf.variables))
+
+
+def sample(pmf: JointPMF, n: int, seed) -> list[tuple]:
+    """Draw n support tuples, reproducibly for a fixed seed."""
+    return list(zip(*(col.tolist() for col in sample_columns(pmf, n, seed))))
 
 
 def random_pmf(shape: Sequence[int], *, seed,

@@ -310,7 +310,8 @@ def _newton_polish(P_row: np.ndarray, src_row: np.ndarray, K: np.ndarray,
             delta = np.linalg.lstsq(A, g, rcond=None)[0]
         if not np.all(np.isfinite(delta)):
             return None
-        with np.errstate(divide="ignore"):
+        # a denormal delta overflows to inf: no bound along that column
+        with np.errstate(divide="ignore", over="ignore"):
             steps = np.where(delta < 0.0, -qs / delta, np.inf)
         tmax = float(steps.min())
         if tmax <= 1.0:

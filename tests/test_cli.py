@@ -1,11 +1,13 @@
 """End-to-end CLI behavior: exit codes, files, provenance, formats."""
 
 import re
+import sys
 
 import pytest
 
 import crlab.cli
 import crlab.codec
+import crlab.pixel_model
 from crlab.cli import main
 from crlab.codec import Bitstream
 from crlab.errors import FormatError
@@ -178,6 +180,47 @@ class TestCodec:
         bound = float(re.search(r"entropy bound\s+(\S+)", out).group(1))
         want = entropy_report(PixelModelParams(p=0.5, Q=2, M=16)).H_X_given_Xphat
         assert abs(bound - want) < 1e-9
+
+    def test_overhead_split_into_its_sources(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "codec", "--p", "0.25", "--Q", "2",
+                           "--M", "256", "--n", "2000", "--paradigm", "residual",
+                           "--out", str(tmp_path))
+        assert code == 0
+        labels = [line.split(" bits/symbol")[0].rsplit(None, 1)[0]
+                  for line in out.splitlines()[1:6]]
+        assert labels == ["measured rate", "entropy bound", "overhead",
+                          "quantization loss", "finite-n cost"]
+        figure = {name: float(re.search(rf"^{name}\s+(\S+) bits", out, re.M).group(1))
+                  for name in labels}
+        params = PixelModelParams(p=0.25, Q=2, M=256)
+        expected = crlab.codec.expected_rate(
+            crlab.codec.build_model(params, "residual"), params)
+        assert figure["quantization loss"] > 1e-5
+        assert figure["quantization loss"] == pytest.approx(
+            expected - figure["entropy bound"], abs=1e-11)
+        assert figure["finite-n cost"] == pytest.approx(
+            figure["measured rate"] - expected, abs=1e-11)
+        assert figure["overhead"] == pytest.approx(
+            figure["quantization loss"] + figure["finite-n cost"], abs=1e-11)
+
+    def test_one_joint_per_op(self, capsys, tmp_path, monkeypatch):
+        real = crlab.pixel_model.build_joint
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return real(params)
+
+        # every crlab module that imported build_joint by name
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("crlab")
+                    and getattr(mod, "build_joint", None) is real):
+                monkeypatch.setattr(mod, "build_joint", counted)
+        code, _, _ = run(capsys, "codec", "--M", "256", "--n", "2000",
+                         "--p", "0.25", "--Q", "2", "--paradigm", "residual",
+                         "--out", str(tmp_path))
+        assert code == 0
+        assert len(calls) == 1
 
     def test_alphabet_beyond_header_exits_64(self, capsys, tmp_path, monkeypatch):
         def no_joint(*args, **kwargs):

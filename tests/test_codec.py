@@ -1,5 +1,8 @@
 """Range coder and static models: exact round trips or loud failures."""
 
+from bisect import bisect_right
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +72,137 @@ class TestQuantizeFreq:
         assert f.tolist() == [21846, 21845, 21845]
 
 
+class ReferenceEncoder:
+    """The symbol-at-a-time range encoder the array coder replaced, kept
+    as the oracle: a 33-bit low, a cached byte and a count of pending
+    0xFF bytes that a carry turns to 0x00."""
+
+    def __init__(self):
+        self._low = 0
+        self._range = 0xFFFFFFFF
+        self._cache = 0
+        self._cache_size = 1
+        self._out = bytearray()
+        self.longest_carry = 0  # most bytes one carry has rewritten
+
+    def encode(self, start, size, total):
+        r = self._range // total
+        self._low += start * r
+        self._range = size * r
+        while self._range < 1 << 24:
+            self._range = (self._range << 8) & 0xFFFFFFFF
+            self._shift_low()
+
+    def _shift_low(self):
+        low = self._low
+        if (low & 0xFFFFFFFF) < 0xFF000000 or low > 0xFFFFFFFF:
+            carry = low >> 32
+            if carry:
+                self.longest_carry = max(self.longest_carry, self._cache_size)
+            out = self._out
+            out.append((self._cache + carry) & 0xFF)
+            filler = (0xFF + carry) & 0xFF
+            for _ in range(self._cache_size - 1):
+                out.append(filler)
+            self._cache = (low >> 24) & 0xFF
+            self._cache_size = 0
+        self._cache_size += 1
+        self._low = (low << 8) & 0xFFFFFFFF
+
+    def finish(self):
+        for _ in range(5):
+            self._shift_low()
+        return bytes(self._out)
+
+
+class ReferenceDecoder:
+    """The symbol-at-a-time mirror of ReferenceEncoder."""
+
+    def __init__(self, data):
+        self._data = data
+        self._pos = 0
+        self._range = 0xFFFFFFFF
+        self._code = 0
+        self._r = 1
+        for _ in range(5):
+            self._code = ((self._code << 8) | self._next_byte()) & 0xFFFFFFFF
+
+    def _next_byte(self):
+        if self._pos >= len(self._data):
+            raise IntegrityError("bitstream truncated mid-symbol")
+        self._pos += 1
+        return self._data[self._pos - 1]
+
+    def decode(self, cum, total):
+        self._r = self._range // total
+        v = min(self._code // self._r, total - 1)
+        s = bisect_right(cum, v) - 1
+        self._code -= cum[s] * self._r
+        self._range = (cum[s + 1] - cum[s]) * self._r
+        while self._range < 1 << 24:
+            self._range = (self._range << 8) & 0xFFFFFFFF
+            self._code = ((self._code << 8) | self._next_byte()) & 0xFFFFFFFF
+        return s
+
+
+def reference_decode(payload, cum, ctx):
+    ref = ReferenceDecoder(payload)
+    return [ref.decode(cum[c].tolist(), TOTAL) for c in ctx]
+
+
+def outcome(decode, *args):
+    """What a decode call returns, or the IntegrityError it raises."""
+    try:
+        return decode(*args)
+    except IntegrityError as e:
+        return str(e)
+
+
+def reference_payload(starts, sizes):
+    enc = ReferenceEncoder()
+    for start, size in zip(starts, sizes):
+        enc.encode(int(start), int(size), TOTAL)
+    return enc.finish(), enc.longest_carry
+
+
+def random_tables(rng, contexts, k):
+    """contexts rows of k counts summing to TOTAL, some of them zero,
+    with cumulative rows of k + 1 entries."""
+    p = rng.dirichlet(np.full(k, 0.3), size=contexts)
+    p[rng.random(p.shape) < 0.2] = 0.0
+    p[np.arange(contexts), rng.integers(0, k, contexts)] += 0.1
+    freq = np.stack([quantize_freq(row / row.sum()) for row in p])
+    cum = np.zeros((contexts, k + 1), dtype=np.int64)
+    np.cumsum(freq, axis=1, out=cum[:, 1:])
+    return freq, cum
+
+
+def draw_symbols(rng, cum, ctx):
+    """One symbol index per position, drawn from its context's counts."""
+    u = rng.integers(0, TOTAL, ctx.size)
+    return (cum[ctx, 1:] <= u[:, None]).sum(axis=1)
+
+
+def straddling_symbols(cum, ctx):
+    """One symbol index per position whose span holds the midpoint of
+    the coder's first range: the range then straddles a byte boundary
+    for the whole run, and every byte the encoder shifts out stays
+    pending as 0xFF until the next symbol above the midpoint carries."""
+    low, rng, scale = 0, 0xFFFFFFFF, 1 << 32
+    out = []
+    for c in ctx:
+        row = cum[c].tolist()
+        r = rng // TOTAL
+        # past the sliver the counts leave unused, the top symbol
+        s = bisect_right(row, min(((scale >> 1) - low) // r, TOTAL - 1)) - 1
+        low += row[s] * r
+        rng = (row[s + 1] - row[s]) * r
+        while rng < 1 << 24:
+            rng, low, scale = rng << 8, low << 8, scale << 8
+        out.append(s)
+    return np.array(out, dtype=np.int64)
+
+
 class TestRangeCoderPrimitive:
     @given(st.integers(min_value=0, max_value=2 ** 32),
            st.integers(min_value=1, max_value=2000))
@@ -82,30 +216,155 @@ class TestRangeCoderPrimitive:
         syms = rng.choice(support, size=n, p=freq[support] / TOTAL)
 
         enc = RangeEncoder()
-        for s in syms:
-            enc.encode(int(cum[s]), int(freq[s]), TOTAL)
+        enc.encode(cum[syms].tolist(), freq[syms].tolist(), TOTAL)
         payload = enc.finish()
 
         dec = RangeDecoder(payload)
-        out = []
-        for _ in range(n):
-            v = dec.decode_target(TOTAL)
-            s = int(np.searchsorted(cum, v, side="right") - 1)
-            dec.consume(int(cum[s]), int(freq[s]))
-            out.append(s)
+        out = dec.decode([cum.tolist()], [0] * n, TOTAL)
+        dec.finish()
         assert out == syms.tolist()
 
     def test_truncated_payload_detected(self):
         enc = RangeEncoder()
-        for _ in range(100):
-            enc.encode(0, TOTAL // 2, TOTAL)
+        enc.encode([0] * 100, [TOTAL // 2] * 100, TOTAL)
         payload = enc.finish()
         # priming alone needs 5 bytes, so construction may already trip
         with pytest.raises(IntegrityError):
             dec = RangeDecoder(payload[:3])
-            for _ in range(100):
-                dec.decode_target(TOTAL)
-                dec.consume(0, TOTAL // 2)
+            dec.decode([[0, TOTAL // 2, TOTAL]], [0] * 100, TOTAL)
+
+    @given(st.integers(min_value=0, max_value=2 ** 32),
+           st.integers(min_value=1, max_value=2000),
+           st.integers(min_value=1, max_value=6),
+           st.integers(min_value=2, max_value=40),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_array_coder_matches_reference(self, seed, n, contexts, k, carry_runs):
+        rng = np.random.default_rng(seed)
+        freq, cum = random_tables(rng, contexts, k)
+        ctx = rng.integers(0, contexts, n)
+        si = draw_symbols(rng, cum, ctx)
+        if carry_runs:
+            si[:-5] = straddling_symbols(cum, ctx[:-5])
+        starts, sizes = cum[ctx, si], freq[ctx, si]
+
+        enc = RangeEncoder()
+        enc.encode(starts.tolist(), sizes.tolist(), TOTAL)
+        payload = enc.finish()
+        assert payload == reference_payload(starts, sizes)[0]
+
+        dec = RangeDecoder(payload)
+        assert dec.decode(cum.tolist(), ctx.tolist(), TOTAL) == si.tolist()
+        dec.finish()
+
+        # on a flipped bit both decoders read the same wrong symbols, or
+        # both run out of bytes
+        flipped = bytearray(payload)
+        flipped[int(rng.integers(len(flipped)))] ^= 1 << int(rng.integers(8))
+        assert outcome(reference_decode, bytes(flipped), cum, ctx) == outcome(
+            lambda: RangeDecoder(bytes(flipped)).decode(cum.tolist(), ctx.tolist(), TOTAL))
+
+        for clipped in (payload[:-1], payload[: len(payload) // 2]):
+            with pytest.raises(IntegrityError):
+                RangeDecoder(clipped).decode(cum.tolist(), ctx.tolist(), TOTAL)
+        for extra in (b"\x00", b"\xff" * 3):
+            dec = RangeDecoder(payload + extra)
+            dec.decode(cum.tolist(), ctx.tolist(), TOTAL)
+            with pytest.raises(IntegrityError):
+                dec.finish()
+
+    def test_carry_over_a_long_ff_run(self):
+        cum = np.array([[0, 20000, 40000, 50000, TOTAL]])
+        ctx = np.zeros(2003, dtype=np.int64)
+        si = np.concatenate([straddling_symbols(cum, ctx[:2000]), [3, 3, 3]])
+        starts, sizes = cum[ctx, si], np.diff(cum)[ctx, si]
+        want, longest = reference_payload(starts, sizes)
+        assert longest > 400
+        enc = RangeEncoder()
+        enc.encode(starts.tolist(), sizes.tolist(), TOTAL)
+        assert enc.finish() == want
+        dec = RangeDecoder(want)
+        assert dec.decode(cum.tolist(), ctx.tolist(), TOTAL) == si.tolist()
+        dec.finish()
+
+
+def hand_model(rng, paradigm, M, Q):
+    """A ProbabilityModel whose alphabet misses some values the coded
+    variable can take and whose rows hold some zero counts."""
+    row = codec_paradigm(paradigm)
+    values = range(1 - M, M) if row.coded == "r" else range(M)
+    symbols = tuple(v for v in values if rng.random() < 0.8) or (values[0],)
+    contexts = (None,) if row.context is None else tuple(range(0, M, Q))
+    freq, _ = random_tables(rng, len(contexts), len(symbols))
+    return codec.ProbabilityModel(paradigm, M, Fraction(Q), symbols, contexts, freq)
+
+
+def reference_encode(pairs, model):
+    """The symbol-at-a-time encode loop the array path replaced: the
+    payload, or the error of the first position it cannot code."""
+    row = codec_paradigm(model.paradigm)
+    sym_index = {s: i for i, s in enumerate(model.symbols)}
+    ctx_index = {c: i for i, c in enumerate(model.contexts)}
+    freq = model.freq.tolist()
+    cum = [[0, *np.cumsum(r).tolist()] for r in freq]
+    enc = ReferenceEncoder()
+    for x, xp in pairs:
+        sym = x - xp if row.coded == "r" else x
+        ci = 0 if row.context is None else ctx_index[xp // model.Q * model.Q]
+        si = sym_index.get(sym)
+        if si is None:
+            raise InputError(f"symbol {sym!r} outside the model alphabet")
+        if freq[ci][si] == 0:
+            raise ModelCoverageError(
+                f"symbol {sym!r} has zero count in context {model.contexts[ci]!r}"
+            )
+        enc.encode(cum[ci][si], freq[ci][si], TOTAL)
+    return enc.finish() if pairs else b""
+
+
+class TestEncodeMatchesReference:
+    @given(st.integers(min_value=0, max_value=2 ** 32),
+           st.sampled_from(CODEC_NAMES),
+           st.integers(min_value=2, max_value=12),
+           st.integers(min_value=1, max_value=12),
+           st.integers(min_value=0, max_value=300),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_same_bytes_or_same_first_error(self, seed, paradigm, M, Q, n, codable):
+        rng = np.random.default_rng(seed)
+        model = hand_model(rng, paradigm, M, min(Q, M))
+        pairs = [tuple(p) for p in rng.integers(0, M, (n, 2)).tolist()]
+        if codable:
+            pairs = [p for p in pairs if self.codes(p, model)]
+        try:
+            want = reference_encode(pairs, model)
+        except (InputError, ModelCoverageError) as e:
+            with pytest.raises(type(e)) as got:
+                encode(pairs, paradigm, model)
+            assert str(got.value) == str(e)
+            return
+        stream = encode(pairs, paradigm, model)
+        assert stream.payload == want
+        assert decode(stream, [xp for _, xp in pairs], model) == [x for x, _ in pairs]
+
+    @staticmethod
+    def codes(pair, model):
+        try:
+            reference_encode([pair], model)
+        except (InputError, ModelCoverageError):
+            return False
+        return True
+
+    def test_earliest_bad_position_decides(self):
+        model = codec.ProbabilityModel("residual", 8, Fraction(1), (-1, 0, 1, 2),
+                                       (None,), [[0, TOTAL // 2, TOTAL // 2, 0]])
+        # r = 5 is outside the alphabet; r = 2 and r = -1 have zero count
+        with pytest.raises(InputError, match="symbol 5 outside"):
+            encode([(0, 0), (5, 0), (2, 0)], "residual", model)
+        with pytest.raises(ModelCoverageError, match="symbol 2 has zero count"):
+            encode([(0, 0), (2, 0), (5, 0)], "residual", model)
+        with pytest.raises(ModelCoverageError, match="symbol -1 has zero count"):
+            encode([(1, 0), (0, 1), (7, 0)], "residual", model)
 
 
 class TestModel:

@@ -30,6 +30,7 @@ from crlab.prob_core import (
     quantizer_map,
     random_pmf,
     sample,
+    sample_columns,
     splitmix64,
     sum_alphabet,
 )
@@ -267,6 +268,36 @@ class TestRandomness:
             sample(pmf, -1, seed=1)
         with pytest.raises(InputError):
             sample(pmf, 5, seed=-3)
+
+    @staticmethod
+    def per_draw_sample(pmf, n, seed):
+        """The one-tuple-per-draw sampler that sample() replaced."""
+        if n == 0:
+            return []
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(pmf.n_points, size=n, p=pmf.probs / pmf.probs.sum())
+        columns = [pmf.column_values(name) for name in pmf.names]
+        return [tuple(col[i] for col in columns) for i in picks]
+
+    @pytest.mark.parametrize("pmf", [
+        random_pmf((3, 4), seed=7),
+        marginalize(build_joint(PixelModelParams(p=0.3, Q=2, M=16)), ["x", "xp"]),
+        # the 7/5 step mixes int cells (0, 7, 14) with Fraction ones
+        build_joint(PixelModelParams(p=0.3, Q=Fraction(7, 5), M=16)),
+    ], ids=["random", "pixel-int", "pixel-7/5"])
+    @pytest.mark.parametrize("n,seed", [(0, 1), (1, 0), (500, 3), (2000, 2 ** 64 - 1)])
+    def test_sample_matches_per_draw_tuples(self, pmf, n, seed):
+        got = sample(pmf, n, seed)
+        want = self.per_draw_sample(pmf, n, seed)
+        assert got == want
+        assert [tuple(map(type, t)) for t in got] == [tuple(map(type, t)) for t in want]
+
+    def test_sample_columns_are_the_same_draw(self):
+        pmf = build_joint(PixelModelParams(p=0.3, Q=Fraction(7, 5), M=16))
+        cols = sample_columns(pmf, 300, 5)
+        assert list(zip(*(c.tolist() for c in cols))) == sample(pmf, 300, 5)
+        assert cols[pmf.var_pos("x")].dtype == np.int64
+        assert cols[pmf.var_pos("xq")].dtype == object
 
     def test_random_pmf_shape_and_determinism(self):
         pmf = random_pmf((3, 4), seed=7)

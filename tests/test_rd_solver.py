@@ -7,6 +7,7 @@ copied side information, certificates, convexity of the envelope).
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,28 @@ class TestCertificates:
         d_opt = 1 / (1 + 2 ** slope)
         excess = pt.rate + slope * pt.distortion - (h2(0.2) - h2(d_opt) + slope * d_opt)
         assert 1e-6 < excess <= pt.gap_bits + 1e-12
+
+
+    def test_polish_step_length_overflow_is_silent(self, monkeypatch):
+        # a denormal negative Newton component puts q / delta past the
+        # float range; the step along it is then unbounded, which the
+        # inf it becomes already says
+        real_solve = np.linalg.solve
+        calls = []
+
+        def denormal_step(A, g):
+            delta = real_solve(A, g)
+            delta[0] = -5e-324
+            calls.append(delta)
+            return delta
+
+        monkeypatch.setattr(np.linalg, "solve", denormal_step)
+        K = np.exp(-np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rd_solver._newton_polish(np.array([0.7, 0.3]), np.array([True, True]),
+                                     K, np.array([0.5, 0.5]))
+        assert calls
 
 
 @st.composite
