@@ -18,21 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .pixel_model import REPORT_FIELDS
 from .rd_solver import RDCurve
 
 __all__ = [
     "BD_FIT_METADATA",
     "CURVE_HEADER",
     "QualityCurve",
-    "SWEEP_HEADER",
     "bd_rate",
     "bd_rate_matrix",
     "curve_rows",
     "mse_to_psnr",
     "quality_curve_from_rd",
     "read_csv",
-    "sweep_rows",
+    "render_cell",
     "write_csv",
 ]
 
@@ -176,24 +174,22 @@ def bd_rate_matrix(curves, peak: float) -> dict[tuple[str, str], float | None]:
     return out
 
 
+def render_cell(v) -> str:
+    """A table cell: floats with 9 significant digits, anything else via str()."""
+    return f"{v:.9g}" if isinstance(v, float) else str(v)
+
+
 def write_csv(path, header, rows, provenance: str) -> None:
-    """Write one table under a provenance comment line.
-
-    Floats are rendered with 9 significant digits; everything else via
-    str(). Comment lines start with '#' and are skipped by read_csv.
+    """Write one table under a provenance comment line, cells by
+    render_cell. Comment lines start with '#' and are skipped by read_csv.
     """
-    def render(v):
-        if isinstance(v, float):
-            return f"{v:.9g}"
-        return str(v)
-
     try:
         with open(path, "w", newline="") as fh:
             fh.write(f"# {provenance}\n")
             w = csv.writer(fh)
             w.writerow(header)
             for row in rows:
-                w.writerow([render(v) for v in row])
+                w.writerow([render_cell(v) for v in row])
     except OSError as e:
         raise InputError(f"cannot write {path}: {e}") from e
 
@@ -212,11 +208,6 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
-def sweep_rows(reports) -> list[tuple]:
-    """Rows for the sweep CSV, one per EntropyReport, schema REPORT_FIELDS."""
-    return [r.row() for r in reports]
-
-
 def curve_rows(curves) -> list[tuple]:
     """Rows for the RD CSV: label, slope, rate_bits, distortion_mse."""
     rows = []
@@ -226,5 +217,4 @@ def curve_rows(curves) -> list[tuple]:
     return rows
 
 
-SWEEP_HEADER = REPORT_FIELDS
 CURVE_HEADER = ("label", "slope", "rate_bits", "distortion_mse")

@@ -26,10 +26,9 @@ from . import __version__
 from .analysis import (
     BD_FIT_METADATA,
     CURVE_HEADER,
-    SWEEP_HEADER,
     bd_rate_matrix,
     curve_rows,
-    sweep_rows,
+    render_cell,
     write_csv,
 )
 from .codec import (
@@ -51,13 +50,14 @@ from .errors import (
 )
 from .pixel_model import (
     PARADIGMS,
+    REPORT_FIELDS,
     PixelModelParams,
     build_joint,
     codec_paradigm,
     entropy_report,
     sweep_p,
 )
-from .rd_solver import compare_paradigms
+from .rd_solver import compare_paradigms, default_slope_grid
 from .theorem_suite import format_report, report_csv_rows, run_randomized_suite
 
 __all__ = ["main", "entrypoint"]
@@ -97,8 +97,7 @@ def _emit_table(args, filename: str, header, rows, provenance: str) -> None:
         print(f"# {provenance}")
         print(",".join(header))
         for row in rows:
-            print(",".join(f"{v:.9g}" if isinstance(v, float) else str(v)
-                           for v in row))
+            print(",".join(render_cell(v) for v in row))
         return
     path = _out_dir(args) / filename
     write_csv(path, header, rows, provenance)
@@ -107,7 +106,7 @@ def _emit_table(args, filename: str, header, rows, provenance: str) -> None:
 
 def cmd_sweep(args) -> int:
     reports = sweep_p(args.p, args.Q, M=args.M)
-    _emit_table(args, "sweep.csv", SWEEP_HEADER, sweep_rows(reports),
+    _emit_table(args, "sweep.csv", REPORT_FIELDS, [r.row() for r in reports],
                 args.provenance)
 
     # Crossovers of H(X|Xphat) - H(R): where the bottlenecked conditional
@@ -148,8 +147,8 @@ def cmd_rd(args) -> int:
     if args.slopes < 1:
         raise UsageError(f"need at least one slope, got --slopes {args.slopes}")
     params = PixelModelParams(p=args.p, Q=args.Q, M=args.M)
-    grid = np.geomspace(1e-3, 1e3, args.slopes)
-    curves = compare_paradigms(params, grid, force=args.force)
+    curves = compare_paradigms(params, default_slope_grid(args.slopes),
+                               force=args.force)
 
     for label, curve in curves.items():
         stuck = [pt.slope for pt in curve.points if not pt.converged]

@@ -18,17 +18,18 @@ interoperate:
     8       8     symbol count n
     16      -     payload: range-coded bytes (absent when n = 0)
 
-The payload is produced by a 32-bit range coder with byte-wise
-renormalization: it starts with a 0x00 byte, writes the top byte of its
-32-bit low at each renormalization and the four bytes of low at the
-end. A carry out of low adds into the bytes already written, turning
-their trailing run of 0xFF bytes into 0x00s. Each symbol narrows the
-range by (start, size, T) taken from the model's cumulative table; the
-coder takes whole arrays of them at once. The decoder mirrors the
-arithmetic exactly, consuming 5 priming bytes and then one byte per
-encoder renormalization, so an intact stream is consumed in full; a
-truncated stream, or one with bytes left after its last symbol, raises
-IntegrityError.
+The payload is one call of range_encode, a 32-bit range coder with
+byte-wise renormalization: it starts with a 0x00 byte, writes the top
+byte of its 32-bit low at each renormalization and the four bytes of
+low at the end. A carry out of low adds into the bytes already written,
+turning their trailing run of 0xFF bytes into 0x00s. Each symbol narrows
+the range by (start, size) out of T, taken from the model's cumulative
+table; the function takes the whole arrays of them. range_decode mirrors
+the arithmetic exactly in one call per stream, consuming 5 priming
+bytes and then one byte per encoder renormalization, so an intact
+stream is consumed in full; a truncated stream, or one with bytes left
+after its last symbol, raises IntegrityError. No symbols code to an
+empty payload.
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ __all__ = [
     "MAGIC",
     "MAX_M",
     "ProbabilityModel",
-    "RangeDecoder",
-    "RangeEncoder",
     "TOTAL",
     "VERSION",
     "build_model",
@@ -71,6 +70,8 @@ __all__ = [
     "expected_rate",
     "measure_rate",
     "quantize_freq",
+    "range_decode",
+    "range_encode",
     "require_encodable",
     "sample_arrays",
     "sample_pairs",
@@ -89,84 +90,71 @@ _MASK32 = 0xFFFFFFFF
 _HEADER = struct.Struct(">4sBBHQ")
 
 
-class RangeEncoder:
-    """Single-stream range encoder; not reusable after finish()."""
+def range_encode(starts, sizes) -> bytes:
+    """The payload that narrows by the cumulative span [start, start+size)
+    of each symbol in turn, out of TOTAL; empty for no symbols."""
+    if not len(starts):
+        return b""
+    low, rng = 0, _MASK32
+    # the leading 0x00 absorbs the carry into the first written byte
+    out = bytearray(1)
+    for start, size in zip(starts, sizes):
+        r = rng // TOTAL
+        low += start * r
+        rng = size * r
+        if low > _MASK32:
+            # carry into the bytes already written: a trailing run
+            # of 0xFF turns to 0x00 and the byte before it steps up
+            low &= _MASK32
+            i = len(out) - 1
+            while out[i] == 0xFF:
+                out[i] = 0
+                i -= 1
+            out[i] += 1
+        while rng < _TOP:
+            rng <<= 8
+            out.append(low >> 24)
+            low = (low << 8) & _MASK32
+    return bytes(out + low.to_bytes(4, "big"))
 
-    def __init__(self):
-        self._low = 0
-        self._range = _MASK32
-        # the leading 0x00 absorbs the carry into the first written byte
-        self._out = bytearray(1)
 
-    def encode(self, starts, sizes, total: int) -> None:
-        """Narrow by the cumulative span [start, start+size) of each
-        symbol in turn, out of total."""
-        low, rng, out = self._low, self._range, self._out
-        for start, size in zip(starts, sizes):
-            r = rng // total
-            low += start * r
-            rng = size * r
-            if low > _MASK32:
-                # carry into the bytes already written: a trailing run
-                # of 0xFF turns to 0x00 and the byte before it steps up
-                low &= _MASK32
-                i = len(out) - 1
-                while out[i] == 0xFF:
-                    out[i] = 0
-                    i -= 1
-                out[i] += 1
+def range_decode(payload: bytes, cum_rows, contexts) -> list[int]:
+    """Symbol index of each position, read with the cumulative counts
+    cum_rows[c] of its context c (ascending from 0 to TOTAL).
+
+    The symbols must consume the payload exactly: a truncated payload,
+    or bytes left after the last symbol, is an IntegrityError.
+    """
+    if not len(contexts):
+        if payload:
+            raise IntegrityError(f"empty stream carries {len(payload)} payload bytes")
+        return []
+    data = iter(payload)
+    nxt = data.__next__
+    rng, code = _MASK32, 0
+    out = []
+    append = out.append
+    try:
+        for _ in range(5):
+            code = ((code << 8) | nxt()) & _MASK32
+        for ci in contexts:
+            cum = cum_rows[ci]
+            r = rng // TOTAL
+            v = code // r
+            si = bisect_right(cum, v if v < TOTAL else TOTAL - 1) - 1
+            lo = cum[si]
+            code -= lo * r
+            rng = (cum[si + 1] - lo) * r
             while rng < _TOP:
                 rng <<= 8
-                out.append(low >> 24)
-                low = (low << 8) & _MASK32
-        self._low, self._range = low, rng
-
-    def finish(self) -> bytes:
-        return bytes(self._out + self._low.to_bytes(4, "big"))
-
-
-class RangeDecoder:
-    """Mirror of RangeEncoder over a fixed byte payload."""
-
-    def __init__(self, data: bytes):
-        self._bytes = iter(data)
-        self._range = _MASK32
-        self._code = 0
-        try:
-            for _ in range(5):
-                self._code = ((self._code << 8) | next(self._bytes)) & _MASK32
-        except StopIteration:
-            raise IntegrityError("bitstream truncated mid-symbol") from None
-
-    def decode(self, cum_rows, contexts, total: int) -> list[int]:
-        """Symbol index of each position, read with the cumulative counts
-        cum_rows[c] of its context c (ascending from 0 to total)."""
-        rng, code, nxt = self._range, self._code, self._bytes.__next__
-        out = []
-        append = out.append
-        try:
-            for ci in contexts:
-                cum = cum_rows[ci]
-                r = rng // total
-                v = code // r
-                si = bisect_right(cum, v if v < total else total - 1) - 1
-                lo = cum[si]
-                code -= lo * r
-                rng = (cum[si + 1] - lo) * r
-                while rng < _TOP:
-                    rng <<= 8
-                    code = ((code << 8) | nxt()) & _MASK32
-                append(si)
-        except StopIteration:
-            raise IntegrityError("bitstream truncated mid-symbol") from None
-        self._range, self._code = rng, code
-        return out
-
-    def finish(self) -> None:
-        """Require that the last symbol consumed the whole payload."""
-        left = sum(1 for _ in self._bytes)
-        if left:
-            raise IntegrityError(f"{left} byte(s) left after the last symbol")
+                code = ((code << 8) | nxt()) & _MASK32
+            append(si)
+    except StopIteration:
+        raise IntegrityError("bitstream truncated mid-symbol") from None
+    left = sum(1 for _ in data)
+    if left:
+        raise IntegrityError(f"{left} byte(s) left after the last symbol")
+    return out
 
 
 def quantize_freq(p: np.ndarray) -> np.ndarray:
@@ -398,10 +386,8 @@ def encode(seq, paradigm: str, model: ProbabilityModel) -> Bitstream:
             f"symbol {int(sym[i])!r} has zero count in context "
             f"{model.contexts[int(ci[i])]!r}"
         )
-    enc = RangeEncoder()
-    enc.encode(starts.tolist(), sizes.tolist(), TOTAL)
-    payload = enc.finish() if len(pairs) else b""
-    return Bitstream(model._row.byte, model.M, len(pairs), payload)
+    return Bitstream(model._row.byte, model.M, len(pairs),
+                     range_encode(starts.tolist(), sizes.tolist()))
 
 
 def decode(bs: Bitstream, x_p_seq, model: ProbabilityModel) -> list[int]:
@@ -418,15 +404,7 @@ def decode(bs: Bitstream, x_p_seq, model: ProbabilityModel) -> list[int]:
         raise FormatError(
             f"stream carries {bs.n} symbols but {len(preds)} predictions given"
         )
-    if bs.n == 0:
-        if bs.payload:
-            raise IntegrityError(
-                f"empty stream carries {len(bs.payload)} payload bytes"
-            )
-        return []
-    dec = RangeDecoder(bs.payload)
-    si = dec.decode(model._cum_rows, model._ctx_of_xp[preds].tolist(), TOTAL)
-    dec.finish()
+    si = range_decode(bs.payload, model._cum_rows, model._ctx_of_xp[preds].tolist())
     x = np.array(model.symbols)[si]
     return (x + preds if model._row.coded == "r" else x).tolist()
 

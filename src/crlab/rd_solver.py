@@ -154,34 +154,27 @@ class RDCurve:
         return float(np.interp(distortion, d, self.rates))
 
 
-def default_slope_grid() -> np.ndarray:
-    """64 slopes, log-spaced over 1e-3 .. 1e3 bits per unit distortion."""
-    return np.geomspace(1e-3, 1e3, 64)
+def default_slope_grid(count: int = 64) -> np.ndarray:
+    """count slopes, log-spaced over 1e-3 .. 1e3 bits per unit distortion."""
+    return np.geomspace(1e-3, 1e3, count)
 
 
 class _BAProblem:
     """Stacked rows of the reduced problem over the output marginal q.
 
-    Row i is one cell at slope index sid[i]; rows of one slope are
-    contiguous. For each cell the parametric solve reduces to minimizing
-    the convex F(q) = -sum_n P_n ln Z_n with Z = q @ K_s^T, K_s = exp(-s*d),
-    over the simplex. One multiplicative update is q <- q*c with
+    Row i is one cell P[i] at slope index sid[i]; rows of one slope are
+    contiguous, and all rows share the (S, n, m) kernel K. For each cell
+    the parametric solve reduces to minimizing the convex
+    F(q) = -sum_n P_n ln Z_n with Z = q @ K_s^T, K_s = exp(-s*d), over the
+    simplex. One multiplicative update is q <- q*c with
     c = (P/Z) @ K_s, and convexity gives a certificate: the gap to the
     cell's optimum is at most max_j c_j - 1 nats, so convergence is
     declared on that bound, not on iterate movement (which stalls near
     flat valleys and on zero-rate sources).
     """
 
-    def __init__(self, P: np.ndarray, d: np.ndarray, slopes: np.ndarray):
-        S, C = slopes.size, P.shape[0]
-        # one (S, n, m) kernel for every row: rows index it by slope, never
-        # gather a per-row copy
-        K = np.multiply(-(slopes * math.log(2.0))[:, None, None],
-                        d - d.min(axis=1, keepdims=True))
-        self.K = np.exp(K, out=K)
-        self._set_rows(np.tile(P, (S, 1)), np.repeat(np.arange(S), C))
-
-    def _set_rows(self, P: np.ndarray, sid: np.ndarray):
+    def __init__(self, K: np.ndarray, P: np.ndarray, sid: np.ndarray):
+        self.K = K
         self.P = P
         self.sid = sid
         self.src_mask = P > 0.0
@@ -217,15 +210,9 @@ class _BAProblem:
             c = np.where(bad[:, None], 2.0, c)
         return q * c, c, F, bad
 
-    def gaps(self, c: np.ndarray) -> np.ndarray:
-        return c.max(axis=1) - 1.0
-
     def restrict(self, keep: np.ndarray) -> "_BAProblem":
         """Copy with a row subset; K is shared."""
-        sub = object.__new__(_BAProblem)
-        sub.K = self.K
-        sub._set_rows(self.P[keep], self.sid[keep])
-        return sub
+        return _BAProblem(self.K, self.P[keep], self.sid[keep])
 
 
 def _extrapolate(q0, c0, c1, q2, cap):
@@ -344,25 +331,28 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray):
     TOL bounds each row's gap to its true envelope point (in nats);
     MAX_ITERS counts basic updates per row.
     """
-    full = _BAProblem(P, d, slopes)
-    K = full.K
-    (S, _, m), C = K.shape, P.shape[0]
+    S, C, m = slopes.size, P.shape[0], d.shape[1]
     R = S * C
+    # one (S, n, m) kernel for every row: rows index it by slope, never
+    # gather a per-row copy
+    K = np.multiply(-(slopes * math.log(2.0))[:, None, None],
+                    d - d.min(axis=1, keepdims=True))
+    np.exp(K, out=K)
+    prob = _BAProblem(K, np.tile(P, (S, 1)), np.repeat(np.arange(S), C))
     qout = np.full((R, m), 1.0 / m)
     done = np.zeros(R, dtype=bool)
     row_iters = np.zeros(R, dtype=np.int64)
     act = np.arange(R)
-    prob = full
     q = np.full((R, m), 1.0 / m)
     cap = np.full(R, 64.0)
     tries = np.zeros(R, dtype=np.int64)
     iters = 0
     while iters < MAX_ITERS and act.size:
-        q1, c0, F0, _ = prob.step(q)
+        q1, c0, _, _ = prob.step(q)
         iters += 1
         # certificate checkpoint: freeze rows once individually certified,
         # so later extrapolation noise cannot un-converge them
-        g0 = prob.gaps(c0)
+        g0 = c0.max(axis=1) - 1.0
         fin = g0 < TOL
         for i in (~fin & (g0 < _POLISH_GATE) & (tries < 3)).nonzero()[0]:
             qp = _newton_polish(prob.P[i], prob.src_mask[i], K[prob.sid[i]], q[i])
@@ -376,8 +366,8 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray):
             done[act[fin]] = True
             row_iters[act[fin]] = iters
             keep = ~fin
-            act, q, q1, cap = act[keep], q[keep], q1[keep], cap[keep]
-            tries = tries[keep]
+            act, q, q1, c0 = act[keep], q[keep], q1[keep], c0[keep]
+            cap, tries = cap[keep], tries[keep]
             if act.size == 0:
                 break
             prob = prob.restrict(keep)
@@ -385,8 +375,8 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray):
             q = q1
             break
         q2, c1, F1, _ = prob.step(q1)
-        qx, alpha = _extrapolate(q, c0[~fin] if fin.any() else c0, c1, q2, cap)
-        q3, c2, Fx, bad = prob.step(qx, strict=False)
+        qx, alpha = _extrapolate(q, c0, c1, q2, cap)
+        q3, _, Fx, bad = prob.step(qx, strict=False)
         iters += 2
         # keep extrapolated rows only where the objective did not worsen;
         # grow the step cap on rows that used it fully, shrink on misses
@@ -421,7 +411,7 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray):
             )
         rates[s] = np.einsum("cn,cnm->c", P, terms)
         dists[s] = np.einsum("cn,cnm->c", P, W * d[None, :, :])
-        gaps[s] = full.gaps(np.where(src_mask, P / safe_Z, 0.0) @ K[s])
+        gaps[s] = (np.where(src_mask, P / safe_Z, 0.0) @ K[s]).max(axis=1) - 1.0
     return (np.maximum(rates, 0.0), dists, np.maximum(gaps, 0.0),
             row_iters.reshape(S, C), done.reshape(S, C))
 

@@ -152,7 +152,7 @@ def _require_difference(pmf: JointPMF, out: str, a: str, b: str):
         raise PreconditionError(f"{out!r} != {a!r} - {b!r} on {bad} support points")
 
 
-def check_lossless(pmf: JointPMF, seed: int = 0) -> TheoremReport:
+def check_lossless(pmf: JointPMF) -> TheoremReport:
     """Verify the lossless rate identities and inequalities on one joint.
 
     Requires variables x, xp, xq, r with xq deterministic in xp and
@@ -188,10 +188,10 @@ def check_lossless(pmf: JointPMF, seed: int = 0) -> TheoremReport:
             premise=h("r") < h("x"),
         ),
     )
-    return TheoremReport(checks, observations, trial_count=1, seed=seed)
+    return TheoremReport(checks, observations)
 
 
-def check_lossy(pmf: JointPMF, seed: int = 0) -> TheoremReport:
+def check_lossy(pmf: JointPMF) -> TheoremReport:
     """Verify the lossy-coding identities and inequalities on one joint.
 
     Requires x, xp, xq, xt; the residuals r and rt are adjoined here when
@@ -224,7 +224,7 @@ def check_lossy(pmf: JointPMF, seed: int = 0) -> TheoremReport:
     observations = (
         Observation("optimal_coder_leakage", h.cmi("xt", "xp", "x", "xq")),
     )
-    return TheoremReport(checks, observations, trial_count=1, seed=seed)
+    return TheoremReport(checks, observations)
 
 
 def trial_seed(seed: int, k: int) -> int:
@@ -322,7 +322,7 @@ def run_randomized_suite(trials: int, shape: Sequence[int] = (8, 8),
 def _run_trial(t_seed: int, shape: Sequence[int]):
     rng = np.random.default_rng(t_seed)
     pmf = _lossy_trial_pmf(rng, shape)
-    return check_lossless(pmf, seed=t_seed), check_lossy(pmf, seed=t_seed)
+    return check_lossless(pmf), check_lossy(pmf)
 
 
 def replay_trial(seed: int, k: int, shape: Sequence[int] = (8, 8)) -> TheoremReport:

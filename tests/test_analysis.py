@@ -8,7 +8,6 @@ import pytest
 from crlab.analysis import (
     BD_FIT_METADATA,
     CURVE_HEADER,
-    SWEEP_HEADER,
     QualityCurve,
     bd_rate,
     bd_rate_matrix,
@@ -16,7 +15,6 @@ from crlab.analysis import (
     mse_to_psnr,
     quality_curve_from_rd,
     read_csv,
-    sweep_rows,
     write_csv,
 )
 from crlab.errors import InputError
@@ -184,10 +182,9 @@ class TestCsv:
 
     def test_sweep_rows_match_header(self):
         rep = entropy_report(PixelModelParams(p=0.5, Q=2, M=16))
-        rows = sweep_rows([rep])
-        assert SWEEP_HEADER == REPORT_FIELDS
-        assert len(rows[0]) == len(SWEEP_HEADER)
-        assert rows[0][SWEEP_HEADER.index("H_R")] == rep.H_R
+        row = rep.row()
+        assert len(row) == len(REPORT_FIELDS)
+        assert row[REPORT_FIELDS.index("H_R")] == rep.H_R
 
     def test_curve_rows_flatten_points(self):
         curve = RDCurve("c", (RDPoint(1.0, 1.0, 2.0), RDPoint(0.5, 2.0, 0.5)))

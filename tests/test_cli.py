@@ -8,6 +8,7 @@ import pytest
 import crlab.cli
 import crlab.codec
 import crlab.pixel_model
+from crlab.analysis import read_csv
 from crlab.cli import main
 from crlab.codec import Bitstream
 from crlab.errors import FormatError
@@ -136,6 +137,30 @@ class TestRd:
         assert code == 64
         assert "at least one slope" in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestPlainMatchesCsv:
+    @pytest.mark.parametrize("argv,files", [
+        (["sweep", "--p", "0.3", "1.0", "--Q", "1.4", "64", "--M", "16"],
+         ["sweep.csv"]),
+        (["verify", "--trials", "20"], ["verify.csv"]),
+        (["rd", "--M", "8", "--p", "0.3", "--Q", "2", "--slopes", "8"],
+         ["rd_curves.csv", "bd_matrix.csv"]),
+    ], ids=["sweep", "verify", "rd"])
+    def test_same_header_and_rows(self, capsys, tmp_path, argv, files):
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--plain")
+        assert code == 0
+        # each table under --plain follows its provenance comment line
+        lines = out.splitlines()
+        tables = [lines[i + 1:] for i, line in enumerate(lines) if line.startswith("# ")]
+        assert len(tables) == len(files)
+        for name, printed in zip(files, tables):
+            header, rows = read_csv(tmp_path / name)
+            assert rows
+            want = [",".join(header), *(",".join(r) for r in rows)]
+            assert printed[:len(want)] == want, name
 
 
 class TestCodec:

@@ -12,14 +12,14 @@ from crlab import codec
 from crlab.codec import (
     TOTAL,
     Bitstream,
-    RangeDecoder,
-    RangeEncoder,
     build_model,
     decode,
     encode,
     expected_rate,
     measure_rate,
     quantize_freq,
+    range_decode,
+    range_encode,
     sample_pairs,
 )
 from crlab.errors import (
@@ -146,8 +146,13 @@ class ReferenceDecoder:
 
 
 def reference_decode(payload, cum, ctx):
+    """The symbols of a whole payload, which they must consume exactly."""
     ref = ReferenceDecoder(payload)
-    return [ref.decode(cum[c].tolist(), TOTAL) for c in ctx]
+    out = [ref.decode(cum[c].tolist(), TOTAL) for c in ctx]
+    left = len(payload) - ref._pos
+    if left:
+        raise IntegrityError(f"{left} byte(s) left after the last symbol")
+    return out
 
 
 def outcome(decode, *args):
@@ -215,23 +220,15 @@ class TestRangeCoderPrimitive:
         cum = np.concatenate([[0], np.cumsum(freq)])
         syms = rng.choice(support, size=n, p=freq[support] / TOTAL)
 
-        enc = RangeEncoder()
-        enc.encode(cum[syms].tolist(), freq[syms].tolist(), TOTAL)
-        payload = enc.finish()
-
-        dec = RangeDecoder(payload)
-        out = dec.decode([cum.tolist()], [0] * n, TOTAL)
-        dec.finish()
+        payload = range_encode(cum[syms].tolist(), freq[syms].tolist())
+        out = range_decode(payload, [cum.tolist()], [0] * n)
         assert out == syms.tolist()
 
     def test_truncated_payload_detected(self):
-        enc = RangeEncoder()
-        enc.encode([0] * 100, [TOTAL // 2] * 100, TOTAL)
-        payload = enc.finish()
-        # priming alone needs 5 bytes, so construction may already trip
-        with pytest.raises(IntegrityError):
-            dec = RangeDecoder(payload[:3])
-            dec.decode([[0, TOTAL // 2, TOTAL]], [0] * 100, TOTAL)
+        payload = range_encode([0] * 100, [TOTAL // 2] * 100)
+        # priming alone needs 5 bytes
+        with pytest.raises(IntegrityError, match="truncated"):
+            range_decode(payload[:3], [[0, TOTAL // 2, TOTAL]], [0] * 100)
 
     @given(st.integers(min_value=0, max_value=2 ** 32),
            st.integers(min_value=1, max_value=2000),
@@ -248,30 +245,30 @@ class TestRangeCoderPrimitive:
             si[:-5] = straddling_symbols(cum, ctx[:-5])
         starts, sizes = cum[ctx, si], freq[ctx, si]
 
-        enc = RangeEncoder()
-        enc.encode(starts.tolist(), sizes.tolist(), TOTAL)
-        payload = enc.finish()
+        payload = range_encode(starts.tolist(), sizes.tolist())
         assert payload == reference_payload(starts, sizes)[0]
-
-        dec = RangeDecoder(payload)
-        assert dec.decode(cum.tolist(), ctx.tolist(), TOTAL) == si.tolist()
-        dec.finish()
+        assert range_decode(payload, cum.tolist(), ctx.tolist()) == si.tolist()
 
         # on a flipped bit both decoders read the same wrong symbols, or
-        # both run out of bytes
+        # both run out of bytes, or both leave the same bytes unread
         flipped = bytearray(payload)
         flipped[int(rng.integers(len(flipped)))] ^= 1 << int(rng.integers(8))
         assert outcome(reference_decode, bytes(flipped), cum, ctx) == outcome(
-            lambda: RangeDecoder(bytes(flipped)).decode(cum.tolist(), ctx.tolist(), TOTAL))
+            range_decode, bytes(flipped), cum.tolist(), ctx.tolist())
 
         for clipped in (payload[:-1], payload[: len(payload) // 2]):
-            with pytest.raises(IntegrityError):
-                RangeDecoder(clipped).decode(cum.tolist(), ctx.tolist(), TOTAL)
+            with pytest.raises(IntegrityError, match="truncated"):
+                range_decode(clipped, cum.tolist(), ctx.tolist())
         for extra in (b"\x00", b"\xff" * 3):
-            dec = RangeDecoder(payload + extra)
-            dec.decode(cum.tolist(), ctx.tolist(), TOTAL)
-            with pytest.raises(IntegrityError):
-                dec.finish()
+            with pytest.raises(IntegrityError, match=f"{len(extra)} byte"):
+                range_decode(payload + extra, cum.tolist(), ctx.tolist())
+
+    def test_no_symbols_code_to_empty_payload(self):
+        rows = [[0, TOTAL // 2, TOTAL]]
+        assert range_encode([], []) == b""
+        assert range_decode(b"", rows, []) == []
+        with pytest.raises(IntegrityError, match="empty stream carries 1 payload"):
+            range_decode(b"\x00", rows, [])
 
     def test_carry_over_a_long_ff_run(self):
         cum = np.array([[0, 20000, 40000, 50000, TOTAL]])
@@ -280,12 +277,8 @@ class TestRangeCoderPrimitive:
         starts, sizes = cum[ctx, si], np.diff(cum)[ctx, si]
         want, longest = reference_payload(starts, sizes)
         assert longest > 400
-        enc = RangeEncoder()
-        enc.encode(starts.tolist(), sizes.tolist(), TOTAL)
-        assert enc.finish() == want
-        dec = RangeDecoder(want)
-        assert dec.decode(cum.tolist(), ctx.tolist(), TOTAL) == si.tolist()
-        dec.finish()
+        assert range_encode(starts.tolist(), sizes.tolist()) == want
+        assert range_decode(want, cum.tolist(), ctx.tolist()) == si.tolist()
 
 
 def hand_model(rng, paradigm, M, Q):

@@ -317,13 +317,13 @@ class TestSlopeStacking:
     @pytest.mark.parametrize("slopes", [4, 16])
     def test_one_stack_per_distortion_matrix(self, slopes, monkeypatch):
         built = []
-        real_init = rd_solver._BAProblem.__init__
+        real_stack = rd_solver._ba_stack
 
-        def counting_init(self, P, d, grid):
+        def counting_stack(P, d, grid):
             built.append(d.shape)
-            real_init(self, P, d, grid)
+            return real_stack(P, d, grid)
 
-        monkeypatch.setattr(rd_solver._BAProblem, "__init__", counting_init)
+        monkeypatch.setattr(rd_solver, "_ba_stack", counting_stack)
         compare_paradigms(PixelModelParams(p=0.3, Q=2, M=8), np.geomspace(0.05, 50, slopes))
         assert built == [(15, 15), (8, 8)]  # r for res and condres, x for the others
 

@@ -90,7 +90,7 @@ class TestLossy:
         rt_alph = Alphabet("rt_vals", r_alph.symbols)
         pmf = adjoin_channel(pixel_pmf, "r", kernel, rt_alph, "rt")
         pmf = adjoin_sum(pmf, "xp", "rt", "xt")
-        report = check_lossy(pmf, seed=3)
+        report = check_lossy(pmf)
         assert report.all_passed
 
     def test_missing_reconstruction_rejected(self, pixel_pmf):
