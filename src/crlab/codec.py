@@ -158,41 +158,64 @@ def range_decode(payload: bytes, cum_rows, contexts) -> list[int]:
 
 
 def quantize_freq(p: np.ndarray) -> np.ndarray:
-    """Round a PMF to integer counts summing exactly to TOTAL.
+    """Round a PMF, or each row of a stack of them, to integer counts
+    summing exactly to TOTAL.
 
     Floor then largest-remainder (ties to the lower index), then raise
-    every positive-probability symbol to count >= 1, paying from the
-    largest counts. Zero-probability symbols keep count 0.
+    every positive-probability symbol to count >= 1, paying one unit at
+    a time from the largest count (ties to the lower index). Zero-
+    probability symbols keep count 0.
     """
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise InputError("pmf must be a nonempty vector")
-    if np.any(p < 0) or not np.isfinite(p).all():
+    if p.ndim not in (1, 2) or p.size == 0:
+        raise InputError("pmf must be a nonempty vector or a stack of them")
+    rows = p.reshape(-1, p.shape[-1])
+    if np.any(rows < 0) or not np.isfinite(rows).all():
         raise InputError("pmf entries must be finite and nonnegative")
-    support = p > 0.0
-    n_sup = int(support.sum())
-    if n_sup == 0:
+    support = rows > 0.0
+    n_sup = support.sum(axis=1)
+    if np.any(n_sup == 0):
         raise InputError("pmf has empty support")
-    if n_sup > TOTAL:
-        raise InputError(f"support size {n_sup} exceeds frequency total {TOTAL}")
-    f = np.floor(p * TOTAL).astype(np.int64)
-    rem = int(TOTAL - f.sum())
-    if rem < 0:
-        for _ in range(-rem):
-            f[int(np.argmax(f))] -= 1
-    elif rem > 0:
-        frac = p * TOTAL - f
-        order = np.lexsort((np.arange(p.size), -frac))
-        f[order[:rem]] += 1
-    need = support & (f == 0)
-    for _ in range(int(need.sum())):
-        f[int(np.argmax(f))] -= 1
-    f[need] = 1
-    if f[np.argmax(f)] < 1 or int(f.sum()) != TOTAL or np.any(f[support] < 1):
+    if np.any(n_sup > TOTAL):
         raise InputError(
-            f"cannot allocate {TOTAL} counts over {n_sup} support symbols"
+            f"support size {n_sup[n_sup > TOTAL][0]} exceeds frequency total {TOTAL}")
+    scaled = rows * TOTAL
+    f = np.floor(scaled).astype(np.int64)
+    rem = TOTAL - f.sum(axis=1)
+    # the largest remainders take the leftover units, ties to the lower index
+    order = np.argsort(f - scaled, axis=1, kind="stable")
+    f[np.arange(len(f))[:, None], order] += np.arange(f.shape[1]) < rem[:, None]
+    f = _take_from_largest(f, np.maximum(-rem, 0))
+    need = support & (f == 0)
+    f = _take_from_largest(f, need.sum(axis=1))
+    f[need] = 1
+    bad = (f.max(axis=1) < 1) | (f.sum(axis=1) != TOTAL) | (support & (f < 1)).any(axis=1)
+    if bad.any():
+        raise InputError(
+            f"cannot allocate {TOTAL} counts over {n_sup[bad][0]} support symbols"
         )
-    return f
+    return f.reshape(p.shape)
+
+
+def _take_from_largest(f: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """f with k[i] units taken from row i one at a time, each from the
+    largest count, the lowest index among equals. That brings every
+    count above some level down to it, and the units left over come off
+    the lowest-indexed counts at the level."""
+    if not k.any():
+        return f
+    top = -np.sort(-f, axis=1)
+    cum = np.cumsum(top, axis=1)
+    t = np.arange(1, f.shape[1] + 1)
+    # capping the t largest counts at the next one frees cum - t*next
+    # units; the first t that frees more than k holds the level
+    frees = cum[:, :-1] - t[:-1] * top[:, 1:] > k[:, None]
+    first = np.concatenate([frees, np.ones((len(f), 1), dtype=bool)], axis=1).argmax(axis=1)
+    level = -((k - cum[np.arange(len(f)), first]) // t[first])
+    out = np.minimum(f, level[:, None])
+    at = f >= level[:, None]
+    out -= at & (np.cumsum(at, axis=1) <= (k - (f - out).sum(axis=1))[:, None])
+    return out
 
 
 @dataclass(frozen=True)
@@ -311,7 +334,7 @@ def build_model(params: PixelModelParams, paradigm: str,
     require_encodable(params.M)
     joint = pmf if pmf is not None else build_joint(params)
     _, p, contexts = conditional_table(joint, row.coded, row.context)
-    freq = np.stack([quantize_freq(r) for r in p])
+    freq = quantize_freq(p)
     return ProbabilityModel(row.name, params.M, params.Q,
                             joint.alphabet(row.coded).symbols, contexts, freq)
 

@@ -159,6 +159,20 @@ def default_slope_grid(count: int = 64) -> np.ndarray:
     return np.geomspace(1e-3, 1e3, count)
 
 
+def _segments(sid: np.ndarray) -> list[tuple[int, int, int]]:
+    """(s, a, b) for each run sid[a:b] of one slope index s."""
+    edges = [0, *(np.flatnonzero(np.diff(sid)) + 1).tolist(), sid.size]
+    return [(int(sid[a]), a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _per_slope(x: np.ndarray, kernels: np.ndarray, segments) -> np.ndarray:
+    """x[a:b] @ kernels[s] for each slope segment, one matmul each."""
+    out = np.empty((x.shape[0], kernels.shape[2]))
+    for s, a, b in segments:
+        np.matmul(x[a:b], kernels[s], out=out[a:b])
+    return out
+
+
 class _BAProblem:
     """Stacked rows of the reduced problem over the output marginal q.
 
@@ -178,15 +192,7 @@ class _BAProblem:
         self.P = P
         self.sid = sid
         self.src_mask = P > 0.0
-        edges = [0, *(np.flatnonzero(np.diff(sid)) + 1).tolist(), sid.size]
-        self.segments = [(int(sid[a]), a, b) for a, b in zip(edges, edges[1:])]
-
-    def _per_slope(self, x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-        """x[a:b] @ kernels[s] for each slope segment, one matmul each."""
-        out = np.empty((x.shape[0], kernels.shape[2]))
-        for s, a, b in self.segments:
-            np.matmul(x[a:b], kernels[s], out=out[a:b])
-        return out
+        self.segments = _segments(sid)
 
     def step(self, q: np.ndarray, strict: bool = True):
         """Returns (q*c, c, F(q) per row, bad mask); F in nats up to a
@@ -194,16 +200,15 @@ class _BAProblem:
         bad (F=inf) when strict is off, raised when on."""
         K = self.K
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            Z = self._per_slope(q, K.transpose(0, 2, 1))
-            bad = (self.src_mask & ~(Z > 1e-300)).any(axis=1)
+            Z = _per_slope(q, K.transpose(0, 2, 1), self.segments)
+            # Z may sit far below 1 where P does too; only P/Z must be finite
+            ratio = np.where(self.src_mask, self.P / Z, 0.0)
+            bad = ~np.isfinite(ratio).all(axis=1)
             if strict and bad.any():
                 raise InternalConsistencyError("partition function underflowed to zero")
-            safe_Z = np.where(Z > 1e-300, Z, 1.0)
-            ratio = np.where(self.src_mask, self.P / safe_Z, 0.0)
-            c = self._per_slope(ratio, K)
-            F = -np.einsum(
-                "cn,cn->c", self.P, np.where(self.src_mask, np.log(safe_Z), 0.0)
-            )
+            ratio[bad] = 0.0
+            c = _per_slope(ratio, K, self.segments)
+            F = -np.einsum("cn,cn->c", self.P, np.where(self.src_mask, np.log(Z), 0.0))
         bad |= ~np.isfinite(c).all(axis=1)
         if bad.any():
             F = np.where(bad, np.inf, F)
@@ -235,9 +240,23 @@ def _extrapolate(q0, c0, c1, q2, cap):
     return q / q.sum(axis=1, keepdims=True), alpha
 
 
-def _newton_polish(P_row: np.ndarray, src_row: np.ndarray, K: np.ndarray,
-                   q0: np.ndarray):
-    """Active-set Newton refinement of one cell's reduced problem.
+# When _ba_stack polishes: on every _POLISH_EVERY-th checkpoint, each row
+# whose certificate is below _POLISH_GATE nats, has not halved over the
+# last _STALL_WINDOW checkpoints, or has its largest multiplier on a
+# column holding less than _STARVED mass, which the multiplicative update
+# revives only geometrically. A row gives up polishing after 3 failures.
+# The kernel columns gathered for one chunk of polished rows take at most
+# _POLISH_BYTES.
+_POLISH_EVERY = 8
+_POLISH_GATE = 1e-3
+_STALL_WINDOW = 8
+_STARVED = 1e-12
+_POLISH_BYTES = 1 << 20
+
+
+def _newton_polish(K: np.ndarray, sid: np.ndarray, P: np.ndarray,
+                   q0: np.ndarray, c0: np.ndarray):
+    """Active-set Newton refinement of a batch of rows of the reduced problem.
 
     The multiplicative update identifies the optimal support slowly
     (mass enters or leaves only geometrically), which stalls it on
@@ -245,78 +264,141 @@ def _newton_polish(P_row: np.ndarray, src_row: np.ndarray, K: np.ndarray,
     stationarity system c_S(q) = 1 on the current support directly:
     Newton steps on the positive orthant, dropping columns driven to
     zero and entering the worst violator until the full certificate
-    max_j c_j - 1 clears TOL. Returns the certified q or None; a None
-    simply leaves the cell to the iterative path, so this routine may
-    be conservative.
+    max_j c_j - 1 clears TOL.
+
+    Row i is cell P[i] under kernel K[sid[i]], at q0[i] with multipliers
+    c0[i]. The rows move in lock-step, one Newton round at a time, and
+    leave as they certify or give up; each follows the path it would
+    follow alone. Returns (q, ok): q[i] is certified where ok[i]. A row
+    that is not ok is simply left to the iterative path, so this routine
+    may be conservative.
     """
-    P = P_row[src_row]
-    Kp = K[src_row]
-    m = K.shape[1]
-    c0 = (P / (Kp @ q0)) @ Kp
+    B, m = q0.shape
     # a column belongs to the working set when its multiplier is near 1;
     # selecting by mass instead would trap dying columns (c < 1, q -> 0)
     # whose stationarity system has no positive root
     S = c0 >= 1.0 - 1e-3
-    if not S.any():
-        return None
     q = np.where(S, q0, 0.0)
-    total = q.sum()
-    if not (total > 0.0):
-        return None
-    q /= total
-    budget = 80 + 4 * m
-    while budget > 0:
-        budget -= 1
-        idx = np.flatnonzero(S)
-        qs = q[idx]
-        Ks = Kp[:, idx]
-        Z = Ks @ qs
-        if not np.all(Z > 1e-300):
-            return None
-        ratio = P / Z
-        g = ratio @ Ks - 1.0
-        if np.abs(g).max() < 1e-13:
-            c_full = ratio @ Kp
-            gap = c_full.max() - 1.0
-            if gap < TOL:
-                out = np.zeros(m)
-                out[idx] = qs / qs.sum()
-                return out
-            j = int(np.argmax(c_full))
-            if S[j]:
-                return None
-            S[j] = True
-            q[j] = 1e-6
-            q /= q.sum()
-            continue
-        w = ratio / Z
-        A = (Ks * w[:, None]).T @ Ks
-        try:
-            delta = np.linalg.solve(A, g)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(A, g, rcond=None)[0]
-        if not np.all(np.isfinite(delta)):
-            return None
-        # a denormal delta overflows to inf: no bound along that column
-        with np.errstate(divide="ignore", over="ignore"):
-            steps = np.where(delta < 0.0, -qs / delta, np.inf)
-        tmax = float(steps.min())
-        if tmax <= 1.0:
-            # boundary hit: walk onto the face and pivot the blockers out
-            qs = np.maximum(qs + tmax * delta, 0.0)
-            dead = qs <= 1e-14
-            if dead.all():
-                return None
-            qs[dead] = 0.0
-            S[idx[dead]] = False
-        else:
-            qs = qs + delta
-        q = np.zeros(m)
-        q[idx] = qs
-    return None
+    total = q.sum(axis=1)
+    live = np.flatnonzero(S.any(axis=1) & (total > 0.0))
+    q[live] /= total[live, None]
+    ok = np.zeros(B, dtype=bool)
+    # non-finite values are caught below: a row whose partition function
+    # underflows or whose Newton direction is not finite gives up, and a
+    # denormal negative direction puts no bound on the step length
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(80 + 4 * m):
+            if not live.size:
+                break
+            # q, g and delta are zero off each row's working set S
+            ratio, g, delta, leave = _newton_steps(K, sid[live], P[live], q[live], S[live])
+            conv = ~leave & (np.abs(g).max(axis=1) < 1e-13)
+            walk = ~leave & ~conv
+
+            if conv.any():
+                # converged on the working set: certify, or enter the worst
+                # violator
+                rows = live[conv]
+                c = _per_slope(ratio[conv], K, _segments(sid[rows]))
+                cert = c.max(axis=1) - 1.0 < TOL
+                j = c.argmax(axis=1)
+                stuck = ~cert & S[rows, j]
+                ok[rows[cert]] = True
+                enter = ~cert & ~stuck
+                S[rows[enter], j[enter]] = True
+                q[rows[enter], j[enter]] = 1e-6
+                rows = rows[cert | enter]
+                q[rows] /= q[rows].sum(axis=1, keepdims=True)
+                leave[conv] = cert | stuck
+
+            if walk.any():
+                # Newton step, cut short at the first column it drives to
+                # zero: walk onto that face and pivot the blockers out
+                rows = live[walk]
+                qs, delta = q[rows], delta[walk]
+                tmax = np.where(delta < 0.0, -qs / delta, np.inf).min(axis=1)
+                qs += np.minimum(tmax, 1.0)[:, None] * delta
+                hit = tmax <= 1.0
+                qs[hit] = np.maximum(qs[hit], 0.0)
+                dead = hit[:, None] & (qs <= 1e-14) & S[rows]
+                qs[dead] = 0.0
+                q[rows] = qs
+                S[rows] &= ~dead
+                leave[walk] = ~S[rows].any(axis=1)
+            live = live[~leave]
+    return q, ok
 
 
-_POLISH_GATE = 1e-5
+def _newton_steps(K, sid, P, q, S):
+    """Gradient and Newton direction of each row on its working set S.
+
+    Returns (ratio, g, delta, bad), each row zero off S: ratio is P/Z
+    over every source symbol, g = c - 1, and delta the Newton direction,
+    none for a row whose gradient already vanishes. bad marks rows whose
+    partition function underflows or whose direction is not finite.
+
+    Only the working-set columns are gathered from K. Rows are taken in
+    order of working-set size, in chunks whose gathered columns take at
+    most _POLISH_BYTES; each chunk pads its working sets to its widest,
+    with identity on the padded coordinates, and makes one batched solve.
+    """
+    (L, n), m = P.shape, q.shape[1]
+    src = P > 0.0
+    ratio, g = np.zeros((L, n)), np.zeros(q.shape)
+    delta, bad = np.zeros(q.shape), np.zeros(L, dtype=bool)
+    k = S.sum(axis=1)
+    order = np.argsort(k, kind="stable")
+    a, fit = 0, _POLISH_BYTES // (16 * n)
+    while a < L:
+        # the rows that fit when padded to the widest of them
+        span = np.count_nonzero(np.arange(1, L - a + 1) * k[order[a:]] <= fit)
+        rows = order[a:a + max(1, span)]
+        a += rows.size
+        width = int(k[rows[-1]])
+        idx = np.argsort(~S[rows], axis=1, kind="stable")[:, :width]
+        pad = np.arange(width) >= k[rows, None]
+        Ks = K.reshape(-1).take((sid[rows, None, None] * n + np.arange(n)[:, None]) * m
+                                + idx[:, None, :])
+        Z = np.matmul(Ks, q[rows[:, None], idx][:, :, None])[:, :, 0]
+        pos = Z > 1e-300
+        bad[rows] = (src[rows] & ~pos).any(axis=1)
+        safe_Z = np.where(pos, Z, 1.0)
+        r = np.where(src[rows], P[rows] / safe_Z, 0.0)
+        gs = np.matmul(r[:, None, :], Ks)[:, 0, :] - 1.0
+        gs[pad] = 0.0
+        ratio[rows] = r
+        g[rows[:, None], idx] = gs
+        walk = ~bad[rows] & (np.abs(gs).max(axis=1) >= 1e-13)
+        if walk.any():
+            # Hessian Ks^T diag(P/Z^2) Ks, as Bw^T Bw with Bw = diag(sqrt(P)/Z) Ks
+            Bw = Ks[walk] * (np.sqrt(np.where(src[rows[walk]], P[rows[walk]], 0.0))
+                             / safe_Z[walk])[:, :, None]
+            A = np.matmul(Bw.transpose(0, 2, 1), Bw)
+            if pad.any():
+                keep = ~pad[walk]
+                A *= keep[:, :, None] & keep[:, None, :]
+                A.reshape(len(A), -1)[:, ::width + 1][~keep] = 1.0
+            delta[rows[walk, None], idx[walk]] = np.where(pad[walk], 0.0,
+                                                          _solve(A, gs[walk]))
+    bad |= ~np.isfinite(delta).all(axis=1)
+    return ratio, g, delta, bad
+
+
+def _solve(A: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve each system A[i] x = g[i], in one batched call unless one is
+    singular: that one gets its least-squares solution, or nan if it is
+    not finite."""
+    try:
+        return np.linalg.solve(A, g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full(g.shape, np.nan)
+        for i in range(len(A)):
+            try:
+                out[i] = np.linalg.solve(A[i], g[i])
+            except np.linalg.LinAlgError:
+                if np.isfinite(A[i]).all():
+                    out[i] = np.linalg.lstsq(A[i], g[i], rcond=None)[0]
+        return out
 
 
 def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray):
@@ -338,6 +420,9 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray):
     K = np.multiply(-(slopes * math.log(2.0))[:, None, None],
                     d - d.min(axis=1, keepdims=True))
     np.exp(K, out=K)
+    # no entry underflows to zero, so every partition function stays
+    # positive however little mass a source symbol or column holds
+    np.maximum(K, np.finfo(np.float64).tiny, out=K)
     prob = _BAProblem(K, np.tile(P, (S, 1)), np.repeat(np.arange(S), C))
     qout = np.full((R, m), 1.0 / m)
     done = np.zeros(R, dtype=bool)
@@ -346,6 +431,9 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray):
     q = np.full((R, m), 1.0 / m)
     cap = np.full(R, 64.0)
     tries = np.zeros(R, dtype=np.int64)
+    # each row's certificate at its last halving, and checkpoints since
+    ref = np.full(R, np.inf)
+    since = np.zeros(R, dtype=np.int64)
     iters = 0
     while iters < MAX_ITERS and act.size:
         q1, c0, _, _ = prob.step(q)
@@ -354,20 +442,28 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray):
         # so later extrapolation noise cannot un-converge them
         g0 = c0.max(axis=1) - 1.0
         fin = g0 < TOL
-        for i in (~fin & (g0 < _POLISH_GATE) & (tries < 3)).nonzero()[0]:
-            qp = _newton_polish(prob.P[i], prob.src_mask[i], K[prob.sid[i]], q[i])
-            if qp is None:
-                tries[i] += 1
-            else:
-                q[i] = qp
-                fin[i] = True
+        halved = g0 <= 0.5 * ref
+        ref = np.where(halved, g0, ref)
+        since = np.where(halved, 0, since + 1)
+        # checkpoints fall on iterations 1, 4, 7, ...; polishing on every
+        # _POLISH_EVERY-th of them gathers more rows into one batch
+        if (iters // 3) % _POLISH_EVERY == 0:
+            starved = q[np.arange(act.size), c0.argmax(axis=1)] < _STARVED
+            polish = np.flatnonzero(~fin & (tries < 3) & (
+                (g0 < _POLISH_GATE) | (since >= _STALL_WINDOW) | starved))
+            qp, ok = _newton_polish(K, prob.sid[polish], prob.P[polish],
+                                    q[polish], c0[polish])
+            q[polish[ok]] = qp[ok]
+            fin[polish[ok]] = True
+            tries[polish[~ok]] += 1
+            since[polish[~ok]] = 0
         if fin.any():
             qout[act[fin]] = q[fin]
             done[act[fin]] = True
             row_iters[act[fin]] = iters
             keep = ~fin
             act, q, q1, c0 = act[keep], q[keep], q1[keep], c0[keep]
-            cap, tries = cap[keep], tries[keep]
+            cap, tries, ref, since = cap[keep], tries[keep], ref[keep], since[keep]
             if act.size == 0:
                 break
             prob = prob.restrict(keep)
@@ -403,12 +499,14 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray):
         safe_Z = np.where(Z > 0.0, Z, 1.0)
         W = A / safe_Z[:, :, None]
         q_m = np.einsum("cn,cnm->cm", P, W)
-        # q_m can underflow to 0 beneath a denormal W; such cells carry no mass
+        # q_m can underflow to 0 beneath a denormal W; such cells carry no
+        # mass. W / q_m passes the float range only where P * W is below
+        # the smallest normal, so capping it there costs no visible rate
         mask = src_mask[:, :, None] & (W > 0.0) & (q_m[:, None, :] > 0.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            terms = np.where(
-                mask, W * np.log2(np.where(mask, W, 1.0) / q_m[:, None, :]), 0.0
-            )
+            ratio = np.minimum(np.where(mask, W, 1.0) / q_m[:, None, :],
+                               np.finfo(np.float64).max)
+            terms = np.where(mask, W * np.log2(ratio), 0.0)
         rates[s] = np.einsum("cn,cnm->c", P, terms)
         dists[s] = np.einsum("cn,cnm->c", P, W * d[None, :, :])
         gaps[s] = (np.where(src_mask, P / safe_Z, 0.0) @ K[s]).max(axis=1) - 1.0

@@ -37,6 +37,48 @@ def small_params(p=0.5, Q=2, M=16):
     return PixelModelParams(p=p, Q=Q, M=M)
 
 
+def reference_quantize(p):
+    """The one-row quantizer the array version replaced, kept as the
+    oracle: floor, largest remainders (ties to the lower index), then
+    one unit at a time from the largest count (ties to the lower index)
+    while it exceeds TOTAL, and again for each support symbol raised
+    from 0 to 1. Returns the counts, or None where it raises."""
+    support = p > 0.0
+    f = np.floor(p * TOTAL).astype(np.int64)
+    rem = int(TOTAL - f.sum())
+    if rem < 0:
+        for _ in range(-rem):
+            f[int(np.argmax(f))] -= 1
+    elif rem > 0:
+        frac = p * TOTAL - f
+        order = np.lexsort((np.arange(p.size), -frac))
+        f[order[:rem]] += 1
+    need = support & (f == 0)
+    for _ in range(int(need.sum())):
+        f[int(np.argmax(f))] -= 1
+    f[need] = 1
+    if f[np.argmax(f)] < 1 or int(f.sum()) != TOTAL or np.any(f[support] < 1):
+        return None
+    return f
+
+
+@st.composite
+def pmf_stacks(draw):
+    """Rows of small integer weights, so remainders tie, with masses
+    below 1/TOTAL that must be raised to one count, and some rows scaled
+    past 1 so that their floors overshoot TOTAL."""
+    k = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        w = np.array(draw(st.lists(st.integers(0, 6), min_size=k, max_size=k)), dtype=float)
+        w[draw(st.integers(0, k - 1))] += 1.0
+        p = w / w.sum()
+        tiny = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+        p[tiny & (p == 0.0)] = draw(st.sampled_from([1e-9, 0.4 / TOTAL]))
+        rows.append(p * draw(st.sampled_from([1.0, 1.0 + 3 / TOTAL, 1.0 + 2 ** -40])))
+    return np.array(rows)
+
+
 class TestQuantizeFreq:
     def test_sums_to_total_and_keeps_support(self):
         p = np.array([0.5, 0.25, 0.125, 0.125])
@@ -64,6 +106,30 @@ class TestQuantizeFreq:
         assert f.sum() == TOTAL
         assert np.all(f[p > 0] >= 1)
         assert np.all(f[p == 0] == 0)
+
+    @given(pmf_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_stack_matches_one_row_at_a_time(self, p):
+        want = [reference_quantize(row) for row in p]
+        if any(f is None for f in want):
+            with pytest.raises(InputError):
+                quantize_freq(p)
+            return
+        assert np.array_equal(quantize_freq(p), np.array(want))
+        for row, f in zip(p, want):
+            assert np.array_equal(quantize_freq(row), f)
+
+    @pytest.mark.parametrize("p", [
+        [1 / 3] * 3,                                 # tied remainders
+        [1.0 - 3e-9, 1e-9, 1e-9, 1e-9],              # three raised to one count
+        [0.5 + 3 / TOTAL, 0.5 + 2 / TOTAL],          # floors overshoot TOTAL
+        [0.25 + 1 / TOTAL] * 4 + [1e-9],             # overshoot, tie and raise
+    ])
+    def test_each_path_matches_one_row_at_a_time(self, p):
+        p = np.array(p)
+        assert np.array_equal(quantize_freq(p), reference_quantize(p))
+        assert np.array_equal(quantize_freq(np.stack([p, p[::-1]])),
+                              np.stack([reference_quantize(p), reference_quantize(p[::-1])]))
 
     def test_largest_remainder_tie_prefers_lower_index(self):
         # three equal remainders competing for one leftover unit
