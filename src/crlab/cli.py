@@ -188,7 +188,7 @@ def cmd_codec(args) -> int:
     x, xp = sample_arrays(params, args.n, args.seed, joint)
 
     stream = encode(np.column_stack((x, xp)), row.name, model)
-    wrong = np.flatnonzero(np.asarray(decode(stream, xp, model)) != x)
+    wrong = np.flatnonzero(decode(stream, xp, model, as_array=True) != x)
     if wrong.size:
         print(f"round-trip FAILED: first mismatch at symbol {wrong[0]}",
               file=sys.stderr)

@@ -413,8 +413,10 @@ def encode(seq, paradigm: str, model: ProbabilityModel) -> Bitstream:
                      range_encode(starts.tolist(), sizes.tolist()))
 
 
-def decode(bs: Bitstream, x_p_seq, model: ProbabilityModel) -> list[int]:
-    """Recover the x sequence from a stream plus the shared predictions."""
+def decode(bs: Bitstream, x_p_seq, model: ProbabilityModel, *,
+           as_array: bool = False) -> list[int] | np.ndarray:
+    """Recover the x sequence from a stream plus the shared predictions,
+    as a list, or as an int64 array when as_array is set."""
     if bs.paradigm != model._row.byte:
         raise FormatError(
             f"stream paradigm {_BY_BYTE[bs.paradigm].name!r} does not match "
@@ -429,7 +431,8 @@ def decode(bs: Bitstream, x_p_seq, model: ProbabilityModel) -> list[int]:
         )
     si = range_decode(bs.payload, model._cum_rows, model._ctx_of_xp[preds].tolist())
     x = np.array(model.symbols)[si]
-    return (x + preds if model._row.coded == "r" else x).tolist()
+    x = x + preds if model._row.coded == "r" else x
+    return x if as_array else x.tolist()
 
 
 def measure_rate(bs: Bitstream, n: int) -> float:

@@ -10,12 +10,13 @@ anything more negative indicates a defect and raises instead of clamping.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError, InternalConsistencyError
-from .prob_core import JointPMF, group_probs
+from .prob_core import JointPMF, JointStack, group_probs
 
 __all__ = [
     "NEG_TOL",
@@ -39,11 +40,23 @@ def _clamp_bits(value: float, what: str) -> float:
     return 0.0 if value < 0.0 else float(value)
 
 
-def _plogp_sum(weights: np.ndarray) -> float:
-    """-sum(w * log2 w) with chunked pairwise partials folded by fsum."""
-    w = weights[weights > 0.0]
+def _plogp_sum(weights: np.ndarray, bounds=None) -> np.ndarray:
+    """-sum(w * log2 w) of each segment weights[bounds[t]:bounds[t + 1]]
+    (the whole array when bounds is None): pairwise partials over chunks of
+    _CHUNK positive weights of the segment, folded by fsum.
+
+    Every segment holds a positive weight. Its value depends only on its
+    own weights, never on its neighbours or on the zeros among them.
+    """
+    if bounds is None or len(bounds) == 2:  # one segment: no counts to take
+        w = weights[weights > 0.0]
+        counts = [w.size]
+    else:
+        keep = weights > 0.0
+        w = weights[keep]
+        counts = np.add.reduceat(keep, bounds[:-1], dtype=np.intp).tolist()
     if w.size == 0:
-        return 0.0
+        return np.zeros(len(counts))
     top = float(w.max())
     if top > 1.0:
         if top > 1.0 + _MASS_TOL:
@@ -51,8 +64,17 @@ def _plogp_sum(weights: np.ndarray) -> float:
         # such a group is the whole distribution: its weight is 1 and it adds 0
         w = np.minimum(w, 1.0)
     terms = w * np.log2(w)
-    partials = np.add.reduceat(terms, np.arange(0, terms.size, _CHUNK))
-    return -math.fsum(partials.tolist())
+    if max(counts) <= _CHUNK:
+        # one partial per segment, and the fsum of one partial is itself:
+        # no term is -0.0, so no partial is
+        return -np.add.reduceat(terms, list(accumulate(counts[:-1], initial=0)))
+    sums = np.empty(len(counts))
+    start = 0
+    for t, n in enumerate(counts):
+        partials = np.add.reduceat(terms[start:start + n], np.arange(0, n, _CHUNK))
+        sums[t] = -math.fsum(partials.tolist())
+        start += n
+    return sums
 
 
 def _names(vars_) -> tuple[str, ...]:
@@ -75,14 +97,23 @@ def _disjoint(*groups: Sequence[str]):
             seen.add(n)
 
 
-def entropy(pmf: JointPMF, vars_) -> float:
-    """Joint entropy H(vars) in bits."""
+def entropy(pmf: JointPMF | JointStack, vars_):
+    """Joint entropy H(vars) in bits: a float for a JointPMF, and for a
+    JointStack an array with the entropy of each joint, each bit for bit
+    what that joint alone gives."""
     names = _names(vars_)
-    h = _plogp_sum(group_probs(pmf, names))
-    cap = sum(math.log2(len(pmf.alphabet(n))) for n in names)
-    if h > cap + 1e-9:
-        raise InternalConsistencyError(f"H{names} = {h} above log2 alphabet bound {cap}")
-    return _clamp_bits(h, f"H{names}")
+    if isinstance(pmf, JointStack):
+        h = _plogp_sum(*pmf.group_probs(names))
+        caps = np.log2(pmf.sizes[:, [pmf.var_pos(n) for n in names]]).sum(axis=1).tolist()
+    else:
+        h = _plogp_sum(group_probs(pmf, names))
+        caps = [sum(math.log2(len(pmf.alphabet(n))) for n in names)]
+    out = []
+    for value, cap in zip(h.tolist(), caps):
+        if value > cap + 1e-9:
+            raise InternalConsistencyError(f"H{names} = {value} above log2 alphabet bound {cap}")
+        out.append(_clamp_bits(value, f"H{names}"))
+    return np.array(out) if isinstance(pmf, JointStack) else out[0]
 
 
 def conditional_entropy(pmf: JointPMF, target, given=()) -> float:
@@ -120,11 +151,13 @@ def conditional_mutual_information(pmf: JointPMF, a, b, given=()) -> float:
 
 
 class EntropyMemo:
-    """Memoized joint entropies of one pmf, keyed by the sorted name tuple."""
+    """Memoized joint entropies keyed by the sorted name tuple: floats for
+    a JointPMF, arrays with one entry per joint for a JointStack. The
+    measures below are the same expressions on either."""
 
-    def __init__(self, pmf: JointPMF):
+    def __init__(self, pmf: JointPMF | JointStack):
         self.pmf = pmf
-        self.memo: dict[tuple[str, ...], float] = {}
+        self.memo: dict[tuple[str, ...], float | np.ndarray] = {}
 
     def __call__(self, *names: str) -> float:
         key = tuple(sorted(names))

@@ -32,6 +32,7 @@ __all__ = [
     "Alphabet",
     "DeterministicMap",
     "JointPMF",
+    "JointStack",
     "Symbol",
     "adjoin_difference",
     "adjoin_channel",
@@ -45,6 +46,8 @@ __all__ = [
     "marginalize",
     "quantizer_map",
     "random_pmf",
+    "require_stochastic",
+    "require_unit_sums",
     "sample",
     "sample_columns",
     "splitmix64",
@@ -54,6 +57,22 @@ __all__ = [
 SUM_TOL = 1e-12
 
 Symbol = Union[int, Fraction]
+
+
+def require_unit_sums(totals):
+    """Raise InputError unless every total is 1 within SUM_TOL."""
+    totals = np.atleast_1d(totals)
+    bad = ~(np.abs(totals - 1.0) <= SUM_TOL)
+    if bad.any():
+        total = float(totals[bad][0])
+        raise InputError(f"probabilities sum to {total!r}, not 1 within {SUM_TOL}")
+
+
+def require_stochastic(kernel: np.ndarray):
+    """Raise InputError unless every row (last axis) of kernel is
+    nonnegative and sums to 1 within SUM_TOL."""
+    if np.any(kernel < 0) or np.any(np.abs(kernel.sum(axis=-1) - 1.0) > SUM_TOL):
+        raise InputError("kernel rows must be nonnegative and sum to 1")
 
 
 def as_exact(value) -> Symbol:
@@ -182,7 +201,31 @@ def quantizer_map(domain: Alphabet, step, name: str = "quantized") -> Determinis
     return DeterministicMap(domain, codomain, images)
 
 
-class JointPMF:
+class _Rows:
+    """Named variables over rows of alphabet indices: what JointPMF and
+    JointStack share. Both set variables and idx."""
+
+    __slots__ = ()
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        return tuple(n for n, _ in self.variables)
+
+    @property
+    def n_points(self) -> int:
+        return self.idx.shape[0]
+
+    def var_pos(self, name: str) -> int:
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise InputError(f"unknown variable {name!r}; have {self.names}") from None
+
+    def alphabet(self, name: str) -> Alphabet:
+        return self.variables[self.var_pos(name)][1]
+
+
+class JointPMF(_Rows):
     """Joint distribution over named finite variables, support-point form.
 
     variables: ordered (name, Alphabet) pairs.
@@ -207,23 +250,6 @@ class JointPMF:
         self.idx = idx
         self.probs = probs
 
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.variables)
-
-    @property
-    def n_points(self) -> int:
-        return self.idx.shape[0]
-
-    def var_pos(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise InputError(f"unknown variable {name!r}; have {self.names}") from None
-
-    def alphabet(self, name: str) -> Alphabet:
-        return self.variables[self.var_pos(name)][1]
-
     def column_values(self, name: str) -> list:
         """Symbol values of one variable, one entry per support point."""
         c = self.var_pos(name)
@@ -244,9 +270,7 @@ class JointPMF:
             )
         if not np.all(np.isfinite(probs)) or not np.all(probs > 0):
             raise InputError("weights of support points must be finite and positive")
-        total = float(probs.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise InputError(f"probabilities sum to {total!r}, not 1 within {SUM_TOL}")
+        require_unit_sums(probs.sum())
         return JointPMF(self.variables, self.idx, probs, _trusted=True)
 
     def __repr__(self) -> str:
@@ -272,9 +296,7 @@ def _validate_pmf(variables, idx, probs):
     idx, probs = idx[keep], probs[keep]
     if idx.shape[0] == 0:
         raise InputError("distribution has empty support")
-    total = float(probs.sum())
-    if abs(total - 1.0) > SUM_TOL:
-        raise InputError(f"probabilities sum to {total!r}, not 1 within {SUM_TOL}")
+    require_unit_sums(probs.sum())
     key = _ravel_rows(idx, range(len(variables)), [len(a) for _, a in variables])
     if key is None:
         _, first = np.unique(idx, axis=0, return_index=True)
@@ -288,15 +310,21 @@ def _validate_pmf(variables, idx, probs):
     return tuple(variables), np.ascontiguousarray(idx[order]), np.ascontiguousarray(probs[order])
 
 
-def _ravel_rows(idx: np.ndarray, cols: Sequence[int], sizes: Sequence[int]):
+def _ravel_rows(idx: np.ndarray, cols: Sequence[int], sizes: Sequence[int],
+                lead=None):
     """Mixed-radix key of each row over the given columns, or None if the
-    radix product overflows."""
+    radix product overflows. lead, when given, is (digits, radix): one more
+    digit per row, placed above all the others."""
+    columns = [idx[:, c] for c in cols]
+    if lead is not None:
+        columns.insert(0, lead[0])
+        sizes = [lead[1], *sizes]
     if math.prod(sizes) > 2**62:
         return None
     key = np.zeros(idx.shape[0], dtype=np.int64)
-    for c, s in zip(cols, sizes):
+    for column, s in zip(columns, sizes):
         key *= s
-        key += idx[:, c]
+        key += column
     return key
 
 
@@ -312,29 +340,38 @@ def _positions(pmf: JointPMF, names: Iterable[str]) -> list[int]:
 _DENSE_SPAN = 8
 
 
-def _group(pmf: JointPMF, names: Sequence[str]):
-    """(weights, sizes, rows) of the grouping over the named variables.
+def _group_rows(idx: np.ndarray, probs: np.ndarray, cols: Sequence[int],
+                sizes: Sequence[int], lead=None):
+    """(weights, groups) of the grouping of weighted rows over the given
+    columns, with lead as in _ravel_rows.
 
-    On the dense path rows is None and weights has one bin per mixed-radix
-    key, 0 where no support point falls. Otherwise rows and weights list
-    the occupied groups only. Either way the groups come in key order and
-    each weight sums its points in support order.
+    Dense path: groups is None and weights has one bin per mixed-radix key,
+    0 where no row falls. Otherwise weights lists the occupied groups only,
+    and groups gives their keys, or their rows (lead digits first) where the
+    key would overflow. Either way the groups come in key order and each
+    weight sums its rows in row order, so both paths give the same weights.
     """
+    span = math.prod(sizes) * (1 if lead is None else lead[1])
+    key = _ravel_rows(idx, cols, sizes, lead)
+    if span <= _DENSE_SPAN * idx.shape[0]:
+        return np.bincount(key, weights=probs, minlength=span), None
+    if key is None:
+        sub = idx[:, cols] if lead is None else np.column_stack([lead[0], idx[:, cols]])
+        groups, inverse = np.unique(sub, axis=0, return_inverse=True)
+    else:
+        groups, inverse = np.unique(key, return_inverse=True)
+    return np.bincount(inverse, weights=probs, minlength=groups.shape[0]), groups
+
+
+def _group(pmf: JointPMF, names: Sequence[str]):
+    """(weights, sizes, groups) of the grouping over the named variables;
+    weights and groups as in _group_rows."""
     cols = _positions(pmf, names)
     if not cols:
         raise InputError("need at least one variable to group by")
     sizes = [len(pmf.variables[c][1]) for c in cols]
-    span = math.prod(sizes)
-    key = _ravel_rows(pmf.idx, cols, sizes)
-    if span <= _DENSE_SPAN * pmf.n_points:
-        return np.bincount(key, weights=pmf.probs, minlength=span), sizes, None
-    sub = pmf.idx[:, cols]
-    if key is None:
-        rows, inverse = np.unique(sub, axis=0, return_inverse=True)
-    else:
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        rows = sub[first]
-    return np.bincount(inverse, weights=pmf.probs, minlength=rows.shape[0]), sizes, rows
+    weights, groups = _group_rows(pmf.idx, pmf.probs, cols, sizes)
+    return weights, sizes, groups
 
 
 def group_probs(pmf: JointPMF, names: Sequence[str]) -> np.ndarray:
@@ -353,12 +390,66 @@ def group_weights(pmf: JointPMF, names: Sequence[str]):
     Returns (rows, weights) with rows sorted by mixed-radix key. This is the
     grouping kernel behind marginalization.
     """
-    weights, sizes, rows = _group(pmf, names)
-    if rows is None:
-        occupied = np.flatnonzero(weights)
-        rows = np.column_stack(np.unravel_index(occupied, sizes))
-        weights = weights[occupied]
-    return rows, weights
+    weights, sizes, groups = _group(pmf, names)
+    if groups is None:
+        groups = np.flatnonzero(weights)
+        weights = weights[groups]
+    if groups.ndim == 2:
+        return groups, weights
+    return np.column_stack(np.unravel_index(groups, sizes)), weights
+
+
+class JointStack(_Rows):
+    """Joints over the same variables with their support rows stacked, one
+    segment per joint, so that one key groups all of them at once.
+
+    variables: ordered (name, Alphabet) pairs shared by the joints. Joint t
+    uses the first sizes[t][v] symbols of the alphabet of variable v, so an
+    index names the same symbol in every joint.
+    idx, probs: the support rows of joint 0, then those of joint 1, and so
+    on, each in its joint's support order; the weights of each joint sum
+    to 1. seg[i] is the joint of row i, and may be None for a single joint.
+    """
+
+    def __init__(self, variables, idx: np.ndarray, probs: np.ndarray, seg, sizes):
+        self.variables = tuple(variables)
+        self.idx = idx
+        self.probs = probs
+        self.seg = seg
+        self.sizes = np.asarray(sizes, dtype=np.intp)
+
+    @classmethod
+    def of(cls, pmf: JointPMF) -> "JointStack":
+        """The stack of the one joint pmf, sharing its arrays."""
+        return cls(pmf.variables, pmf.idx, pmf.probs, None,
+                   [[len(a) for _, a in pmf.variables]])
+
+    def __len__(self) -> int:
+        return self.sizes.shape[0]
+
+    def group_probs(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, bounds): the group weights of every joint over the
+        named variables, joint t's in weights[bounds[t]:bounds[t + 1]].
+
+        The joint is the most significant digit of one grouping key. Each
+        slice holds the nonzero weights of group_probs on that joint alone,
+        bit for bit and in the same order, and may hold more zeros.
+        """
+        cols = _positions(self, names)
+        if not cols:
+            raise InputError("need at least one variable to group by")
+        radix = [len(self.variables[c][1]) for c in cols]
+        n = len(self)
+        lead = None if n == 1 else (self.seg, n)
+        weights, groups = _group_rows(self.idx, self.probs, cols, radix, lead)
+        joints = np.arange(n + 1)
+        if groups is None:
+            return weights, joints * math.prod(radix)
+        if lead is None:
+            return weights, np.array([0, weights.size])
+        if groups.ndim == 2:
+            return weights, np.searchsorted(groups[:, 0], joints)
+        return weights, np.searchsorted(groups, joints * math.prod(radix))
 
 
 def marginalize(pmf: JointPMF, keep: Sequence[str]) -> JointPMF:
@@ -481,8 +572,7 @@ def adjoin_channel(pmf: JointPMF, given: str, kernel: np.ndarray,
         raise InputError(
             f"kernel shape {kernel.shape} does not match |{given}| x |{new_var}|"
         )
-    if np.any(kernel < 0) or np.any(np.abs(kernel.sum(axis=1) - 1.0) > SUM_TOL):
-        raise InputError("kernel rows must be nonnegative and sum to 1")
+    require_stochastic(kernel)
     m = len(alphabet)
     n = pmf.n_points
     idx = np.repeat(pmf.idx, m, axis=0)

@@ -32,16 +32,16 @@ from .errors import InputError, PreconditionError
 from .prob_core import (
     MASK64,
     Alphabet,
-    DeterministicMap,
     JointPMF,
-    adjoin_channel,
+    JointStack,
     adjoin_difference,
-    adjoin_map,
-    adjoin_sum,
     combined_index,
-    group_weights,
-    random_pmf,
+    difference_alphabet,
+    integer_alphabet,
+    require_stochastic,
+    require_unit_sums,
     splitmix64,
+    sum_alphabet,
 )
 from .info_measures import EntropyMemo
 
@@ -118,33 +118,31 @@ class TheoremReport:
         raise InputError(f"no check named {check_id!r}")
 
 
-def _identity(cid: str, lhs: float, rhs: float) -> CheckResult:
-    res = lhs - rhs
-    ok = abs(res) < CHECK_TOL
-    return CheckResult(cid, IDENTITY, res, ok, pass_count=int(ok))
+def _identity(cid: str, lhs, rhs):
+    return cid, IDENTITY, lhs - rhs
 
 
-def _inequality(cid: str, margin: float) -> CheckResult:
-    ok = margin >= -CHECK_TOL
-    return CheckResult(cid, INEQUALITY, margin, ok, pass_count=int(ok))
+def _inequality(cid: str, margin):
+    return cid, INEQUALITY, margin
 
 
-def _require_vars(pmf: JointPMF, names: Sequence[str]):
+def _require_vars(pmf: JointPMF | JointStack, names: Sequence[str]):
     missing = [n for n in names if n not in pmf.names]
     if missing:
         raise PreconditionError(f"pmf lacks required variables {missing}; has {pmf.names}")
 
 
-def _require_deterministic(pmf: JointPMF, src: str, out: str):
-    """out must be a function of src everywhere on the support."""
-    rows, _ = group_weights(pmf, (src, out))
-    if np.unique(rows[:, 0]).size != rows.shape[0]:
+def _require_deterministic(pmf: JointStack, src: str, out: str):
+    """out must be a function of src everywhere on the support: no src
+    group splits into two (src, out) groups."""
+    pairs = np.count_nonzero(pmf.group_probs((src, out))[0])
+    if pairs != np.count_nonzero(pmf.group_probs((src,))[0]):
         raise PreconditionError(
             f"{out!r} is not a deterministic function of {src!r} (H({out}|{src}) > 0)"
         )
 
 
-def _require_difference(pmf: JointPMF, out: str, a: str, b: str):
+def _require_difference(pmf: JointStack, out: str, a: str, b: str):
     """out must equal a - b exactly on every support point."""
     diff = combined_index(pmf, a, b, -1, pmf.alphabet(out))
     bad = int(np.count_nonzero(diff != pmf.idx[:, pmf.var_pos(out)]))
@@ -152,17 +150,14 @@ def _require_difference(pmf: JointPMF, out: str, a: str, b: str):
         raise PreconditionError(f"{out!r} != {a!r} - {b!r} on {bad} support points")
 
 
-def check_lossless(pmf: JointPMF) -> TheoremReport:
-    """Verify the lossless rate identities and inequalities on one joint.
-
-    Requires variables x, xp, xq, r with xq deterministic in xp and
-    r = x - xp.
-    """
+def _lossless(pmf: JointStack, h: EntropyMemo):
+    """Checks as (id, kind, value per joint) and observations as (id, value
+    per joint, premise per joint) of the lossless relations on every joint
+    of pmf. Requires x, xp, xq, r with xq deterministic in xp and
+    r = x - xp."""
     _require_vars(pmf, ("x", "xp", "xq", "r"))
     _require_deterministic(pmf, "xp", "xq")
     _require_difference(pmf, "r", "x", "xp")
-    h = EntropyMemo(pmf)
-
     checks = (
         _identity("residual_rate_split",
                   h("r"), h.cond("x", "xp") + h.mi("xp", "r")),
@@ -182,32 +177,19 @@ def check_lossless(pmf: JointPMF) -> TheoremReport:
         _inequality("conditional_rate_penalty", h.cond("x", "xq") - h.cond("x", "xp")),
     )
     observations = (
-        Observation(
-            "conditional_condres_gap",
-            h.cond("x", "xq") - h.cond("r", "xq"),
-            premise=h("r") < h("x"),
-        ),
+        ("conditional_condres_gap",
+         h.cond("x", "xq") - h.cond("r", "xq"), h("r") < h("x")),
     )
-    return TheoremReport(checks, observations)
+    return checks, observations
 
 
-def check_lossy(pmf: JointPMF) -> TheoremReport:
-    """Verify the lossy-coding identities and inequalities on one joint.
-
-    Requires x, xp, xq, xt; the residuals r and rt are adjoined here when
-    absent. The two inequality checks assume rt depends on (x, xp) only
-    through r; see the module docstring.
-    """
-    _require_vars(pmf, ("x", "xp", "xq", "xt"))
+def _lossy(pmf: JointStack, h: EntropyMemo):
+    """The lossy relations, as _lossless gives its own. Requires x, xp, xq,
+    xt, r, rt with xq deterministic in xp, r = x - xp and rt = xt - xp."""
+    _require_vars(pmf, ("x", "xp", "xq", "xt", "r", "rt"))
     _require_deterministic(pmf, "xp", "xq")
-    if "r" not in pmf.names:
-        pmf = adjoin_difference(pmf, "x", "xp", "r")
-    if "rt" not in pmf.names:
-        pmf = adjoin_difference(pmf, "xt", "xp", "rt")
     _require_difference(pmf, "r", "x", "xp")
     _require_difference(pmf, "rt", "xt", "xp")
-    h = EntropyMemo(pmf)
-
     checks = (
         _identity("lossy_residual_rate_split",
                   h.mi("r", "rt"),
@@ -222,9 +204,75 @@ def check_lossy(pmf: JointPMF) -> TheoremReport:
                     h.mi("r", "rt") - h.cmi("r", "rt", "xq")),
     )
     observations = (
-        Observation("optimal_coder_leakage", h.cmi("xt", "xp", "x", "xq")),
+        ("optimal_coder_leakage", h.cmi("xt", "xp", "x", "xq"), np.ones(len(pmf), bool)),
     )
-    return TheoremReport(checks, observations)
+    return checks, observations
+
+
+def _table(checks):
+    """(is identity, values, passed) of the checks, one row per check and
+    one column per joint."""
+    identity = np.array([kind == IDENTITY for _, kind, _ in checks])
+    values = np.stack([v for _, _, v in checks])
+    passed = np.where(identity[:, None], np.abs(values) < CHECK_TOL, values >= -CHECK_TOL)
+    return identity, values, passed
+
+
+def _fold(identity: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The value of each row that folding its columns in order keeps: the
+    first of the largest residuals (a later one must be strictly larger),
+    the last of the smallest margins (min(new, old) takes the new on a tie).
+    Ties differ only in the sign of a zero, which the report prints."""
+    first_max = np.argmax(np.abs(values), axis=1)
+    last_min = values.shape[1] - 1 - np.argmin(values[:, ::-1], axis=1)
+    return values[np.arange(len(values)), np.where(identity, first_max, last_min)]
+
+
+def _results(checks, worst, passes, trials: int) -> tuple[CheckResult, ...]:
+    return tuple(CheckResult(cid, kind, float(w), bool(n == trials), int(n), trials)
+                 for (cid, kind, _), w, n in zip(checks, worst, passes))
+
+
+def _failures(checks, passed, seed: int, first: int) -> list[TrialFailure]:
+    """Every failing (trial, check), trial by trial and checks in order;
+    column t is trial first + t of the run seeded by seed."""
+    return [TrialFailure(first + t, trial_seed(seed, first + t), checks[c][0],
+                         float(checks[c][2][t]))
+            for t, c in np.argwhere(~passed.T).tolist()]
+
+
+def _one_joint(checks, observations) -> TheoremReport:
+    _, values, passed = _table(checks)
+    return TheoremReport(
+        _results(checks, values[:, 0], passed[:, 0], 1),
+        tuple(Observation(oid, float(v[0]), premise=bool(p[0]))
+              for oid, v, p in observations))
+
+
+def check_lossless(pmf: JointPMF) -> TheoremReport:
+    """Verify the lossless rate identities and inequalities on one joint.
+
+    Requires variables x, xp, xq, r with xq deterministic in xp and
+    r = x - xp.
+    """
+    stack = JointStack.of(pmf)
+    return _one_joint(*_lossless(stack, EntropyMemo(stack)))
+
+
+def check_lossy(pmf: JointPMF) -> TheoremReport:
+    """Verify the lossy-coding identities and inequalities on one joint.
+
+    Requires x, xp, xq, xt; the residuals r and rt are adjoined here when
+    absent. The two inequality checks assume rt depends on (x, xp) only
+    through r; see the module docstring.
+    """
+    _require_vars(pmf, ("x", "xp", "xq", "xt"))
+    if "r" not in pmf.names:
+        pmf = adjoin_difference(pmf, "x", "xp", "r")
+    if "rt" not in pmf.names:
+        pmf = adjoin_difference(pmf, "xt", "xp", "rt")
+    stack = JointStack.of(pmf)
+    return _one_joint(*_lossy(stack, EntropyMemo(stack)))
 
 
 def trial_seed(seed: int, k: int) -> int:
@@ -232,47 +280,107 @@ def trial_seed(seed: int, k: int) -> int:
     return splitmix64((seed + k * 0x9E3779B97F4A7C15) & MASK64)
 
 
-def _random_bottleneck(rng: np.random.Generator, domain: Alphabet) -> DeterministicMap:
-    k = int(rng.integers(1, len(domain) + 1))
-    codomain = Alphabet("xq_values", tuple(range(k)))
-    images = tuple(int(v) for v in rng.integers(0, k, size=len(domain)))
-    return DeterministicMap(domain, codomain, images)
+# support rows per block of stacked trials: 4 trials at 8x8, 960 rows each.
+# The trials of a block are grouped by one key; larger blocks cost memory
+# and gain little.
+_BLOCK_ROWS = 4096
 
 
-def _lossy_trial_pmf(rng: np.random.Generator, shape: Sequence[int]) -> JointPMF:
-    """Random joint on (x, xp), random bottleneck, and a random memoryless
-    reconstruction channel applied to the residual."""
-    base = random_pmf(shape, seed=rng, names=("x", "xp"))
-    base = adjoin_map(base, "xp", _random_bottleneck(rng, base.alphabet("xp")), "xq")
-    base = adjoin_difference(base, "x", "xp", "r")
-    r_alph = base.alphabet("r")
-    nr = len(r_alph)
-    kernel = rng.dirichlet(np.ones(nr), size=nr)
+def _trial_layout(shape: tuple[int, int]):
+    """(variables, columns, r_of_cell) of a trial of the given shape.
+
+    columns holds, one row per variable, the support points of a trial
+    before zero weights are dropped: every (x, xp) cell in grid order, each
+    followed by every rt symbol, with xq left 0. r_of_cell is the r index
+    of each cell. Only the weights and xq differ between trials. The xq
+    alphabet is the widest a bottleneck can reach; a trial with k symbols
+    uses its first k.
+    """
+    x_alph = integer_alphabet("x", 0, shape[0] - 1)
+    xp_alph = integer_alphabet("xp", 0, shape[1] - 1)
+    r_alph = difference_alphabet(x_alph, xp_alph, name="r")
     rt_alph = Alphabet("rt_values", r_alph.symbols)
-    base = adjoin_channel(base, "r", kernel, rt_alph, "rt")
-    return adjoin_sum(base, "xp", "rt", "xt")
+    xt_alph = sum_alphabet(xp_alph, rt_alph, name="xt")
+    variables = (("x", x_alph), ("xp", xp_alph),
+                 ("xq", Alphabet("xq_values", tuple(range(shape[1])))),
+                 ("r", r_alph), ("rt", rt_alph), ("xt", xt_alph))
+    nr = len(r_alph)
+    x, xp = np.indices(shape).reshape(2, -1)
+    r_of_cell = x - xp - r_alph.symbols[0]
+    x, xp, r = (np.repeat(c, nr) for c in (x, xp, r_of_cell))
+    rt = np.tile(np.arange(nr), shape[0] * shape[1])
+    xt = xp + rt + rt_alph.symbols[0] - xt_alph.symbols[0]
+    columns = np.stack([x, xp, np.zeros_like(x), r, rt, xt]).astype(np.intp)
+    # one layout serves every block of a run
+    columns.flags.writeable = r_of_cell.flags.writeable = False
+    return variables, columns, r_of_cell
 
 
-def _merge(worst: dict, result: TheoremReport, k: int, t_seed: int,
-           failures: list):
-    for c in result.checks:
-        prev = worst.get(c.check_id)
-        if prev is None:
-            worst[c.check_id] = c
-        else:
-            if c.kind == IDENTITY:
-                value = c.value if abs(c.value) > abs(prev.value) else prev.value
-            else:
-                value = min(c.value, prev.value)
-            worst[c.check_id] = replace(
-                prev,
-                value=value,
-                passed=prev.passed and c.passed,
-                pass_count=prev.pass_count + c.pass_count,
-                trial_count=prev.trial_count + 1,
-            )
-        if not c.passed:
-            failures.append(TrialFailure(k, t_seed, c.check_id, c.value))
+def _trial_stack(t_seeds: Sequence[int], shape: tuple[int, int], layout) -> JointStack:
+    """The trials seeded by t_seeds, stacked in order; layout is
+    _trial_layout(shape).
+
+    Trial t draws from default_rng(t_seeds[t]), in this order: p(x, xp)
+    from a flat Dirichlet, the bottleneck size k uniform in 1..|xp|, the
+    image of each xp uniform in 0..k-1, and one flat-Dirichlet row of the
+    residual channel p(rt | r) per r. Its support is (x, xp, rt) in that
+    order, without the points of weight 0, and xt = xp + rt.
+    """
+    variables, columns, r_of_cell = layout
+    n, nr = len(t_seeds), len(variables[3][1])
+    flat_cells, flat_r = np.ones(r_of_cell.size), np.ones(nr)
+    p = np.empty((n, r_of_cell.size))
+    k = np.empty(n, dtype=np.intp)
+    images = np.empty((n, shape[1]), dtype=np.intp)
+    kernel = np.empty((n, nr, nr))
+    for t, s in enumerate(t_seeds):
+        rng = np.random.default_rng(s)
+        p[t] = rng.dirichlet(flat_cells)
+        k[t] = int(rng.integers(1, shape[1] + 1))
+        images[t] = rng.integers(0, int(k[t]), size=shape[1])
+        kernel[t] = rng.dirichlet(flat_r, size=nr)
+    require_unit_sums(p.sum(axis=1))
+    require_stochastic(kernel)
+
+    probs = (p[:, :, None] * kernel[:, r_of_cell, :]).ravel()
+    stacked = np.tile(columns, n)
+    stacked[2] = images[:, columns[1]].ravel()
+    seg = np.repeat(np.arange(n), columns.shape[1])
+    keep = probs > 0.0
+    if not keep.all():
+        stacked, probs, seg = stacked[:, keep], probs[keep], seg[keep]
+    sizes = np.tile([len(a) for _, a in variables], (n, 1))
+    sizes[:, 2] = k
+    # column-major rows: each key digit is read from contiguous memory
+    return JointStack(variables, stacked.T, probs, seg, sizes)
+
+
+def _shape(shape: Sequence[int]) -> tuple[int, int]:
+    shape = tuple(int(s) for s in shape)
+    if len(shape) != 2:
+        raise InputError(f"shape must give the two alphabet sizes (x, xp), got {shape}")
+    if any(s < 1 for s in shape):
+        raise InputError(f"all alphabet sizes must be >= 1, got {list(shape)}")
+    return shape
+
+
+def _blocks(seed: int, trials: range, shape: tuple[int, int]):
+    """(first, checks, observations) of the given trials of the run seeded
+    by seed, a block of up to _BLOCK_ROWS stacked support rows at a time:
+    trials first, first + 1, ..., with checks and observations as _lossless
+    gives them, lossless then lossy.
+
+    Every value is bit for bit what check_lossless and check_lossy give on
+    the trial's joint alone.
+    """
+    layout = _trial_layout(shape)
+    per_block = max(1, _BLOCK_ROWS // layout[1].shape[1])
+    for first in range(trials.start, trials.stop, per_block):
+        t_seeds = [trial_seed(seed, k) for k in range(first, min(first + per_block, trials.stop))]
+        stack = _trial_stack(t_seeds, shape, layout)
+        h = EntropyMemo(stack)
+        (ll, ll_obs), (ly, ly_obs) = _lossless(stack, h), _lossy(stack, h)
+        yield first, ll + ly, ll_obs + ly_obs
 
 
 def run_randomized_suite(trials: int, shape: Sequence[int] = (8, 8),
@@ -281,61 +389,49 @@ def run_randomized_suite(trials: int, shape: Sequence[int] = (8, 8),
 
     Each trial draws p(x, xp) from a flat Dirichlet over the given
     alphabet sizes, a uniformly random deterministic bottleneck f, and a
-    random full-support reconstruction channel on the residual. Lossless and
-    lossy checks both run on every trial. Failures carry (trial index,
-    trial seed) so a trial can be replayed exactly via replay_trial.
+    random full-support reconstruction channel on the residual (see
+    _trial_stack). Lossless and lossy checks both run on every trial.
+    Failures carry (trial index, trial seed) so a trial can be replayed
+    exactly via replay_trial.
+
+    Trials run stacked in blocks of up to _BLOCK_ROWS support rows, each
+    block folded into the report in trial order; every value is bit for bit
+    that of check_lossless and check_lossy run trial by trial.
     """
     trials = int(trials)
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
-    shape = tuple(int(s) for s in shape)
-    if len(shape) != 2:
-        raise InputError(f"shape must give the two alphabet sizes (x, xp), got {shape}")
-
-    worst: dict[str, CheckResult] = {}
-    failures: list[TrialFailure] = []
-    gap_min = math.inf
-    gap_premise = False
-    leak_max = -math.inf
-    for k in range(trials):
-        t_seed = trial_seed(seed, k)
-        res_ll, res_ly = _run_trial(t_seed, shape)
-        _merge(worst, res_ll, k, t_seed, failures)
-        _merge(worst, res_ly, k, t_seed, failures)
-        obs = {o.obs_id: o for o in res_ll.observations + res_ly.observations}
-        g = obs["conditional_condres_gap"]
-        if g.premise:
-            gap_premise = True
-            gap_min = min(gap_min, g.value)
-        leak_max = max(leak_max, obs["optimal_coder_leakage"].value)
+    shape = _shape(shape)
+    worst, passes, failures = None, 0, []
+    # the first of the smallest gaps and the first of the largest leakages
+    gap, gap_premise, leak = math.inf, False, -math.inf
+    for first, checks, ((_, gaps, premise), (_, leaks, _)) in _blocks(seed, range(trials), shape):
+        identity, values, passed = _table(checks)
+        if worst is not None:
+            values = np.column_stack((worst, values))
+        worst = _fold(identity, values)
+        passes += passed.sum(axis=1)
+        failures += _failures(checks, passed, seed, first)
+        gaps = np.concatenate(([gap], gaps[premise]))
+        gap, gap_premise = gaps[np.argmin(gaps)], gap_premise or bool(premise.any())
+        leaks = np.concatenate(([leak], leaks))
+        leak = leaks[np.argmax(leaks)]
 
     observations = (
         Observation("conditional_condres_gap",
-                    gap_min if gap_premise else math.nan, premise=gap_premise),
-        Observation("optimal_coder_leakage", leak_max),
+                    float(gap) if gap_premise else math.nan, premise=gap_premise),
+        Observation("optimal_coder_leakage", float(leak)),
     )
-    return TheoremReport(tuple(worst.values()), observations,
-                         trial_count=trials, seed=seed,
-                         failures=tuple(failures))
-
-
-def _run_trial(t_seed: int, shape: Sequence[int]):
-    rng = np.random.default_rng(t_seed)
-    pmf = _lossy_trial_pmf(rng, shape)
-    return check_lossless(pmf), check_lossy(pmf)
+    return TheoremReport(_results(checks, worst, passes, trials), observations,
+                         trial_count=trials, seed=seed, failures=tuple(failures))
 
 
 def replay_trial(seed: int, k: int, shape: Sequence[int] = (8, 8)) -> TheoremReport:
     """Re-run trial k of a suite run bit-for-bit; see run_randomized_suite."""
     t_seed = trial_seed(seed, k)
-    res_ll, res_ly = _run_trial(t_seed, shape)
-    worst: dict[str, CheckResult] = {}
-    failures: list[TrialFailure] = []
-    _merge(worst, res_ll, k, t_seed, failures)
-    _merge(worst, res_ly, k, t_seed, failures)
-    return TheoremReport(tuple(worst.values()),
-                         res_ll.observations + res_ly.observations,
-                         trial_count=1, seed=t_seed, failures=tuple(failures))
+    [(_, checks, observations)] = _blocks(seed, range(k, k + 1), _shape(shape))
+    return replace(_one_joint(checks, observations), seed=t_seed,
+                   failures=tuple(_failures(checks, _table(checks)[2], seed, k)))
 
 
 def format_report(report: TheoremReport) -> str:

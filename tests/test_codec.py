@@ -457,6 +457,8 @@ class TestEndToEnd:
         stream = encode(pairs, paradigm, model)
         decoded = decode(stream, [xp for _, xp in pairs], model)
         assert decoded == [x for x, _ in pairs]
+        array = decode(stream, [xp for _, xp in pairs], model, as_array=True)
+        assert array.dtype == np.int64 and array.tolist() == decoded
 
     def test_rate_near_entropy(self):
         params = small_params(p=0.5, Q=2, M=16)

@@ -16,7 +16,7 @@ from crlab.info_measures import (
     entropy,
     mutual_information,
 )
-from crlab.prob_core import JointPMF, integer_alphabet, random_pmf
+from crlab.prob_core import JointPMF, JointStack, integer_alphabet, random_pmf
 
 
 def dense_probs(pmf, shape):
@@ -145,3 +145,36 @@ def test_memo_matches_plain_measures_and_sorts_keys():
     assert h.cmi("a", "b", "c") == conditional_mutual_information(pmf, "a", "b", "c")
     assert set(h.memo) == {("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c"),
                            ("a", "b", "c")}
+
+
+def test_segments_sum_as_if_alone():
+    """Each segment of a stacked weight array sums bit for bit as that
+    segment alone: pairwise partials over chunks of 4096 positive weights,
+    folded by fsum, with the zeros among them dropped."""
+    rng = np.random.default_rng(3)
+    segments = []
+    for n in (1, 3000, 4096, 4097, 200_000):
+        w = rng.dirichlet(np.ones(n))
+        w[rng.random(n) < 0.2] = 0.0  # empty bins of a dense grouping
+        segments.append(w if w.any() else np.ones(1))
+    bounds = np.cumsum([0] + [s.size for s in segments])
+    stacked = _plogp_sum(np.concatenate(segments), bounds)
+    for s, value in zip(segments, stacked):
+        w = s[s > 0]
+        terms = w * np.log2(w)
+        partials = np.add.reduceat(terms, np.arange(0, terms.size, 4096))
+        expected = -math.fsum(partials.tolist())
+        assert value.hex() == expected.hex() == float(_plogp_sum(s)[0]).hex()
+    # the largest segment is one whose fsum differs from a plain sum
+    assert expected != -float(partials.sum())
+
+
+def test_stack_entropies_match_each_joint():
+    joints = [random_pmf((3, 4), seed=s, names=["a", "b"]) for s in range(3)]
+    stack = JointStack(joints[0].variables, np.concatenate([j.idx for j in joints]),
+                       np.concatenate([j.probs for j in joints]),
+                       np.repeat(np.arange(3), [j.n_points for j in joints]),
+                       [[3, 4]] * 3)
+    for names in (["a"], ["b", "a"], ["a", "b"]):
+        assert [float(v).hex() for v in entropy(stack, names)] == \
+               [entropy(j, names).hex() for j in joints]

@@ -3,13 +3,34 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from crlab import theorem_suite
+from crlab.cli import main
 from crlab.errors import InputError, PreconditionError
+from crlab.info_measures import _CHUNK
 from crlab.pixel_model import PixelModelParams, build_joint
-from crlab.prob_core import Alphabet, JointPMF
+from crlab.prob_core import (
+    Alphabet,
+    DeterministicMap,
+    JointPMF,
+    adjoin_channel,
+    adjoin_difference,
+    adjoin_map,
+    adjoin_sum,
+    group_probs,
+    random_pmf,
+)
 from crlab.theorem_suite import (
     CHECK_TOL,
+    IDENTITY,
+    CheckResult,
+    Observation,
+    TheoremReport,
+    TrialFailure,
     check_lossless,
     check_lossy,
     format_report,
@@ -18,6 +39,93 @@ from crlab.theorem_suite import (
     run_randomized_suite,
     trial_seed,
 )
+
+
+def trial_pmf(t_seed, shape):
+    """The joint of one suite trial, built one public call at a time, with
+    the suite's order of draws."""
+    rng = np.random.default_rng(t_seed)
+    pmf = random_pmf(shape, seed=rng, names=("x", "xp"))
+    k = int(rng.integers(1, shape[1] + 1))
+    images = tuple(int(v) for v in rng.integers(0, k, size=shape[1]))
+    bottleneck = DeterministicMap(pmf.alphabet("xp"),
+                                  Alphabet("xq_values", tuple(range(k))), images)
+    pmf = adjoin_map(pmf, "xp", bottleneck, "xq")
+    pmf = adjoin_difference(pmf, "x", "xp", "r")
+    r_alph = pmf.alphabet("r")
+    kernel = rng.dirichlet(np.ones(len(r_alph)), size=len(r_alph))
+    pmf = adjoin_channel(pmf, "r", kernel, Alphabet("rt_values", r_alph.symbols), "rt")
+    return adjoin_sum(pmf, "xp", "rt", "xt")
+
+
+def trial_reports(t_seed, shape):
+    pmf = trial_pmf(t_seed, shape)
+    return check_lossless(pmf), check_lossy(pmf)
+
+
+def fold(worst, failures, reports, k, t_seed):
+    """Fold one trial's checks into the running worst, one at a time."""
+    for c in (c for r in reports for c in r.checks):
+        prev = worst.get(c.check_id)
+        if prev is None:
+            worst[c.check_id] = c
+        else:
+            if c.kind == IDENTITY:
+                value = c.value if abs(c.value) > abs(prev.value) else prev.value
+            else:
+                value = min(c.value, prev.value)
+            worst[c.check_id] = CheckResult(
+                c.check_id, c.kind, value, prev.passed and c.passed,
+                prev.pass_count + c.pass_count, prev.trial_count + 1)
+        if not c.passed:
+            failures.append(TrialFailure(k, t_seed, c.check_id, c.value))
+
+
+def reference_suite(trials, shape, seed):
+    """run_randomized_suite as a trial-by-trial fold of check_lossless and
+    check_lossy on joints built by trial_pmf."""
+    worst, failures = {}, []
+    gap_min, gap_premise, leak_max = math.inf, False, -math.inf
+    for k in range(trials):
+        t_seed = trial_seed(seed, k)
+        reports = trial_reports(t_seed, shape)
+        fold(worst, failures, reports, k, t_seed)
+        obs = {o.obs_id: o for r in reports for o in r.observations}
+        g = obs["conditional_condres_gap"]
+        if g.premise:
+            gap_premise = True
+            gap_min = min(gap_min, g.value)
+        leak_max = max(leak_max, obs["optimal_coder_leakage"].value)
+    observations = (
+        Observation("conditional_condres_gap",
+                    gap_min if gap_premise else math.nan, premise=gap_premise),
+        Observation("optimal_coder_leakage", leak_max),
+    )
+    return TheoremReport(tuple(worst.values()), observations, trial_count=trials,
+                         seed=seed, failures=tuple(failures))
+
+
+def reference_replay(seed, k, shape):
+    t_seed = trial_seed(seed, k)
+    reports = trial_reports(t_seed, shape)
+    worst, failures = {}, []
+    fold(worst, failures, reports, k, t_seed)
+    return TheoremReport(tuple(worst.values()),
+                         tuple(o for r in reports for o in r.observations),
+                         trial_count=1, seed=t_seed, failures=tuple(failures))
+
+
+def bits(report):
+    """Every field of a report, floats by their exact bits."""
+    def f(v):
+        return v.hex() if isinstance(v, float) else v
+    return (
+        [(c.check_id, c.kind, f(c.value), c.passed, c.pass_count, c.trial_count)
+         for c in report.checks],
+        [(o.obs_id, f(o.value), o.premise) for o in report.observations],
+        [(x.trial_index, x.trial_seed, x.check_id, f(x.value)) for x in report.failures],
+        report.trial_count, report.seed,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -126,10 +234,73 @@ class TestRandomizedSuite:
                [(c.check_id, c.value) for c in b.checks]
 
     def test_replay_reproduces_one_trial(self):
-        suite = run_randomized_suite(8, (5, 4), seed=21)
-        single = replay_trial(seed=21, k=3, shape=(5, 4))
-        assert single.seed == trial_seed(21, 3)
-        assert single.all_passed == suite.all_passed
+        # 8x8 trials run four to a block: k = 4, 5, 7 sit first, inside and
+        # last in the second block of the suite run
+        suite = run_randomized_suite(12, (8, 8), seed=21)
+        for k in (4, 5, 7):
+            single = replay_trial(seed=21, k=k, shape=(8, 8))
+            assert single.seed == trial_seed(21, k)
+            assert single.all_passed == suite.all_passed
+            assert bits(single) == bits(reference_replay(21, k, (8, 8)))
+
+    @pytest.mark.parametrize("trials, shape, seed", [
+        (9, (8, 8), 17),    # blocks of 4, 4 and 1 trials
+        (30, (5, 4), 3),
+        (5, (1, 1), 0),
+        (2, (16, 16), 8),   # 7,936 rows: one trial exceeds the block budget
+        (200, (3, 2), 1),   # blocks of 170 and 30; H(R) < H(X) on some trials
+    ])
+    def test_blocks_match_one_joint_at_a_time(self, trials, shape, seed):
+        """Stacked trials give every value, pass count, observation and
+        failure bit for bit as check_lossless/check_lossy trial by trial."""
+        assert bits(run_randomized_suite(trials, shape, seed)) == \
+            bits(reference_suite(trials, shape, seed))
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1e-16, -1e-16, 2.0]),
+                              st.sampled_from([0.0, -0.0, 1e-16, -1e-16, 2.0])),
+                    min_size=1, max_size=6))
+    def test_fold_keeps_what_folding_trial_by_trial_keeps(self, rows):
+        # ties between 0.0 and -0.0 decide the sign the report prints
+        values = np.array(rows).T
+        kinds = ("identity", "inequality")
+        worst = {}
+        for t in range(values.shape[1]):
+            fold(worst, [], [TheoremReport(tuple(
+                CheckResult(kind, kind, float(values[c, t]), True, 1)
+                for c, kind in enumerate(kinds)))], t, 0)
+        folded = theorem_suite._fold(np.array([True, False]), values)
+        assert [v.hex() for v in folded.tolist()] == \
+               [worst[kind].value.hex() for kind in kinds]
+
+    def test_large_trial_sums_more_than_one_chunk(self):
+        # the (16, 16) case above reaches the chunked partials folded by fsum
+        pmf = trial_pmf(trial_seed(8, 0), (16, 16))
+        groups = np.count_nonzero(group_probs(pmf, ("x", "xp", "xq", "xt")))
+        assert groups == 7936 > _CHUNK
+
+    def test_failures_come_in_trial_then_check_order(self, monkeypatch):
+        # a tolerance below the rounding residue of the identities makes
+        # some of them fail on some trials
+        monkeypatch.setattr(theorem_suite, "CHECK_TOL", 1e-15)
+        report = run_randomized_suite(9, (8, 8), seed=4)
+        order = {c.check_id: i for i, c in enumerate(report.checks)}
+        keys = [(f.trial_index, order[f.check_id]) for f in report.failures]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert 0 < len({f.trial_index for f in report.failures}) < 9
+        assert bits(report) == bits(reference_suite(9, (8, 8), 4))
+
+    def test_cli_prints_replay_keys_and_fails(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(theorem_suite, "CHECK_TOL", 1e-15)
+        code = main(["verify", "--trials", "9", "--shape", "8x8", "--seed", "4",
+                     "--out", str(tmp_path)])
+        out = capsys.readouterr()
+        assert code == 1
+        assert "verification FAILED" in out.err
+        failures = run_randomized_suite(9, (8, 8), seed=4).failures
+        assert f"{len(failures)} failing trial(s); first replay keys:" in out.out
+        for f in failures[:5]:
+            assert (f"trial {f.trial_index} seed {f.trial_seed}: "
+                    f"{f.check_id} value {f.value:.3e}") in out.out
 
     def test_vacuous_single_symbol_trial(self):
         # 1x1 alphabets: every entropy is zero, identities hold trivially
@@ -141,6 +312,11 @@ class TestRandomizedSuite:
             run_randomized_suite(0, (4, 4))
         with pytest.raises(InputError):
             run_randomized_suite(5, (4, 4, 4))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
+    def test_empty_alphabet_rejected(self, shape):
+        with pytest.raises(InputError):
+            run_randomized_suite(3, shape)
 
     def test_observations_present(self):
         report = run_randomized_suite(5, (4, 4), seed=9)
