@@ -30,7 +30,6 @@ from .prob_core import (
     marginalize,
     quantizer_map,
     random_pmf,
-    sample,
 )
 from .info_measures import (
     conditional_entropy,
@@ -58,7 +57,6 @@ from .rd_solver import (
     RDPoint,
     compare_paradigms,
     conditional_rd_curve,
-    rd_curve,
     squared_error,
 )
 from .codec import (

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, InternalConsistencyError
-from .prob_core import JointPMF, JointStack, group_probs
+from .prob_core import JointPMF, JointStack
 
 __all__ = [
     "NEG_TOL",
@@ -97,23 +97,24 @@ def _disjoint(*groups: Sequence[str]):
             seen.add(n)
 
 
-def entropy(pmf: JointPMF | JointStack, vars_):
-    """Joint entropy H(vars) in bits: a float for a JointPMF, and for a
-    JointStack an array with the entropy of each joint, each bit for bit
-    what that joint alone gives."""
-    names = _names(vars_)
-    if isinstance(pmf, JointStack):
-        h = _plogp_sum(*pmf.group_probs(names))
-        caps = np.log2(pmf.sizes[:, [pmf.var_pos(n) for n in names]]).sum(axis=1).tolist()
-    else:
-        h = _plogp_sum(group_probs(pmf, names))
-        caps = [sum(math.log2(len(pmf.alphabet(n))) for n in names)]
-    out = []
-    for value, cap in zip(h.tolist(), caps):
+def _entropies(stack: JointStack, names: tuple[str, ...]) -> np.ndarray:
+    """H(names) in bits of each joint of stack, each bit for bit what that
+    joint alone gives."""
+    h = _plogp_sum(*stack.group_probs(names)).tolist()
+    cols = [stack.var_pos(n) for n in names]
+    for value, sizes in zip(h, stack.sizes.tolist()):
+        cap = sum(math.log2(sizes[c]) for c in cols)
         if value > cap + 1e-9:
             raise InternalConsistencyError(f"H{names} = {value} above log2 alphabet bound {cap}")
-        out.append(_clamp_bits(value, f"H{names}"))
-    return np.array(out) if isinstance(pmf, JointStack) else out[0]
+    return np.array([_clamp_bits(value, f"H{names}") for value in h])
+
+
+def entropy(pmf: JointPMF, vars_) -> float:
+    """Joint entropy H(vars) in bits of one joint. The entropies of every
+    joint of a JointStack come from EntropyMemo."""
+    if len(pmf) != 1:
+        raise InputError(f"entropy takes one joint, got a stack of {len(pmf)}")
+    return float(_entropies(pmf, _names(vars_))[0])
 
 
 def conditional_entropy(pmf: JointPMF, target, given=()) -> float:
@@ -151,29 +152,29 @@ def conditional_mutual_information(pmf: JointPMF, a, b, given=()) -> float:
 
 
 class EntropyMemo:
-    """Memoized joint entropies keyed by the sorted name tuple: floats for
-    a JointPMF, arrays with one entry per joint for a JointStack. The
-    measures below are the same expressions on either."""
+    """Memoized joint entropies of every joint of a JointStack, one array
+    entry per joint (one entry for a JointPMF), keyed by the sorted name
+    tuple. The measures below are the same expressions, joint by joint."""
 
-    def __init__(self, pmf: JointPMF | JointStack):
+    def __init__(self, pmf: JointStack):
         self.pmf = pmf
-        self.memo: dict[tuple[str, ...], float | np.ndarray] = {}
+        self.memo: dict[tuple[str, ...], np.ndarray] = {}
 
-    def __call__(self, *names: str) -> float:
+    def __call__(self, *names: str) -> np.ndarray:
         key = tuple(sorted(names))
         if key not in self.memo:
-            self.memo[key] = entropy(self.pmf, key)
+            self.memo[key] = _entropies(self.pmf, key)
         return self.memo[key]
 
-    def cond(self, a: str, b: str) -> float:
+    def cond(self, a: str, b: str) -> np.ndarray:
         """H(a | b) = H(a, b) - H(b), unclamped."""
         return self(a, b) - self(b)
 
-    def mi(self, a: str, b: str) -> float:
+    def mi(self, a: str, b: str) -> np.ndarray:
         """I(a; b) = H(a) + H(b) - H(a, b), unclamped."""
         return self(a) + self(b) - self(a, b)
 
-    def cmi(self, a: str, b: str, *given: str) -> float:
+    def cmi(self, a: str, b: str, *given: str) -> np.ndarray:
         """I(a; b | given) by the four-entropy expansion, unclamped."""
         return (self(a, *given) + self(b, *given)
                 - self(a, b, *given) - self(*given))

@@ -137,9 +137,7 @@ def entropy_report(params: PixelModelParams, pmf: JointPMF | None = None) -> Ent
         pmf = build_joint(params)
 
     h = EntropyMemo(pmf)
-    rep = EntropyReport(
-        Q=float(params.Q),
-        p=float(params.p),
+    measures = dict(
         H_R=h("r"),
         H_X_given_Xp=h.cond("x", "xp"),
         H_X_given_Xphat=h.cond("x", "xq"),
@@ -150,6 +148,8 @@ def entropy_report(params: PixelModelParams, pmf: JointPMF | None = None) -> Ent
         I_R_Xp=h.mi("r", "xp"),
         I_R_Xphat=h.mi("r", "xq"),
     )
+    rep = EntropyReport(Q=float(params.Q), p=float(params.p),
+                        **{f: float(v[0]) for f, v in measures.items()})
     if not (rep.H_R_given_Xp <= rep.H_R_given_Xphat + IDENTITY_TOL
             and rep.H_R_given_Xphat <= rep.H_R + IDENTITY_TOL):
         raise InternalConsistencyError(

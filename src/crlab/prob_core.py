@@ -48,7 +48,6 @@ __all__ = [
     "random_pmf",
     "require_stochastic",
     "require_unit_sums",
-    "sample",
     "sample_columns",
     "splitmix64",
     "sum_alphabet",
@@ -201,11 +200,25 @@ def quantizer_map(domain: Alphabet, step, name: str = "quantized") -> Determinis
     return DeterministicMap(domain, codomain, images)
 
 
-class _Rows:
-    """Named variables over rows of alphabet indices: what JointPMF and
-    JointStack share. Both set variables and idx."""
+class JointStack:
+    """Joints over the same named variables with their support rows
+    stacked, one segment per joint, so that one key groups all of them at
+    once. A JointPMF is the stack of one joint.
 
-    __slots__ = ()
+    variables: ordered (name, Alphabet) pairs shared by the joints. Joint t
+    uses the first sizes[t][v] symbols of the alphabet of variable v, so an
+    index names the same symbol in every joint.
+    idx, probs: the support rows of joint 0, then those of joint 1, and so
+    on, each in its joint's support order; the weights of each joint sum
+    to 1. seg[i] is the joint of row i, and is None for a single joint.
+    """
+
+    def __init__(self, variables, idx: np.ndarray, probs: np.ndarray, seg, sizes):
+        self.variables = tuple(variables)
+        self.idx = idx
+        self.probs = probs
+        self.seg = seg
+        self.sizes = np.asarray(sizes, dtype=np.intp)
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -224,16 +237,41 @@ class _Rows:
     def alphabet(self, name: str) -> Alphabet:
         return self.variables[self.var_pos(name)][1]
 
+    def __len__(self) -> int:
+        return self.sizes.shape[0]
 
-class JointPMF(_Rows):
-    """Joint distribution over named finite variables, support-point form.
+    def group_probs(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, bounds): the group weights of every joint over the
+        named variables, joint t's in weights[bounds[t]:bounds[t + 1]].
+
+        The joint is the most significant digit of one grouping key. Each
+        slice holds, bit for bit and in key order, the nonzero weights of
+        group_weights on that joint alone, and may hold zeros for keys that
+        no support row takes. Entropy needs only these, so this kernel
+        builds no rows.
+        """
+        cols, radix = _columns(self, names)
+        n = len(self)
+        if n == 1:
+            weights, _ = _group_rows(self.idx, self.probs, cols, radix)
+            return weights, np.array([0, weights.size])
+        weights, groups = _group_rows(self.idx, self.probs, cols, radix, (self.seg, n))
+        joints = np.arange(n + 1)
+        if groups is None:
+            return weights, joints * math.prod(radix)
+        if groups.ndim == 2:
+            return weights, np.searchsorted(groups[:, 0], joints)
+        return weights, np.searchsorted(groups, joints * math.prod(radix))
+
+
+class JointPMF(JointStack):
+    """Joint distribution over named finite variables, support-point form:
+    the JointStack of one joint, with seg None and sizes the alphabet sizes.
 
     variables: ordered (name, Alphabet) pairs.
     idx: (n_points, n_vars) alphabet indices, one row per support point.
     probs: (n_points,) strictly positive weights summing to 1 within 1e-12.
     """
-
-    __slots__ = ("variables", "idx", "probs", "__dict__")
 
     def __init__(self, variables, idx, probs, *, _trusted: bool = False):
         variables = tuple(
@@ -246,9 +284,7 @@ class JointPMF(_Rows):
             variables, idx, probs = _validate_pmf(variables, idx, probs)
         idx.flags.writeable = False
         probs.flags.writeable = False
-        self.variables = variables
-        self.idx = idx
-        self.probs = probs
+        super().__init__(variables, idx, probs, None, [[len(a) for _, a in variables]])
 
     def column_values(self, name: str) -> list:
         """Symbol values of one variable, one entry per support point."""
@@ -328,11 +364,16 @@ def _ravel_rows(idx: np.ndarray, cols: Sequence[int], sizes: Sequence[int],
     return key
 
 
-def _positions(pmf: JointPMF, names: Iterable[str]) -> list[int]:
+def _columns(joint: JointStack, names: Iterable[str]) -> tuple[list[int], list[int]]:
+    """(columns, radix) of the named variables: their positions in joint
+    and their alphabet sizes."""
     names = list(names)
     if len(set(names)) != len(names):
         raise InputError(f"repeated variable names in {names}")
-    return [pmf.var_pos(n) for n in names]
+    if not names:
+        raise InputError("need at least one variable to group by")
+    cols = [joint.var_pos(n) for n in names]
+    return cols, [len(joint.variables[c][1]) for c in cols]
 
 
 # group with one np.bincount over the whole key range, instead of sorting
@@ -363,93 +404,20 @@ def _group_rows(idx: np.ndarray, probs: np.ndarray, cols: Sequence[int],
     return np.bincount(inverse, weights=probs, minlength=groups.shape[0]), groups
 
 
-def _group(pmf: JointPMF, names: Sequence[str]):
-    """(weights, sizes, groups) of the grouping over the named variables;
-    weights and groups as in _group_rows."""
-    cols = _positions(pmf, names)
-    if not cols:
-        raise InputError("need at least one variable to group by")
-    sizes = [len(pmf.variables[c][1]) for c in cols]
-    weights, groups = _group_rows(pmf.idx, pmf.probs, cols, sizes)
-    return weights, sizes, groups
-
-
-def group_probs(pmf: JointPMF, names: Sequence[str]) -> np.ndarray:
-    """Total weight of each group over the named variables, in key order.
-
-    The array may hold zeros for keys that no support point takes; its
-    nonzero entries are the weights of group_weights. Entropy needs only
-    these, so this kernel builds no rows.
-    """
-    return _group(pmf, names)[0]
-
-
 def group_weights(pmf: JointPMF, names: Sequence[str]):
     """Unique sub-rows over the named variables and their total weights.
 
     Returns (rows, weights) with rows sorted by mixed-radix key. This is the
     grouping kernel behind marginalization.
     """
-    weights, sizes, groups = _group(pmf, names)
+    cols, radix = _columns(pmf, names)
+    weights, groups = _group_rows(pmf.idx, pmf.probs, cols, radix)
     if groups is None:
         groups = np.flatnonzero(weights)
         weights = weights[groups]
     if groups.ndim == 2:
         return groups, weights
-    return np.column_stack(np.unravel_index(groups, sizes)), weights
-
-
-class JointStack(_Rows):
-    """Joints over the same variables with their support rows stacked, one
-    segment per joint, so that one key groups all of them at once.
-
-    variables: ordered (name, Alphabet) pairs shared by the joints. Joint t
-    uses the first sizes[t][v] symbols of the alphabet of variable v, so an
-    index names the same symbol in every joint.
-    idx, probs: the support rows of joint 0, then those of joint 1, and so
-    on, each in its joint's support order; the weights of each joint sum
-    to 1. seg[i] is the joint of row i, and may be None for a single joint.
-    """
-
-    def __init__(self, variables, idx: np.ndarray, probs: np.ndarray, seg, sizes):
-        self.variables = tuple(variables)
-        self.idx = idx
-        self.probs = probs
-        self.seg = seg
-        self.sizes = np.asarray(sizes, dtype=np.intp)
-
-    @classmethod
-    def of(cls, pmf: JointPMF) -> "JointStack":
-        """The stack of the one joint pmf, sharing its arrays."""
-        return cls(pmf.variables, pmf.idx, pmf.probs, None,
-                   [[len(a) for _, a in pmf.variables]])
-
-    def __len__(self) -> int:
-        return self.sizes.shape[0]
-
-    def group_probs(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, bounds): the group weights of every joint over the
-        named variables, joint t's in weights[bounds[t]:bounds[t + 1]].
-
-        The joint is the most significant digit of one grouping key. Each
-        slice holds the nonzero weights of group_probs on that joint alone,
-        bit for bit and in the same order, and may hold more zeros.
-        """
-        cols = _positions(self, names)
-        if not cols:
-            raise InputError("need at least one variable to group by")
-        radix = [len(self.variables[c][1]) for c in cols]
-        n = len(self)
-        lead = None if n == 1 else (self.seg, n)
-        weights, groups = _group_rows(self.idx, self.probs, cols, radix, lead)
-        joints = np.arange(n + 1)
-        if groups is None:
-            return weights, joints * math.prod(radix)
-        if lead is None:
-            return weights, np.array([0, weights.size])
-        if groups.ndim == 2:
-            return weights, np.searchsorted(groups[:, 0], joints)
-        return weights, np.searchsorted(groups, joints * math.prod(radix))
+    return np.column_stack(np.unravel_index(groups, radix)), weights
 
 
 def marginalize(pmf: JointPMF, keep: Sequence[str]) -> JointPMF:
@@ -618,11 +586,6 @@ def sample_columns(pmf: JointPMF, n: int, seed) -> tuple[np.ndarray, ...]:
         rows = pmf.idx[rng.choice(pmf.n_points, size=n, p=pmf.probs / pmf.probs.sum())]
     return tuple(np.array(alphabet.symbols)[rows[:, c]]
                  for c, (_, alphabet) in enumerate(pmf.variables))
-
-
-def sample(pmf: JointPMF, n: int, seed) -> list[tuple]:
-    """Draw n support tuples, reproducibly for a fixed seed."""
-    return list(zip(*(col.tolist() for col in sample_columns(pmf, n, seed))))
 
 
 def random_pmf(shape: Sequence[int], *, seed,

@@ -35,7 +35,6 @@ __all__ = [
     "compare_paradigms",
     "conditional_rd_curve",
     "default_slope_grid",
-    "rd_curve",
     "squared_error",
 ]
 
@@ -544,17 +543,6 @@ def _slope_grid(slope_grid) -> np.ndarray:
     if not np.all(np.isfinite(grid) & (grid > 0.0)):
         raise InputError(f"slopes must be finite and positive, got {slope_grid!r}")
     return grid
-
-
-def rd_curve(source: JointPMF, recon_alphabet: Alphabet, dist: DistortionMatrix,
-             slope_grid=None, label: str = "rd") -> RDCurve:
-    """Envelope of a single-variable source: the one-cell conditional case."""
-    if len(source.names) != 1:
-        raise InputError(
-            f"source must be a single-variable distribution, has {source.names}"
-        )
-    return conditional_rd_curve(source, source.names[0], None, recon_alphabet,
-                                dist, slope_grid, label)
 
 
 def conditional_rd_curve(joint: JointPMF, source_var: str, cond_var: str | None,

@@ -126,7 +126,7 @@ def _inequality(cid: str, margin):
     return cid, INEQUALITY, margin
 
 
-def _require_vars(pmf: JointPMF | JointStack, names: Sequence[str]):
+def _require_vars(pmf: JointStack, names: Sequence[str]):
     missing = [n for n in names if n not in pmf.names]
     if missing:
         raise PreconditionError(f"pmf lacks required variables {missing}; has {pmf.names}")
@@ -255,8 +255,7 @@ def check_lossless(pmf: JointPMF) -> TheoremReport:
     Requires variables x, xp, xq, r with xq deterministic in xp and
     r = x - xp.
     """
-    stack = JointStack.of(pmf)
-    return _one_joint(*_lossless(stack, EntropyMemo(stack)))
+    return _one_joint(*_lossless(pmf, EntropyMemo(pmf)))
 
 
 def check_lossy(pmf: JointPMF) -> TheoremReport:
@@ -271,8 +270,7 @@ def check_lossy(pmf: JointPMF) -> TheoremReport:
         pmf = adjoin_difference(pmf, "x", "xp", "r")
     if "rt" not in pmf.names:
         pmf = adjoin_difference(pmf, "xt", "xp", "rt")
-    stack = JointStack.of(pmf)
-    return _one_joint(*_lossy(stack, EntropyMemo(stack)))
+    return _one_joint(*_lossy(pmf, EntropyMemo(pmf)))
 
 
 def trial_seed(seed: int, k: int) -> int:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from crlab.errors import InputError, InternalConsistencyError
 from crlab.info_measures import (
     EntropyMemo,
+    _entropies,
     _plogp_sum,
     conditional_entropy,
     conditional_mutual_information,
@@ -169,12 +170,32 @@ def test_segments_sum_as_if_alone():
     assert expected != -float(partials.sum())
 
 
+def _stack(joints):
+    """The JointStack of joints that share their variables and alphabets."""
+    return JointStack(joints[0].variables, np.concatenate([j.idx for j in joints]),
+                      np.concatenate([j.probs for j in joints]),
+                      np.repeat(np.arange(len(joints)), [j.n_points for j in joints]),
+                      [[len(a) for _, a in joints[0].variables]] * len(joints))
+
+
 def test_stack_entropies_match_each_joint():
     joints = [random_pmf((3, 4), seed=s, names=["a", "b"]) for s in range(3)]
-    stack = JointStack(joints[0].variables, np.concatenate([j.idx for j in joints]),
-                       np.concatenate([j.probs for j in joints]),
-                       np.repeat(np.arange(3), [j.n_points for j in joints]),
-                       [[3, 4]] * 3)
+    stack = _stack(joints)
     for names in (["a"], ["b", "a"], ["a", "b"]):
-        assert [float(v).hex() for v in entropy(stack, names)] == \
+        assert [float(v).hex() for v in _entropies(stack, tuple(names))] == \
                [entropy(j, names).hex() for j in joints]
+
+
+def test_float_measures_reject_a_stack_of_several_joints():
+    joints = [random_pmf((3, 4, 2), seed=s, names=["a", "b", "c"]) for s in range(2)]
+    stack = _stack(joints)
+    for measure in (lambda: entropy(stack, ["a", "b"]),
+                    lambda: conditional_entropy(stack, "a", "b"),
+                    lambda: mutual_information(stack, "a", "b"),
+                    lambda: conditional_mutual_information(stack, "a", "b", "c")):
+        with pytest.raises(InputError):
+            measure()
+    # a stack of one joint is that joint
+    one = _stack(joints[:1])
+    assert entropy(one, ["a", "b"]) == entropy(joints[0], ["a", "b"])
+    assert isinstance(entropy(joints[0], "a"), float)

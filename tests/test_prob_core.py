@@ -23,13 +23,11 @@ from crlab.prob_core import (
     combined_index,
     conditional_table,
     difference_alphabet,
-    group_probs,
     group_weights,
     integer_alphabet,
     marginalize,
     quantizer_map,
     random_pmf,
-    sample,
     sample_columns,
     splitmix64,
     sum_alphabet,
@@ -255,23 +253,28 @@ class TestRandomness:
     def test_splitmix64_stays_in_64_bits(self, s):
         assert 0 <= splitmix64(s) < 1 << 64
 
+    @staticmethod
+    def sample(pmf, n, seed):
+        """Draws as one tuple of symbol values each, from sample_columns."""
+        return list(zip(*(c.tolist() for c in sample_columns(pmf, n, seed))))
+
     def test_sample_deterministic_and_weighted(self):
         a = integer_alphabet("x", 0, 1)
         pmf = JointPMF([("x", a)], [[0], [1]], [0.9, 0.1])
-        s1 = sample(pmf, 1000, seed=42)
-        s2 = sample(pmf, 1000, seed=42)
+        s1 = self.sample(pmf, 1000, seed=42)
+        s2 = self.sample(pmf, 1000, seed=42)
         assert s1 == s2
         ones = sum(v for (v,) in s1)
         assert 40 <= ones <= 180  # ~100 expected
-        assert sample(pmf, 0, seed=1) == []
+        assert self.sample(pmf, 0, seed=1) == []
         with pytest.raises(InputError):
-            sample(pmf, -1, seed=1)
+            self.sample(pmf, -1, seed=1)
         with pytest.raises(InputError):
-            sample(pmf, 5, seed=-3)
+            self.sample(pmf, 5, seed=-3)
 
     @staticmethod
     def per_draw_sample(pmf, n, seed):
-        """The one-tuple-per-draw sampler that sample() replaced."""
+        """The one-tuple-per-draw sampler that sample_columns replaced."""
         if n == 0:
             return []
         rng = np.random.default_rng(seed)
@@ -287,7 +290,7 @@ class TestRandomness:
     ], ids=["random", "pixel-int", "pixel-7/5"])
     @pytest.mark.parametrize("n,seed", [(0, 1), (1, 0), (500, 3), (2000, 2 ** 64 - 1)])
     def test_sample_matches_per_draw_tuples(self, pmf, n, seed):
-        got = sample(pmf, n, seed)
+        got = self.sample(pmf, n, seed)
         want = self.per_draw_sample(pmf, n, seed)
         assert got == want
         assert [tuple(map(type, t)) for t in got] == [tuple(map(type, t)) for t in want]
@@ -295,7 +298,7 @@ class TestRandomness:
     def test_sample_columns_are_the_same_draw(self):
         pmf = build_joint(PixelModelParams(p=0.3, Q=Fraction(7, 5), M=16))
         cols = sample_columns(pmf, 300, 5)
-        assert list(zip(*(c.tolist() for c in cols))) == sample(pmf, 300, 5)
+        assert list(zip(*(c.tolist() for c in cols))) == self.sample(pmf, 300, 5)
         assert cols[pmf.var_pos("x")].dtype == np.int64
         assert cols[pmf.var_pos("xq")].dtype == object
 
@@ -339,7 +342,7 @@ def grouping_cases(draw):
 def _grouped(pmf, names, dense_span):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(prob_core, "_DENSE_SPAN", dense_span)
-        return group_weights(pmf, names), group_probs(pmf, names)
+        return group_weights(pmf, names), pmf.group_probs(names)[0]
 
 
 @given(grouping_cases())

@@ -29,7 +29,6 @@ from crlab.rd_solver import (
     compare_paradigms,
     conditional_rd_curve,
     default_slope_grid,
-    rd_curve,
     squared_error,
 )
 
@@ -91,14 +90,15 @@ class TestCurveContainer:
 class TestBinaryOracle:
     def test_matches_closed_form(self):
         a, src, hamming = binary_uniform()
-        curve = rd_curve(src, a, hamming, np.arange(0.25, 4.5, 0.02))
+        curve = conditional_rd_curve(src, src.names[0], None,
+                                     a, hamming, np.arange(0.25, 4.5, 0.02))
         assert all(p.converged for p in curve.points)
         for D in np.linspace(0.08, 0.42, 12):
             assert abs(curve.rate_at(D) - (1 - h2(D))) < 1e-4
 
     def test_single_point_certificate(self):
         a, src, hamming = binary_uniform()
-        pt = rd_curve(src, a, hamming, [1.0]).points[0]
+        pt = conditional_rd_curve(src, src.names[0], None, a, hamming, [1.0]).points[0]
         assert pt.converged
         # slope 1: optimal D solves log2((1-D)/D) = 1, i.e. D = 1/3
         assert abs(pt.distortion - 1 / 3) < 1e-6
@@ -109,19 +109,20 @@ class TestDegenerateSources:
     def test_point_mass_has_zero_rate(self):
         a = integer_alphabet("u", 0, 3)
         src = JointPMF([("u", a)], [[2]], [1.0])
-        curve = rd_curve(src, a, squared_error(a, a), np.geomspace(0.01, 100, 9))
+        curve = conditional_rd_curve(src, src.names[0], None,
+                                     a, squared_error(a, a), np.geomspace(0.01, 100, 9))
         assert all(p.rate == 0.0 for p in curve.points)
         assert all(p.distortion == 0.0 for p in curve.points)
 
     def test_steep_slope_reaches_entropy(self):
         a, src, hamming = binary_uniform()
-        pt = rd_curve(src, a, hamming, [60.0]).points[0]
+        pt = conditional_rd_curve(src, src.names[0], None, a, hamming, [60.0]).points[0]
         assert pt.distortion < 1e-12
         assert abs(pt.rate - 1.0) < 1e-6
 
     def test_shallow_slope_reaches_zero_rate(self):
         a, src, hamming = binary_uniform()
-        pt = rd_curve(src, a, hamming, [1e-4]).points[0]
+        pt = conditional_rd_curve(src, src.names[0], None, a, hamming, [1e-4]).points[0]
         assert pt.rate < 1e-6
 
 
@@ -135,7 +136,7 @@ class TestConditionalSolver:
         hamming = DistortionMatrix(a, a, np.array([[0.0, 1.0], [1.0, 0.0]]))
         grid = np.geomspace(0.3, 30, 12)
         cond = conditional_rd_curve(joint, "u", "s", a, hamming, grid)
-        flat = rd_curve(marginalize(joint, ["u"]), a, hamming, grid)
+        flat = conditional_rd_curve(marginalize(joint, ["u"]), "u", None, a, hamming, grid)
         for pc, pf in zip(cond.points, flat.points):
             assert abs(pc.rate - pf.rate) < 1e-9
             assert abs(pc.distortion - pf.distortion) < 1e-9
@@ -190,17 +191,11 @@ class TestParadigmComparison:
 
 
 class TestInputGuards:
-    def test_multivariable_source_rejected(self):
-        pmf = build_joint(PixelModelParams(p=0.3, Q=2, M=8))
-        a = pmf.alphabet("x")
-        with pytest.raises(InputError):
-            rd_curve(pmf, a, squared_error(a, a), [1.0])
-
     def test_alphabet_mismatch_rejected(self):
         a, src, hamming = binary_uniform()
         other = integer_alphabet("v", 0, 2)
         with pytest.raises(InputError):
-            rd_curve(src, other, hamming, [1.0])
+            conditional_rd_curve(src, src.names[0], None, other, hamming, [1.0])
 
     def test_default_grid_shape(self):
         g = default_slope_grid()
@@ -216,7 +211,7 @@ class TestInputGuards:
         monkeypatch.setattr(rd_solver, "_ba_stack", no_solve)
         a, src, hamming = binary_uniform()
         with pytest.raises(InputError):
-            rd_curve(src, a, hamming, grid)
+            conditional_rd_curve(src, src.names[0], None, a, hamming, grid)
         with pytest.raises(InputError):
             compare_paradigms(PixelModelParams(p=0.3, Q=2, M=8), grid)
 
@@ -251,7 +246,7 @@ class TestCertificates:
         hamming = DistortionMatrix(a, a, np.array([[0.0, 1.0], [1.0, 0.0]]))
         slope = 4.0
         monkeypatch.setattr(rd_solver, "MAX_ITERS", 1)
-        pt = rd_curve(src, a, hamming, [slope]).points[0]
+        pt = conditional_rd_curve(src, src.names[0], None, a, hamming, [slope]).points[0]
         assert not pt.converged and pt.iters == 1
         d_opt = 1 / (1 + 2 ** slope)
         excess = pt.rate + slope * pt.distortion - (h2(0.2) - h2(d_opt) + slope * d_opt)

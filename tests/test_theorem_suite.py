@@ -21,7 +21,6 @@ from crlab.prob_core import (
     adjoin_difference,
     adjoin_map,
     adjoin_sum,
-    group_probs,
     random_pmf,
 )
 from crlab.theorem_suite import (
@@ -275,7 +274,7 @@ class TestRandomizedSuite:
     def test_large_trial_sums_more_than_one_chunk(self):
         # the (16, 16) case above reaches the chunked partials folded by fsum
         pmf = trial_pmf(trial_seed(8, 0), (16, 16))
-        groups = np.count_nonzero(group_probs(pmf, ("x", "xp", "xq", "xt")))
+        groups = np.count_nonzero(pmf.group_probs(("x", "xp", "xq", "xt"))[0])
         assert groups == 7936 > _CHUNK
 
     def test_failures_come_in_trial_then_check_order(self, monkeypatch):
