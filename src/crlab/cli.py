@@ -147,8 +147,7 @@ def cmd_rd(args) -> int:
     if args.slopes < 1:
         raise UsageError(f"need at least one slope, got --slopes {args.slopes}")
     params = PixelModelParams(p=args.p, Q=args.Q, M=args.M)
-    curves = compare_paradigms(params, default_slope_grid(args.slopes),
-                               force=args.force)
+    curves = compare_paradigms(params, default_slope_grid(args.slopes))
 
     for label, curve in curves.items():
         stuck = [pt.slope for pt in curve.points if not pt.converged]

@@ -55,8 +55,6 @@ def _plogp_sum(weights: np.ndarray, bounds=None) -> np.ndarray:
         keep = weights > 0.0
         w = weights[keep]
         counts = np.add.reduceat(keep, bounds[:-1], dtype=np.intp).tolist()
-    if w.size == 0:
-        return np.zeros(len(counts))
     top = float(w.max())
     if top > 1.0:
         if top > 1.0 + _MASS_TOL:

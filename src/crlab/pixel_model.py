@@ -181,7 +181,8 @@ def sweep_p(p_grid: Sequence, Q_list: Sequence, M: int = 256) -> list[EntropyRep
                 if p > 0:
                     full, on_diag = pmf, pmf.idx[:, 0] == pmf.idx[:, 1]  # x, xp
             else:
-                pmf = full.with_probs(_point_probs(params, on_diag))
+                pmf = JointPMF(full.variables, full.idx, _point_probs(params, on_diag),
+                               _trusted=True)
             out.append(entropy_report(params, pmf))
     return out
 

@@ -256,12 +256,8 @@ class JointStack:
             weights, _ = _group_rows(self.idx, self.probs, cols, radix)
             return weights, np.array([0, weights.size])
         weights, groups = _group_rows(self.idx, self.probs, cols, radix, (self.seg, n))
-        joints = np.arange(n + 1)
-        if groups is None:
-            return weights, joints * math.prod(radix)
-        if groups.ndim == 2:
-            return weights, np.searchsorted(groups[:, 0], joints)
-        return weights, np.searchsorted(groups, joints * math.prod(radix))
+        bounds = np.arange(n + 1) * math.prod(radix)
+        return weights, bounds if groups is None else np.searchsorted(groups, bounds)
 
 
 class JointPMF(JointStack):
@@ -292,23 +288,6 @@ class JointPMF(JointStack):
         syms = self.variables[c][1].symbols
         return [syms[i] for i in self.idx[:, c]]
 
-    def with_probs(self, probs) -> "JointPMF":
-        """The same variables and support points under new weights.
-
-        The result shares variables and idx with this joint. probs must
-        give one finite, strictly positive weight per support point, in
-        support order, summing to 1 within SUM_TOL.
-        """
-        probs = np.ascontiguousarray(probs, dtype=np.float64)
-        if probs.shape != self.probs.shape:
-            raise InputError(
-                f"need {self.n_points} weights, one per support point; got shape {probs.shape}"
-            )
-        if not np.all(np.isfinite(probs)) or not np.all(probs > 0):
-            raise InputError("weights of support points must be finite and positive")
-        require_unit_sums(probs.sum())
-        return JointPMF(self.variables, self.idx, probs, _trusted=True)
-
     def __repr__(self) -> str:
         vs = ", ".join(f"{n}[{len(a)}]" for n, a in self.variables)
         return f"JointPMF({vs}; {self.n_points} support points)"
@@ -333,30 +312,26 @@ def _validate_pmf(variables, idx, probs):
     if idx.shape[0] == 0:
         raise InputError("distribution has empty support")
     require_unit_sums(probs.sum())
-    key = _ravel_rows(idx, range(len(variables)), [len(a) for _, a in variables])
-    if key is None:
-        _, first = np.unique(idx, axis=0, return_index=True)
-        if first.size != idx.shape[0]:
-            raise InputError("duplicate support points")
-        order = np.lexsort(idx.T[::-1])
-    else:
-        order = np.argsort(key, kind="stable")
-        if np.any(np.diff(key[order]) == 0):
-            raise InputError("duplicate support points")
-    return tuple(variables), np.ascontiguousarray(idx[order]), np.ascontiguousarray(probs[order])
+    # rows in lexicographic order, column 0 first (lexsort needs a column)
+    order = np.lexsort(idx.T[::-1]) if idx.shape[1] else np.arange(idx.shape[0])
+    idx, probs = idx[order], probs[order]
+    if np.any(np.all(idx[1:] == idx[:-1], axis=1)):
+        raise InputError("duplicate support points")
+    return tuple(variables), idx, probs
 
 
 def _ravel_rows(idx: np.ndarray, cols: Sequence[int], sizes: Sequence[int],
                 lead=None):
-    """Mixed-radix key of each row over the given columns, or None if the
-    radix product overflows. lead, when given, is (digits, radix): one more
-    digit per row, placed above all the others."""
+    """Mixed-radix int64 key of each row over the given columns. lead,
+    when given, is (digits, radix): one more digit per row, placed above
+    all the others. Raises InputError if the radix product passes 2**62."""
     columns = [idx[:, c] for c in cols]
     if lead is not None:
         columns.insert(0, lead[0])
         sizes = [lead[1], *sizes]
     if math.prod(sizes) > 2**62:
-        return None
+        raise InputError(f"alphabet sizes {list(sizes)} multiply past 2**62; "
+                         "no integer key groups them")
     key = np.zeros(idx.shape[0], dtype=np.int64)
     for column, s in zip(columns, sizes):
         key *= s
@@ -388,20 +363,16 @@ def _group_rows(idx: np.ndarray, probs: np.ndarray, cols: Sequence[int],
 
     Dense path: groups is None and weights has one bin per mixed-radix key,
     0 where no row falls. Otherwise weights lists the occupied groups only,
-    and groups gives their keys, or their rows (lead digits first) where the
-    key would overflow. Either way the groups come in key order and each
-    weight sums its rows in row order, so both paths give the same weights.
+    and groups gives their keys. Either way the groups come in key order
+    and each weight sums its rows in row order, so both paths give the same
+    weights.
     """
     span = math.prod(sizes) * (1 if lead is None else lead[1])
     key = _ravel_rows(idx, cols, sizes, lead)
     if span <= _DENSE_SPAN * idx.shape[0]:
         return np.bincount(key, weights=probs, minlength=span), None
-    if key is None:
-        sub = idx[:, cols] if lead is None else np.column_stack([lead[0], idx[:, cols]])
-        groups, inverse = np.unique(sub, axis=0, return_inverse=True)
-    else:
-        groups, inverse = np.unique(key, return_inverse=True)
-    return np.bincount(inverse, weights=probs, minlength=groups.shape[0]), groups
+    groups, inverse = np.unique(key, return_inverse=True)
+    return np.bincount(inverse, weights=probs, minlength=groups.size), groups
 
 
 def group_weights(pmf: JointPMF, names: Sequence[str]):
@@ -415,8 +386,6 @@ def group_weights(pmf: JointPMF, names: Sequence[str]):
     if groups is None:
         groups = np.flatnonzero(weights)
         weights = weights[groups]
-    if groups.ndim == 2:
-        return groups, weights
     return np.column_stack(np.unravel_index(groups, radix)), weights
 
 
@@ -439,19 +408,15 @@ def conditional_table(pmf: JointPMF, target: str, given: str | None = None):
     row, as summed and not renormalized, with weight exactly 1.0 and
     contexts (None,).
     """
-    n = len(pmf.alphabet(target))
+    cols, radix = _columns(pmf, [target] if given is None else [given, target])
+    # one bin per (given, target) cell, each summing its rows in row order
+    P = np.bincount(_ravel_rows(pmf.idx, cols, radix), weights=pmf.probs,
+                    minlength=math.prod(radix)).reshape(-1, radix[-1])
     if given is None:
-        rows, weights = group_weights(pmf, [target])
-        P = np.zeros((1, n))
-        P[0, rows[:, 0]] = weights
         return np.ones(1), P, (None,)
-    rows, weights = group_weights(pmf, [given, target])
-    symbols = pmf.alphabet(given).symbols
-    P = np.zeros((len(symbols), n))
-    P[rows[:, 0], rows[:, 1]] = weights
     w = P.sum(axis=1)
     keep = w > 0.0
-    contexts = tuple(s for s, k in zip(symbols, keep) if k)
+    contexts = tuple(s for s, k in zip(pmf.alphabet(given).symbols, keep) if k)
     return w[keep], P[keep] / w[keep, None], contexts
 
 

@@ -563,18 +563,13 @@ def conditional_rd_curve(joint: JointPMF, source_var: str, cond_var: str | None,
     return _stack_curves([(label, w, P)], dist.d, grid)[label]
 
 
-def compare_paradigms(params: PixelModelParams, slope_grid=None,
-                      force: bool = False) -> dict[str, RDCurve]:
+def compare_paradigms(params: PixelModelParams, slope_grid=None) -> dict[str, RDCurve]:
     """One envelope per row of pixel_model.PARADIGMS, keyed by its label.
 
     Residual-side distortion (r vs its reconstruction) equals the symbol
     distortion under squared error because the decoder adds xp back, so
     the curves share one distortion axis.
     """
-    if params.M > 64 and not force:
-        raise InputError(
-            f"M={params.M} makes the solve expensive; pass force=True to override"
-        )
     grid = _slope_grid(slope_grid)
     joint = build_joint(params)
     # one stack per distortion matrix: rows coding the same variable share it

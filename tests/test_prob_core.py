@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from crlab import prob_core
 from crlab.errors import InputError
-from crlab.pixel_model import PixelModelParams, build_joint
+from crlab.info_measures import entropy
+from crlab.pixel_model import PARADIGMS, PixelModelParams, build_joint
 from crlab.prob_core import (
     Alphabet,
     DeterministicMap,
@@ -32,6 +33,24 @@ from crlab.prob_core import (
     splitmix64,
     sum_alphabet,
 )
+
+
+def _table_by_rows(pmf, target, given):
+    """conditional_table as group_weights rows scattered into a dense
+    matrix."""
+    n = len(pmf.alphabet(target))
+    if given is None:
+        rows, weights = group_weights(pmf, [target])
+        P = np.zeros((1, n))
+        P[0, rows[:, 0]] = weights
+        return np.ones(1), P, (None,)
+    rows, weights = group_weights(pmf, [given, target])
+    symbols = pmf.alphabet(given).symbols
+    P = np.zeros((len(symbols), n))
+    P[rows[:, 0], rows[:, 1]] = weights
+    w = P.sum(axis=1)
+    keep = w > 0.0
+    return w[keep], P[keep] / w[keep, None], tuple(s for s, k in zip(symbols, keep) if k)
 
 
 def uniform_pair(n=4):
@@ -143,24 +162,6 @@ class TestJointPMF:
         with pytest.raises(InputError):
             JointPMF([("x", a)], [[0], [0]], [0.5, 0.5])
 
-    def test_with_probs_shares_support(self):
-        pmf = uniform_pair(4)
-        new = pmf.with_probs([0.1, 0.2, 0.3, 0.4])
-        assert new.variables == pmf.variables and new.idx is pmf.idx
-        assert new.probs.tolist() == [0.1, 0.2, 0.3, 0.4]
-        assert pmf.probs.tolist() == [0.25] * 4
-
-    @pytest.mark.parametrize("probs", [
-        [0.5, 0.5],                      # wrong shape
-        [0.5, 0.5, 0.0, 0.0],            # zero weight
-        [0.5, 0.5, 0.5, -0.5],           # negative weight
-        [0.25, 0.25, 0.25, float("nan")],
-        [0.25, 0.25, 0.25, 0.3],         # sums to 1.05
-    ])
-    def test_with_probs_rejects_bad_weights(self, probs):
-        with pytest.raises(InputError):
-            uniform_pair(4).with_probs(probs)
-
     def test_column_values_and_names(self):
         pmf = uniform_pair(3)
         assert pmf.names == ("x", "xp")
@@ -188,6 +189,49 @@ class TestJointPMF:
         assert contexts == (None,)
         assert w.tolist() == [1.0]
         assert P.tolist() == [[0.5, 0.0, 0.5]]
+
+    @pytest.mark.parametrize("p", [0, 0.3, 1])
+    @pytest.mark.parametrize("Q", [1, 1.4, 2, 64])
+    @pytest.mark.parametrize("M", [2, 3, 16])
+    def test_conditional_table_matches_grouped_rows(self, M, Q, p):
+        # every PARADIGMS row: given=None for res, Fraction symbols for xq at Q=1.4
+        pmf = build_joint(PixelModelParams(p=p, Q=Q, M=M))
+        for row in PARADIGMS:
+            got = conditional_table(pmf, row.coded, row.context)
+            want = _table_by_rows(pmf, row.coded, row.context)
+            for a, b in zip(got[:2], want[:2]):
+                assert a.dtype == b.dtype and a.shape == b.shape, row.label
+                assert a.tobytes() == b.tobytes(), row.label
+            assert got[2] == want[2], row.label
+
+    def test_wide_sparse_joint(self):
+        # 7 variables of 1000 symbols: the product 1e21 passes 2**62, so no
+        # integer key spans a grouping over all of them
+        rng = np.random.default_rng(7)
+        variables = [integer_alphabet(f"v{i}", 0, 999) for i in range(7)]
+        draws = rng.integers(0, 1000, size=(60, 7))
+        draws[:, :3] %= 2  # shared leading columns, so later columns order rows too
+        rows = np.unique(draws, axis=0)
+        probs = rng.dirichlet(np.ones(len(rows)))
+        perm = rng.permutation(len(rows))
+        pmf = JointPMF(variables, rows[perm], probs[perm])
+        assert np.array_equal(pmf.idx, rows)
+        assert pmf.probs.tobytes() == probs.tobytes()
+
+        with pytest.raises(InputError, match="duplicate"):
+            JointPMF(variables, np.vstack([rows, rows[-1:]]),
+                     np.append(probs[:-1], [probs[-1] / 2] * 2))
+
+        m = marginalize(pmf, ["v6", "v2"])
+        want = {}
+        for (a, b), w in zip(rows[:, [6, 2]].tolist(), probs.tolist()):
+            want[a, b] = want.get((a, b), 0.0) + w
+        assert m.names == ("v6", "v2")
+        assert m.idx.tolist() == sorted(map(list, want))
+        assert m.probs.tolist() == [want[a, b] for a, b in m.idx.tolist()]
+
+        with pytest.raises(InputError, match=r"2\*\*62"):
+            entropy(pmf, pmf.names)
 
 
 class TestAdjoin:

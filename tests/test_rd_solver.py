@@ -168,8 +168,6 @@ class TestParadigmComparison:
         assert list(curves) == [row.label for row in PARADIGMS]
         assert list(curves) == ["res", "cond_ideal", "cond", "condres"]
         assert [c.label for c in curves.values()] == list(curves)
-        with pytest.raises(InputError):
-            compare_paradigms(PixelModelParams(p=0.3, Q=2, M=128))
 
     def test_condres_never_above_res(self):
         # conditioning on xq cannot hurt the residual coder: rt is drawn

@@ -21,6 +21,7 @@ from crlab.prob_core import (
     adjoin_difference,
     adjoin_map,
     adjoin_sum,
+    quantizer_map,
     random_pmf,
 )
 from crlab.theorem_suite import (
@@ -199,6 +200,16 @@ class TestLossy:
         pmf = adjoin_sum(pmf, "xp", "rt", "xt")
         report = check_lossy(pmf)
         assert report.all_passed
+
+    def test_adjoins_missing_residuals(self):
+        rng = np.random.default_rng(5)
+        pmf = random_pmf((4, 4), seed=rng, names=("x", "xp"))
+        pmf = adjoin_map(pmf, "xp", quantizer_map(pmf.alphabet("xp"), 2, "xq"), "xq")
+        kernel = rng.dirichlet(np.ones(4), size=4)
+        pmf = adjoin_channel(pmf, "x", kernel, Alphabet("xt", (0, 1, 2, 3)), "xt")
+        assert pmf.names == ("x", "xp", "xq", "xt")
+        full = adjoin_difference(adjoin_difference(pmf, "x", "xp", "r"), "xt", "xp", "rt")
+        assert repr(check_lossy(pmf)) == repr(check_lossy(full))
 
     def test_missing_reconstruction_rejected(self, pixel_pmf):
         with pytest.raises(PreconditionError):
