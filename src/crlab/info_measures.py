@@ -21,6 +21,7 @@ from .prob_core import JointPMF, JointStack
 __all__ = [
     "NEG_TOL",
     "EntropyMemo",
+    "TwoMassEntropies",
     "conditional_entropy",
     "conditional_mutual_information",
     "entropy",
@@ -40,38 +41,45 @@ def _clamp_bits(value: float, what: str) -> float:
     return 0.0 if value < 0.0 else float(value)
 
 
-def _plogp_sum(weights: np.ndarray, bounds=None) -> np.ndarray:
-    """-sum(w * log2 w) of each segment weights[bounds[t]:bounds[t + 1]]
-    (the whole array when bounds is None): pairwise partials over chunks of
+def _plogp_sum(weights: np.ndarray, bounds=None, mult=None) -> np.ndarray:
+    """-sum(m * w * log2 w) of each segment weights[bounds[t]:bounds[t + 1]]
+    (the whole array when bounds is None), where mult[i] groups weigh
+    weights[i] (one when mult is None): pairwise partials over chunks of
     _CHUNK positive weights of the segment, folded by fsum.
 
     Every segment holds a positive weight. Its value depends only on its
     own weights, never on its neighbours or on the zeros among them.
     """
+    keep = weights > 0.0
+    w = weights[keep]
     if bounds is None or len(bounds) == 2:  # one segment: no counts to take
-        w = weights[weights > 0.0]
         counts = [w.size]
     else:
-        keep = weights > 0.0
-        w = weights[keep]
         counts = np.add.reduceat(keep, bounds[:-1], dtype=np.intp).tolist()
     top = float(w.max())
+    if top > 1.0 + _MASS_TOL:
+        raise InternalConsistencyError(f"group weight {top!r} exceeds 1 beyond {_MASS_TOL}")
     if top > 1.0:
-        if top > 1.0 + _MASS_TOL:
-            raise InternalConsistencyError(f"group weight {top!r} exceeds 1 beyond {_MASS_TOL}")
-        # such a group is the whole distribution: its weight is 1 and it adds 0
         w = np.minimum(w, 1.0)
+    # a lone group is the whole distribution, whichever side of 1 its
+    # float sum lands on: its weight is 1 and it adds 0
+    starts = list(accumulate(counts[:-1], initial=0))
+    if mult is not None:
+        mult = mult[keep]
+    if 1 in counts:
+        w[[s for s, n in zip(starts, counts)
+           if n == 1 and (mult is None or mult[s] == 1)]] = 1.0
     terms = w * np.log2(w)
+    if mult is not None:
+        terms *= mult
     if max(counts) <= _CHUNK:
         # one partial per segment, and the fsum of one partial is itself:
         # no term is -0.0, so no partial is
-        return -np.add.reduceat(terms, list(accumulate(counts[:-1], initial=0)))
+        return -np.add.reduceat(terms, starts)
     sums = np.empty(len(counts))
-    start = 0
-    for t, n in enumerate(counts):
+    for t, (start, n) in enumerate(zip(starts, counts)):
         partials = np.add.reduceat(terms[start:start + n], np.arange(0, n, _CHUNK))
         sums[t] = -math.fsum(partials.tolist())
-        start += n
     return sums
 
 
@@ -95,16 +103,23 @@ def _disjoint(*groups: Sequence[str]):
             seen.add(n)
 
 
+def _checked_bits(h: list, caps: list, names: tuple[str, ...]) -> np.ndarray:
+    """The entropies h of names, one per joint, each checked against its
+    joint's log2 alphabet bound in caps and clamped at 0."""
+    what = f"H{names}"
+    for value, cap in zip(h, caps):
+        if value > cap + 1e-9:
+            raise InternalConsistencyError(f"{what} = {value} above log2 alphabet bound {cap}")
+    return np.array([_clamp_bits(value, what) for value in h])
+
+
 def _entropies(stack: JointStack, names: tuple[str, ...]) -> np.ndarray:
     """H(names) in bits of each joint of stack, each bit for bit what that
     joint alone gives."""
     h = _plogp_sum(*stack.group_probs(names)).tolist()
     cols = [stack.var_pos(n) for n in names]
-    for value, sizes in zip(h, stack.sizes.tolist()):
-        cap = sum(math.log2(sizes[c]) for c in cols)
-        if value > cap + 1e-9:
-            raise InternalConsistencyError(f"H{names} = {value} above log2 alphabet bound {cap}")
-    return np.array([_clamp_bits(value, f"H{names}") for value in h])
+    caps = [sum(math.log2(sizes[c]) for c in cols) for sizes in stack.sizes.tolist()]
+    return _checked_bits(h, caps, names)
 
 
 def entropy(pmf: JointPMF, vars_) -> float:
@@ -161,8 +176,11 @@ class EntropyMemo:
     def __call__(self, *names: str) -> np.ndarray:
         key = tuple(sorted(names))
         if key not in self.memo:
-            self.memo[key] = _entropies(self.pmf, key)
+            self.memo[key] = self._evaluate(key)
         return self.memo[key]
+
+    def _evaluate(self, names: tuple[str, ...]) -> np.ndarray:
+        return _entropies(self.pmf, names)
 
     def cond(self, a: str, b: str) -> np.ndarray:
         """H(a | b) = H(a, b) - H(b), unclamped."""
@@ -176,3 +194,29 @@ class EntropyMemo:
         """I(a; b | given) by the four-entropy expansion, unclamped."""
         return (self(a, *given) + self(b, *given)
                 - self(a, b, *given) - self(*given))
+
+
+class TwoMassEntropies(EntropyMemo):
+    """EntropyMemo of the joints that weigh each support row of pmf with
+    one of two masses: joint t gives masses[t][1] to the rows where on
+    holds and masses[t][0] to the others. pmf's own weights are not used.
+
+    A group of a rows where on is False and b where it holds weighs
+    a·masses[t][0] + b·masses[t][1] in joint t, so each grouping is counted
+    once (JointPMF.count_signature), and each joint then costs one term per
+    distinct (a, b) pair, not one per support row.
+    """
+
+    def __init__(self, pmf: JointPMF, on: np.ndarray, masses):
+        super().__init__(pmf)
+        self.on = on
+        self.masses = np.asarray(masses, dtype=np.float64)
+
+    def _evaluate(self, names: tuple[str, ...]) -> np.ndarray:
+        a, b, m = self.pmf.count_signature(names, self.on)
+        n = len(self.masses)
+        w = np.multiply.outer(self.masses[:, 0], a) + np.multiply.outer(self.masses[:, 1], b)
+        h = _plogp_sum(w.ravel(), np.arange(n + 1) * a.size, np.tile(m, n)).tolist()
+        sizes = self.pmf.sizes[0]
+        cap = sum(math.log2(sizes[self.pmf.var_pos(x)]) for x in names)
+        return _checked_bits(h, [cap] * n, names)

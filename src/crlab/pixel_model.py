@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, InternalConsistencyError
-from .info_measures import EntropyMemo
+from .info_measures import EntropyMemo, TwoMassEntropies
 from .prob_core import (
     JointPMF,
     adjoin_difference,
@@ -70,15 +70,12 @@ class PixelModelParams:
             raise InputError(f"quantizer step must be >= 1, got {self.Q}")
 
 
-def _point_probs(params: PixelModelParams, on_diag: np.ndarray) -> np.ndarray:
-    """Weight of each support point: the x == xp mass where on_diag holds,
-    the off-diagonal mass elsewhere."""
+def _masses(params: PixelModelParams) -> tuple[float, float]:
+    """(off, diag): the mass of each support point with x != xp, and of
+    each with x == xp."""
     M, p = params.M, params.p
-    diag = p / M**2 + (1 - p) * Fraction(1, M)
     off = p / M**2
-    probs = np.full(on_diag.shape, float(off))
-    probs[on_diag] = float(diag)
-    return probs
+    return float(off), float(off + (1 - p) * Fraction(1, M))
 
 
 def build_joint(params: PixelModelParams) -> JointPMF:
@@ -92,7 +89,8 @@ def build_joint(params: PixelModelParams) -> JointPMF:
         idx = np.repeat(np.arange(M, dtype=np.intp)[:, None], 2, axis=1)
     else:
         idx = np.indices((M, M), dtype=np.intp).reshape(2, -1).T
-    probs = _point_probs(params, idx[:, 0] == idx[:, 1])
+    off, diag = _masses(params)
+    probs = np.where(idx[:, 0] == idx[:, 1], diag, off)
 
     pmf = JointPMF((ax, axp), idx, probs, _trusted=True)
     pmf = adjoin_map(pmf, "xp", quantizer_map(axp, params.Q, "xq"), "xq")
@@ -127,16 +125,20 @@ REPORT_FIELDS = tuple(f.name for f in fields(EntropyReport))
 
 
 def entropy_report(params: PixelModelParams, pmf: JointPMF | None = None) -> EntropyReport:
-    """Evaluate the nine entropy/information measures on the exact joint.
+    """Evaluate the nine entropy/information measures on the exact joint."""
+    if pmf is None:
+        pmf = build_joint(params)
+    return _reports(EntropyMemo(pmf), [params])[0]
+
+
+def _reports(h: EntropyMemo, grid: Sequence[PixelModelParams]) -> list[EntropyReport]:
+    """One EntropyReport per grid point, from entry t of every entropy of h
+    for grid[t].
 
     The conditioning ladder H(R|Xp) <= H(R|Xphat) <= H(R) and the
     residual/conditional equivalence H(X|Xp) = H(R|Xp) are checked here;
     a violation beyond 1e-9 means the joint was built wrong.
     """
-    if pmf is None:
-        pmf = build_joint(params)
-
-    h = EntropyMemo(pmf)
     measures = dict(
         H_R=h("r"),
         H_X_given_Xp=h.cond("x", "xp"),
@@ -148,42 +150,43 @@ def entropy_report(params: PixelModelParams, pmf: JointPMF | None = None) -> Ent
         I_R_Xp=h.mi("r", "xp"),
         I_R_Xphat=h.mi("r", "xq"),
     )
-    rep = EntropyReport(Q=float(params.Q), p=float(params.p),
-                        **{f: float(v[0]) for f, v in measures.items()})
-    if not (rep.H_R_given_Xp <= rep.H_R_given_Xphat + IDENTITY_TOL
-            and rep.H_R_given_Xphat <= rep.H_R + IDENTITY_TOL):
-        raise InternalConsistencyError(
-            f"conditioning ladder violated at {params}: "
-            f"{rep.H_R_given_Xp}, {rep.H_R_given_Xphat}, {rep.H_R}"
-        )
-    if abs(rep.H_X_given_Xp - rep.H_R_given_Xp) > IDENTITY_TOL:
-        raise InternalConsistencyError(
-            f"H(X|Xp) != H(R|Xp) at {params}: "
-            f"{rep.H_X_given_Xp} vs {rep.H_R_given_Xp}"
-        )
-    return rep
+    columns = {f: v.tolist() for f, v in measures.items()}
+    out = []
+    for t, params in enumerate(grid):
+        rep = EntropyReport(Q=float(params.Q), p=float(params.p),
+                            **{f: v[t] for f, v in columns.items()})
+        if not (rep.H_R_given_Xp <= rep.H_R_given_Xphat + IDENTITY_TOL
+                and rep.H_R_given_Xphat <= rep.H_R + IDENTITY_TOL):
+            raise InternalConsistencyError(
+                f"conditioning ladder violated at {params}: "
+                f"{rep.H_R_given_Xp}, {rep.H_R_given_Xphat}, {rep.H_R}"
+            )
+        if abs(rep.H_X_given_Xp - rep.H_R_given_Xp) > IDENTITY_TOL:
+            raise InternalConsistencyError(
+                f"H(X|Xp) != H(R|Xp) at {params}: "
+                f"{rep.H_X_given_Xp} vs {rep.H_R_given_Xp}"
+            )
+        out.append(rep)
+    return out
 
 
 def sweep_p(p_grid: Sequence, Q_list: Sequence, M: int = 256) -> list[EntropyReport]:
-    """One EntropyReport per (p, Q) pair, rows ordered by (Q, p)."""
+    """One EntropyReport per (p, Q) pair, rows ordered by (Q, p).
+
+    Every joint of one Q weighs the same full support with two masses,
+    one on x == xp and one elsewhere, so each grouping is counted once per
+    Q and every p is evaluated from its count signature.
+    """
     ps = [as_exact(v) for v in p_grid]
     qs = [as_exact(v) for v in Q_list]
     if not ps or not qs:
         raise InputError("p grid and Q list must be nonempty")
     out = []
     for q in sorted(set(qs)):
-        # every 0 < p has the same support at this Q; only the weights change
-        full = None
-        for p in sorted(set(ps)):
-            params = PixelModelParams(p=p, Q=q, M=M)
-            if p == 0 or full is None:
-                pmf = build_joint(params)
-                if p > 0:
-                    full, on_diag = pmf, pmf.idx[:, 0] == pmf.idx[:, 1]  # x, xp
-            else:
-                pmf = JointPMF(full.variables, full.idx, _point_probs(params, on_diag),
-                               _trusted=True)
-            out.append(entropy_report(params, pmf))
+        support = build_joint(PixelModelParams(p=1, Q=q, M=M))
+        on_diag = support.idx[:, 0] == support.idx[:, 1]  # x, xp
+        grid = [PixelModelParams(p=p, Q=q, M=M) for p in sorted(set(ps))]
+        out += _reports(TwoMassEntropies(support, on_diag, [_masses(g) for g in grid]), grid)
     return out
 
 

@@ -282,6 +282,40 @@ class JointPMF(JointStack):
         probs.flags.writeable = False
         super().__init__(variables, idx, probs, None, [[len(a) for _, a in variables]])
 
+    def count_signature(self, names: Sequence[str], on: np.ndarray):
+        """(a, b, m) of the grouping over the named variables: the distinct
+        pairs of a group's support rows where on is False (a) and where it
+        is True (b), in ascending (a, b) order, and m, how many groups share
+        each pair. When every row where on holds weighs one mass and every
+        other row another, a group weighs a·off + b·on, so these pairs give
+        every entropy over names at any such two masses.
+
+        Counted by bincounts over the grouping key and over the ranks of
+        the a and b values, without sorting.
+        """
+        cols, radix = _columns(self, names)
+        key = _ravel_rows(self.idx, cols, radix)
+        on_key = key[on]
+        a = np.bincount(key)  # rows per key, less those where on holds below
+        del key  # free the row keys before the second count over the key range
+        b = np.bincount(on_key, minlength=a.size)
+        held = a > 0
+        a -= b
+        a = a[held]
+        b = b[held]
+        # one int key per pair: the rank of its a times the number of
+        # distinct b values, plus the rank of its b
+        seen = [np.bincount(v) > 0 for v in (a, b)]
+        rank = [np.cumsum(s) - 1 for s in seen]
+        values = [np.flatnonzero(s) for s in seen]
+        n_b = values[1].size
+        pair = rank[0][a]
+        pair *= n_b
+        pair += rank[1][b]
+        m = np.bincount(pair)
+        pairs = np.flatnonzero(m)
+        return values[0][pairs // n_b], values[1][pairs % n_b], m[pairs]
+
     def column_values(self, name: str) -> list:
         """Symbol values of one variable, one entry per support point."""
         c = self.var_pos(name)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from crlab.errors import InputError, InternalConsistencyError
 from crlab.info_measures import (
     EntropyMemo,
+    TwoMassEntropies,
     _entropies,
     _plogp_sum,
     conditional_entropy,
@@ -135,6 +136,43 @@ def test_whole_mass_group_rounded_above_one_adds_nothing():
     assert _plogp_sum(np.array([0.0, 1.0 + 1e-9, 0.0])) == 0.0
     with pytest.raises(InternalConsistencyError):
         _plogp_sum(np.array([1.0 + 2e-9]))
+
+
+def test_lone_group_adds_nothing_from_either_side_of_one():
+    # 65,536 pixel-model weights of one Xq cell at p=0.7 sum to 1 - 1.2e-12
+    for w in (1.0 - 1.2e-12, 1.0, 1.0 + 7.6e-13):
+        assert _plogp_sum(np.array([0.0, w])).tolist() == [-0.0]
+    # in a stack, only the lone segment is set to 1
+    got = _plogp_sum(np.array([1.0 - 1e-12, 0.5, 0.5, 0.0]), np.array([0, 1, 4]))
+    assert got.tolist() == [-0.0, 1.0]
+    # one weight shared by several groups is not lone
+    assert _plogp_sum(np.array([0.25]), mult=np.array([4])).tolist() == [2.0]
+    with pytest.raises(InternalConsistencyError):
+        _plogp_sum(np.array([1.0 + 2e-9]), mult=np.array([1]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_two_mass_entropies_match_each_weighted_joint(seed):
+    """Count signatures against the per-row sums of the joints they stand
+    for: a random support and mask, weighed by three pairs of masses."""
+    rng = np.random.default_rng(seed)
+    support = random_pmf((3, 4, 2), seed=seed, names=["a", "b", "c"])
+    on = rng.random(support.n_points) < 0.4
+    on[0], on[-1] = True, False
+    n_on = int(on.sum())
+    shares = [0.0, 0.5, 1.0 - 1e-9]  # of the mass on the rows where on holds
+    masses = [((1 - s) / (on.size - n_on), s / n_on) for s in shares]
+    h = TwoMassEntropies(support, on, masses)
+    for t, (off, mass_on) in enumerate(masses):
+        keep = on | (off > 0)
+        joint = JointPMF(support.variables, support.idx[keep],
+                         np.where(on, mass_on, off)[keep])
+        memo = EntropyMemo(joint)
+        for names in (["a"], ["c", "b"], ["a", "b", "c"]):
+            assert abs(h(*names)[t] - memo(*names)[0]) <= 1e-13, (t, names)
+        assert abs(h.mi("a", "c")[t] - memo.mi("a", "c")[0]) <= 1e-13
+    with pytest.raises(InputError):
+        h("a", "zz")
 
 
 def test_memo_matches_plain_measures_and_sorts_keys():

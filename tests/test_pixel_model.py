@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from crlab import pixel_model, prob_core
-from crlab.errors import InputError
+from crlab import info_measures, pixel_model, prob_core
+from crlab.analysis import render_cell
+from crlab.errors import InputError, InternalConsistencyError
 from crlab.info_measures import conditional_entropy, entropy
 from crlab.pixel_model import (
     PARADIGMS,
@@ -125,12 +126,17 @@ class TestReportInvariants:
         assert rep.H_R_given_Xphat == 0.0
 
     def test_single_cell_bottleneck_carries_no_information(self):
-        # Q >= M collapses xq to one cell whose summed weight rounds to
-        # just above 1; it must read as 0 bits, not crash
-        for Q in (256, 300, 1000):
-            rep = entropy_report(PixelModelParams(p=0.05, Q=Q, M=256))
-            assert rep.I_X_Xphat == 0.0 and rep.I_R_Xphat == 0.0
-            assert rep.H_R_given_Xphat == rep.H_R
+        # Q >= M collapses xq to one cell, whose 65,536 weights sum to just
+        # above 1 (p=0.05) or just below it (1 - 1.2e-12 at p=0.7) in
+        # float64. Either way it is the whole distribution: 0 bits, on both
+        # the per-row and the signature path, and no crash
+        for p in (0.05, 0.3, 0.7):
+            for Q in (256, 300, 1000):
+                for rep in (entropy_report(PixelModelParams(p=p, Q=Q, M=256)),
+                            sweep_p([p], [Q], M=256)[0]):
+                    assert rep.I_X_Xphat == 0.0 and rep.I_R_Xphat == 0.0
+                    assert rep.H_R_given_Xphat == rep.H_R
+                    assert abs(rep.H_X_given_Xphat - 8.0) <= 1e-13
 
     def test_report_accepts_prebuilt_joint(self):
         params = PixelModelParams(p=0.3, Q=2, M=16)
@@ -169,29 +175,99 @@ class TestSweep:
         assert any(r.p == 0.05 for r in worse)
         assert all(r.p != 0.9 for r in worse)
 
-    @pytest.mark.parametrize("Q", [1, 1.4, 2, 64])
+    def test_report_checks_guard_both_paths(self, monkeypatch):
+        # a negative tolerance fails every ladder and identity check, so
+        # each path must raise if it runs them
+        monkeypatch.setattr(pixel_model, "IDENTITY_TOL", -1.0)
+        with pytest.raises(InternalConsistencyError, match="ladder"):
+            entropy_report(PixelModelParams(p=0.3, Q=2, M=16))
+        with pytest.raises(InternalConsistencyError, match="ladder"):
+            sweep_p([0.3], [2], M=16)
+
+    @pytest.mark.parametrize("Q", [1, 1.4, 2, 64, "M", 1000])
     def test_shared_support_matches_per_point_reports(self, Q):
-        ps = [0, 0.01, 0.5, 1]
-        swept = sweep_p(ps, [Q], M=256)
-        assert swept == [entropy_report(PixelModelParams(p=p, Q=Q, M=256)) for p in ps]
+        # the sweep sums over count classes and the report over support
+        # rows: the two orders of summation agree to 1e-12 bits
+        ps = [0, 1e-300, 1e-12, 0.01, 0.3, 0.5, 0.7, 0.99, 1]
+        for M in (2, 3, 16, 256):
+            q = M if Q == "M" else Q
+            swept = sweep_p(ps, [q], M=M)
+            assert [(r.Q, r.p) for r in swept] == [(float(q), float(p)) for p in ps]
+            for p, got in zip(ps, swept):
+                want = entropy_report(PixelModelParams(p=p, Q=q, M=M))
+                for field in REPORT_FIELDS:
+                    assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, \
+                        (M, q, p, field)
+
+
+@pytest.fixture
+def mp():
+    """mpmath at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        yield mpmath
+
+
+def _reference_masses(mp, p, M):
+    """(off, diag) of the pixel joint at p, a decimal string."""
+    off = mp.mpf(p) / M**2
+    return off, off + (1 - mp.mpf(p)) / M
+
+
+def _minus_plogp(mp, w):
+    return -w * mp.log(w, 2)
+
+
+class TestHighPrecisionReference:
+    """The sweep against closed forms at 50 digits. The masses are rounded
+    to float64 once and about 500 terms are summed, so the sweep stays
+    within 3e-15 bits here; the per-row sums of entropy_report drift by
+    4e-15 to 6e-14 bits on these cells."""
+
+    TOL = 3e-15
+
+    @pytest.mark.parametrize("p", ["0.01", "0.3", "0.7", "0.99"])
+    def test_residual_entropy(self, mp, p):
+        M = 256
+        off, diag = _reference_masses(mp, p, M)
+        # r = 0 holds every diagonal point; r = ±k holds M - k off-diagonal ones
+        want = _minus_plogp(mp, M * diag) + 2 * mp.fsum(
+            _minus_plogp(mp, (M - k) * off) for k in range(1, M))
+        assert abs(sweep_p([float(p)], [1], M=M)[0].H_R - want) <= self.TOL
+        # Q >= M leaves one Xq cell, so H(R|Xphat) is H(R)
+        assert abs(sweep_p([float(p)], [M], M=M)[0].H_R_given_Xphat - want) <= self.TOL
+
+    def test_mutual_information_through_two_cells(self, mp):
+        # Q=2, p=0.99: each (x, cell) pair holds d + o where the cell holds
+        # x and 2o elsewhere; this cell's ninth printed digit moved when the
+        # sweep left the per-row sums
+        M = 256
+        off, diag = _reference_masses(mp, "0.99", M)
+        h_x_xq = (M * _minus_plogp(mp, diag + off)
+                  + M * (M // 2 - 1) * _minus_plogp(mp, 2 * off))
+        want = 8 + 7 - h_x_xq
+        got = sweep_p([0.99], [2], M=M)[0].I_X_Xphat
+        assert abs(got - want) <= self.TOL
+        assert render_cell(got) == mp.nstr(want, 9) == "0.00673187982"
 
 
 class _SortForbidden:
-    """numpy as seen by prob_core, with np.unique failing loudly."""
+    """numpy as seen by a module, with np.unique failing loudly."""
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     @staticmethod
     def unique(*args, **kwargs):
-        raise AssertionError("prob_core sorted keys where a bincount fits")
+        raise AssertionError("sorted keys where a bincount fits")
 
 
 def test_full_support_groups_without_sorting_and_builds_once_per_q(monkeypatch):
     """Guards the sweep's cost model without timing: at M=256 every grouping
-    of an entropy report is a bincount, and a sweep builds one support per
-    Q for all p > 0."""
-    monkeypatch.setattr(prob_core, "np", _SortForbidden())
+    of an entropy report and every count signature is a bincount, and a
+    sweep builds one support per Q for every p, 0 included."""
+    for module in (prob_core, info_measures, pixel_model):
+        monkeypatch.setattr(module, "np", _SortForbidden())
     builds = []
     real_build = pixel_model.build_joint
 
@@ -202,5 +278,5 @@ def test_full_support_groups_without_sorting_and_builds_once_per_q(monkeypatch):
     monkeypatch.setattr(pixel_model, "build_joint", counting_build)
     entropy_report(PixelModelParams(p=0.3, Q=1.4, M=256))
     builds.clear()
-    sweep_p([0.05, 0.5, 1], [1, 64], M=256)
-    assert builds == [PixelModelParams(p=0.05, Q=Q, M=256) for Q in (1, 64)]
+    sweep_p([0, 0.05, 0.5, 1], [1, 64], M=256)
+    assert builds == [PixelModelParams(p=1, Q=Q, M=256) for Q in (1, 64)]

@@ -204,6 +204,25 @@ class TestJointPMF:
                 assert a.tobytes() == b.tobytes(), row.label
             assert got[2] == want[2], row.label
 
+    @pytest.mark.parametrize("p", [0, 0.3])
+    @pytest.mark.parametrize("Q", [1, 1.4, 2, 64])
+    @pytest.mark.parametrize("M", [2, 3, 16])
+    def test_count_signature_matches_row_counts(self, M, Q, p):
+        pmf = build_joint(PixelModelParams(p=p, Q=Q, M=M))
+        on = pmf.idx[:, 0] == pmf.idx[:, 1]  # x, xp
+        for names in (["r"], ["x"], ["xp"], ["xq"], ["x", "xp"], ["x", "xq"],
+                      ["r", "xp"], ["xq", "r"]):
+            cols = [pmf.var_pos(n) for n in names]
+            groups = {}
+            for row, o in zip(pmf.idx[:, cols].tolist(), on.tolist()):
+                groups.setdefault(tuple(row), [0, 0])[o] += 1
+            pairs = {}
+            for a, b in groups.values():
+                pairs[a, b] = pairs.get((a, b), 0) + 1
+            a, b, m = pmf.count_signature(names, on)
+            assert list(zip(a.tolist(), b.tolist(), m.tolist())) == \
+                [(a, b, k) for (a, b), k in sorted(pairs.items())], names
+
     def test_wide_sparse_joint(self):
         # 7 variables of 1000 symbols: the product 1e21 passes 2**62, so no
         # integer key spans a grouping over all of them
