@@ -10,7 +10,7 @@ flips the ordering for every Q > 1 once the prediction is good enough
 Run:  python3 demos/entropy_sweep.py
 """
 
-from crlab import PixelModelParams, entropy_report, sweep_p
+from crlab import sweep_p
 
 M = 64  # small alphabet keeps this instant; shapes are the same at 256
 
@@ -19,10 +19,9 @@ print(f"pixel model, M={M}: X uniform, prediction correct w.p. 1-p\n")
 print("p      Q    H(R)     H(X|Xq)  H(R|Xq)   winner")
 grid = [0.02, 0.1, 0.3, 0.6, 0.9]
 for Q in (1, 2, 64):
-    for p in grid:
-        r = entropy_report(PixelModelParams(p=p, Q=Q, M=M))
+    for r in sweep_p(grid, [Q], M=M):
         coder = "conditional" if r.H_X_given_Xphat <= r.H_R else "residual"
-        print(f"{p:<6} {Q:<4} {r.H_R:<8.4f} {r.H_X_given_Xphat:<8.4f} "
+        print(f"{r.p:<6} {Q:<4} {r.H_R:<8.4f} {r.H_X_given_Xphat:<8.4f} "
               f"{r.H_R_given_Xphat:<9.4f} {coder}")
     print()
 

@@ -48,13 +48,13 @@ from .errors import (
     ModelCoverageError,
     UsageError,
 )
+from .info_measures import conditional_entropy
 from .pixel_model import (
     PARADIGMS,
     REPORT_FIELDS,
     PixelModelParams,
     build_joint,
     codec_paradigm,
-    entropy_report,
     sweep_p,
 )
 from .rd_solver import compare_paradigms, default_slope_grid
@@ -184,7 +184,7 @@ def cmd_codec(args) -> int:
     require_encodable(params.M)
     joint = build_joint(params)
     model = build_model(params, row.name, joint)
-    x, xp = sample_arrays(params, args.n, args.seed, joint)
+    x, xp = sample_arrays(joint, args.n, args.seed)
 
     stream = encode(np.column_stack((x, xp)), row.name, model)
     wrong = np.flatnonzero(decode(stream, xp, model, as_array=True) != x)
@@ -194,8 +194,8 @@ def cmd_codec(args) -> int:
         return 2
 
     rate = measure_rate(stream, args.n)
-    bound = getattr(entropy_report(params, joint), row.bound)
-    expected = expected_rate(model, params, joint)
+    bound = conditional_entropy(joint, row.coded, row.context or ())
+    expected = expected_rate(model, joint)
 
     print(f"round trip exact over {args.n} symbols ({row.name})")
     print(f"measured rate   {_fmt(rate)} bits/symbol "

@@ -52,7 +52,6 @@ from .prob_core import (
     JointPMF,
     conditional_table,
     integer_alphabet,
-    marginalize,
     quantizer_map,
     sample_columns,
 )
@@ -328,7 +327,7 @@ def build_model(params: PixelModelParams, paradigm: str,
     """Static tables for one paradigm from the exact pixel-model PMF.
 
     pmf, when given, must be build_joint(params); it is used instead of
-    building it again.
+    building it again; perfbench's codec check passes params alone.
     """
     row = codec_paradigm(paradigm)
     require_encodable(params.M)
@@ -339,19 +338,16 @@ def build_model(params: PixelModelParams, paradigm: str,
                             joint.alphabet(row.coded).symbols, contexts, freq)
 
 
-def expected_rate(model: ProbabilityModel, params: PixelModelParams,
-                  pmf: JointPMF | None = None) -> float:
+def expected_rate(model: ProbabilityModel, joint: JointPMF) -> float:
     """Model cross-entropy in bits/symbol: what the coder pays on average.
 
     Exceeds the matching conditional entropy only by the frequency
     quantization loss (zero when the exact PMF hits the count grid).
-    pmf, when given, must be build_joint(params).
     """
     row = model._row
-    joint = pmf if pmf is not None else build_joint(params)
     w, p, _ = conditional_table(joint, row.coded, row.context)
     if p.shape != model.freq.shape:
-        raise InputError("model tables do not match these parameters")
+        raise InputError("model tables do not match this joint")
     mask = p > 0.0
     if np.any(model.freq[mask] == 0):
         raise ModelCoverageError("model assigns zero count inside the support")
@@ -442,15 +438,14 @@ def measure_rate(bs: Bitstream, n: int) -> float:
     return 8.0 * len(bs.payload) / n
 
 
-def sample_arrays(params: PixelModelParams, n: int, seed,
-                  pmf: JointPMF | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """x and x_p of n iid draws from the pixel model, as int64 arrays,
-    reproducibly by seed. pmf, when given, must be build_joint(params)."""
-    joint = pmf if pmf is not None else build_joint(params)
-    return sample_columns(marginalize(joint, ["x", "xp"]), n, seed)
+def sample_arrays(joint: JointPMF, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """x and x_p of n iid draws of a pixel joint's rows, which are its
+    distinct (x, x_p) pairs, as int64 arrays, reproducibly by seed."""
+    return sample_columns(joint, n, seed)[:2]
 
 
 def sample_pairs(params: PixelModelParams, n: int, seed) -> list[tuple[int, int]]:
-    """The draws of sample_arrays as (x, x_p) pairs of Python ints."""
-    x, xp = sample_arrays(params, n, seed)
+    """The draws of sample_arrays as (x, x_p) pairs of Python ints; it
+    takes params, not a joint, for perfbench's codec check."""
+    x, xp = sample_arrays(build_joint(params), n, seed)
     return list(zip(x.tolist(), xp.tolist()))

@@ -124,11 +124,9 @@ class EntropyReport:
 REPORT_FIELDS = tuple(f.name for f in fields(EntropyReport))
 
 
-def entropy_report(params: PixelModelParams, pmf: JointPMF | None = None) -> EntropyReport:
+def entropy_report(params: PixelModelParams) -> EntropyReport:
     """Evaluate the nine entropy/information measures on the exact joint."""
-    if pmf is None:
-        pmf = build_joint(params)
-    return _reports(EntropyMemo(pmf), [params])[0]
+    return _reports(EntropyMemo(build_joint(params)), [params])[0]
 
 
 def _reports(h: EntropyMemo, grid: Sequence[PixelModelParams]) -> list[EntropyReport]:
@@ -171,7 +169,7 @@ def _reports(h: EntropyMemo, grid: Sequence[PixelModelParams]) -> list[EntropyRe
 
 
 def sweep_p(p_grid: Sequence, Q_list: Sequence, M: int = 256) -> list[EntropyReport]:
-    """One EntropyReport per (p, Q) pair, rows ordered by (Q, p).
+    """One EntropyReport per distinct (p, Q) pair, rows ordered by (Q, p).
 
     Every joint of one Q weighs the same full support with two masses,
     one on x == xp and one elsewhere, so each grouping is counted once per

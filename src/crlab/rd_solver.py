@@ -546,13 +546,11 @@ def _slope_grid(slope_grid) -> np.ndarray:
 
 
 def conditional_rd_curve(joint: JointPMF, source_var: str, cond_var: str | None,
-                         recon_alphabet: Alphabet, dist: DistortionMatrix,
-                         slope_grid=None, label: str | None = None) -> RDCurve:
+                         dist: DistortionMatrix, slope_grid=None,
+                         label: str | None = None) -> RDCurve:
     """Envelope of the conditional problem: per slope, solve each condition
     cell independently and weight rate and distortion by the cell mass.
     cond_var=None codes source_var unconditionally, as one cell."""
-    if dist.recon.symbols != recon_alphabet.symbols:
-        raise InputError("distortion matrix recon alphabet mismatch")
     if dist.source.symbols != joint.alphabet(source_var).symbols:
         raise InputError("distortion matrix source alphabet mismatch")
     grid = _slope_grid(slope_grid)

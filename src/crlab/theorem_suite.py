@@ -150,14 +150,23 @@ def _require_difference(pmf: JointStack, out: str, a: str, b: str):
         raise PreconditionError(f"{out!r} != {a!r} - {b!r} on {bad} support points")
 
 
-def _lossless(pmf: JointStack, h: EntropyMemo):
-    """Checks as (id, kind, value per joint) and observations as (id, value
-    per joint, premise per joint) of the lossless relations on every joint
-    of pmf. Requires x, xp, xq, r with xq deterministic in xp and
-    r = x - xp."""
+def _require_lossless(pmf: JointStack):
+    """The premises of _lossless: xq is a function of xp and r = x - xp."""
     _require_vars(pmf, ("x", "xp", "xq", "r"))
     _require_deterministic(pmf, "xp", "xq")
     _require_difference(pmf, "r", "x", "xp")
+
+
+def _require_lossy(pmf: JointStack):
+    """The premises of _lossless and _lossy: those above and rt = xt - xp."""
+    _require_lossless(pmf)
+    _require_difference(pmf, "rt", "xt", "xp")
+
+
+def _lossless(pmf: JointStack, h: EntropyMemo):
+    """Checks as (id, kind, value per joint) and observations as (id, value
+    per joint, premise per joint) of the lossless relations on every joint
+    of pmf, which must pass _require_lossless."""
     checks = (
         _identity("residual_rate_split",
                   h("r"), h.cond("x", "xp") + h.mi("xp", "r")),
@@ -184,12 +193,7 @@ def _lossless(pmf: JointStack, h: EntropyMemo):
 
 
 def _lossy(pmf: JointStack, h: EntropyMemo):
-    """The lossy relations, as _lossless gives its own. Requires x, xp, xq,
-    xt, r, rt with xq deterministic in xp, r = x - xp and rt = xt - xp."""
-    _require_vars(pmf, ("x", "xp", "xq", "xt", "r", "rt"))
-    _require_deterministic(pmf, "xp", "xq")
-    _require_difference(pmf, "r", "x", "xp")
-    _require_difference(pmf, "rt", "xt", "xp")
+    """The lossy relations, as _lossless gives its own; pmf must pass _require_lossy."""
     checks = (
         _identity("lossy_residual_rate_split",
                   h.mi("r", "rt"),
@@ -255,6 +259,7 @@ def check_lossless(pmf: JointPMF) -> TheoremReport:
     Requires variables x, xp, xq, r with xq deterministic in xp and
     r = x - xp.
     """
+    _require_lossless(pmf)
     return _one_joint(*_lossless(pmf, EntropyMemo(pmf)))
 
 
@@ -270,6 +275,7 @@ def check_lossy(pmf: JointPMF) -> TheoremReport:
         pmf = adjoin_difference(pmf, "x", "xp", "r")
     if "rt" not in pmf.names:
         pmf = adjoin_difference(pmf, "xt", "xp", "rt")
+    _require_lossy(pmf)
     return _one_joint(*_lossy(pmf, EntropyMemo(pmf)))
 
 
@@ -376,6 +382,7 @@ def _blocks(seed: int, trials: range, shape: tuple[int, int]):
     for first in range(trials.start, trials.stop, per_block):
         t_seeds = [trial_seed(seed, k) for k in range(first, min(first + per_block, trials.stop))]
         stack = _trial_stack(t_seeds, shape, layout)
+        _require_lossy(stack)
         h = EntropyMemo(stack)
         (ll, ll_obs), (ly, ly_obs) = _lossless(stack, h), _lossy(stack, h)
         yield first, ll + ly, ll_obs + ly_obs

@@ -126,7 +126,7 @@ def test_criterion_5_rd_solver_oracle():
     a = integer_alphabet("u", 0, 1)
     src = JointPMF([("u", a)], [[0], [1]], [0.5, 0.5])
     hamming = DistortionMatrix(a, a, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    curve = conditional_rd_curve(src, src.names[0], None, a, hamming, np.arange(0.25, 4.5, 0.002))
+    curve = conditional_rd_curve(src, src.names[0], None, hamming, np.arange(0.25, 4.5, 0.002))
     worst = max(abs(curve.rate_at(D) - (1 - h2(D)))
                 for D in np.linspace(0.05, 0.45, 20))
     assert worst < RD_ORACLE_TOL, f"binary oracle worst gap {worst}"
@@ -137,8 +137,8 @@ def test_criterion_5_rd_solver_oracle():
     w = np.outer([0.5, 0.5], [0.2, 0.3, 0.5]).ravel()
     joint = JointPMF([("u", a), ("s", s)], idx, w)
     grid = np.geomspace(0.3, 30, 16)
-    cond = conditional_rd_curve(joint, "u", "s", a, hamming, grid)
-    flat = conditional_rd_curve(marginalize(joint, ["u"]), "u", None, a, hamming, grid)
+    cond = conditional_rd_curve(joint, "u", "s", hamming, grid)
+    flat = conditional_rd_curve(marginalize(joint, ["u"]), "u", None, hamming, grid)
     worst = max(max(abs(pc.rate - pf.rate), abs(pc.distortion - pf.distortion))
                 for pc, pf in zip(cond.points, flat.points))
     assert worst < RD_MATCH_TOL, f"independent side info gap {worst}"

@@ -8,11 +8,13 @@ import pytest
 import crlab.cli
 import crlab.codec
 import crlab.pixel_model
+import crlab.prob_core
 from crlab.analysis import read_csv
 from crlab.cli import main
 from crlab.codec import Bitstream
 from crlab.errors import FormatError
-from crlab.pixel_model import PARADIGMS, PixelModelParams, entropy_report
+from crlab.info_measures import conditional_entropy
+from crlab.pixel_model import PARADIGMS, PixelModelParams, build_joint, entropy_report
 
 
 def run(capsys, *argv):
@@ -203,8 +205,10 @@ class TestCodec:
                            "--paradigm", "conditional", "--out", str(tmp_path))
         assert code == 0
         bound = float(re.search(r"entropy bound\s+(\S+)", out).group(1))
-        want = entropy_report(PixelModelParams(p=0.5, Q=2, M=16)).H_X_given_Xphat
-        assert abs(bound - want) < 1e-9
+        params = PixelModelParams(p=0.5, Q=2, M=16)
+        want = conditional_entropy(build_joint(params), "x", "xq")
+        assert bound == float(f"{want:.12g}")
+        assert abs(bound - entropy_report(params).H_X_given_Xphat) < 1e-9
 
     def test_overhead_split_into_its_sources(self, capsys, tmp_path):
         code, out, _ = run(capsys, "codec", "--p", "0.25", "--Q", "2",
@@ -219,7 +223,7 @@ class TestCodec:
                   for name in labels}
         params = PixelModelParams(p=0.25, Q=2, M=256)
         expected = crlab.codec.expected_rate(
-            crlab.codec.build_model(params, "residual"), params)
+            crlab.codec.build_model(params, "residual"), build_joint(params))
         assert figure["quantization loss"] > 1e-5
         assert figure["quantization loss"] == pytest.approx(
             expected - figure["entropy bound"], abs=1e-11)
@@ -229,6 +233,9 @@ class TestCodec:
             figure["quantization loss"] + figure["finite-n cost"], abs=1e-11)
 
     def test_one_joint_per_op(self, capsys, tmp_path, monkeypatch):
+        """Guards the codec op's cost model without timing: it builds one
+        joint, and its bound, model and draws all read that joint, with no
+        entropy report and no regrouping to the (x, x_p) marginal."""
         real = crlab.pixel_model.build_joint
         calls = []
 
@@ -236,11 +243,18 @@ class TestCodec:
             calls.append(params)
             return real(params)
 
-        # every crlab module that imported build_joint by name
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the codec op evaluated more than its joint")
+
+        swaps = {"build_joint": (real, counted),
+                 "_reports": (crlab.pixel_model._reports, forbidden),
+                 "marginalize": (crlab.prob_core.marginalize, forbidden)}
+        # every crlab module that holds one of them by name
         for mod in list(sys.modules.values()):
-            if (getattr(mod, "__name__", "").startswith("crlab")
-                    and getattr(mod, "build_joint", None) is real):
-                monkeypatch.setattr(mod, "build_joint", counted)
+            if getattr(mod, "__name__", "").startswith("crlab"):
+                for name, (old, new) in swaps.items():
+                    if getattr(mod, name, None) is old:
+                        monkeypatch.setattr(mod, name, new)
         code, _, _ = run(capsys, "codec", "--M", "256", "--n", "2000",
                          "--p", "0.25", "--Q", "2", "--paradigm", "residual",
                          "--out", str(tmp_path))
@@ -288,8 +302,10 @@ class TestParadigmTable:
             assert code == 0
             assert f"({row.name})" in out
             bound = float(re.search(r"entropy bound\s+(\S+)", out).group(1))
-            report = entropy_report(PixelModelParams(p=0.3, Q=2, M=16))
-            assert bound == float(f"{getattr(report, row.bound):.12g}")
+            params = PixelModelParams(p=0.3, Q=2, M=16)
+            want = conditional_entropy(build_joint(params), row.coded, row.context or ())
+            assert bound == float(f"{want:.12g}")
+            assert bound == float(f"{getattr(entropy_report(params), row.bound):.12g}")
             files = list(out_dir.glob("*.crlb"))
             assert [f.name for f in files] == [f"codec_{row.name}_p0.3_Q2.crlb"]
             blobs.append(files[0].read_bytes())

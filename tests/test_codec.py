@@ -20,6 +20,7 @@ from crlab.codec import (
     quantize_freq,
     range_decode,
     range_encode,
+    sample_arrays,
     sample_pairs,
 )
 from crlab.errors import (
@@ -28,7 +29,14 @@ from crlab.errors import (
     IntegrityError,
     ModelCoverageError,
 )
-from crlab.pixel_model import PARADIGMS, PixelModelParams, codec_paradigm, entropy_report
+from crlab.pixel_model import (
+    PARADIGMS,
+    PixelModelParams,
+    build_joint,
+    codec_paradigm,
+    entropy_report,
+)
+from crlab.prob_core import marginalize, sample_columns
 
 CODEC_NAMES = sorted(row.name for row in PARADIGMS if row.byte is not None)
 
@@ -444,10 +452,27 @@ class TestModel:
         for paradigm, h in pairs:
             model = build_model(params, paradigm)
             # 16-bit frequency quantization costs a hair of cross-entropy
-            assert h <= expected_rate(model, params) <= h + 1e-3
+            assert h <= expected_rate(model, build_joint(params)) <= h + 1e-3
+
+    def test_expected_rate_rejects_another_joint(self):
+        model = build_model(small_params(Q=2), "conditional")
+        with pytest.raises(InputError):
+            expected_rate(model, build_joint(small_params(Q=4)))
 
 
 class TestEndToEnd:
+    @pytest.mark.parametrize("p,Q", [(0.0, 2), (0.25, 1), (0.5, 1.4), (1.0, 64)])
+    def test_draws_are_those_of_the_pair_marginal(self, p, Q):
+        # the joint's rows are its distinct (x, x_p) pairs, in order, so
+        # drawing rows of the joint draws the pairs
+        joint = build_joint(small_params(p=p, Q=Q, M=16))
+        x, xp = sample_arrays(joint, 500, seed=4)
+        want = sample_columns(marginalize(joint, ["x", "xp"]), 500, 4)
+        assert x.dtype == xp.dtype == np.int64
+        assert np.array_equal(x, want[0]) and np.array_equal(xp, want[1])
+        assert list(zip(x.tolist(), xp.tolist())) == \
+            sample_pairs(small_params(p=p, Q=Q, M=16), 500, 4)
+
     @pytest.mark.parametrize("paradigm", CODEC_NAMES)
     @pytest.mark.parametrize("p,Q", [(0.25, 1), (0.5, 2), (1.0, 64), (0.0, 2)])
     def test_roundtrip_exact(self, paradigm, p, Q):

@@ -138,13 +138,6 @@ class TestReportInvariants:
                     assert rep.H_R_given_Xphat == rep.H_R
                     assert abs(rep.H_X_given_Xphat - 8.0) <= 1e-13
 
-    def test_report_accepts_prebuilt_joint(self):
-        params = PixelModelParams(p=0.3, Q=2, M=16)
-        pmf = build_joint(params)
-        a = entropy_report(params)
-        b = entropy_report(params, pmf)
-        assert a == b
-
     def test_row_matches_fields(self):
         rep = entropy_report(PixelModelParams(p=0.3, Q=2, M=16))
         row = rep.row()
@@ -156,7 +149,7 @@ class TestReportInvariants:
         params = PixelModelParams(p=0.3, Q=2, M=16)
         joint = build_joint(params)
         want = conditional_entropy(joint, row.coded, row.context or ())
-        got = getattr(entropy_report(params, joint), row.bound)
+        got = getattr(entropy_report(params), row.bound)
         assert got == pytest.approx(want, abs=1e-12)
 
 

@@ -89,16 +89,16 @@ class TestCurveContainer:
 
 class TestBinaryOracle:
     def test_matches_closed_form(self):
-        a, src, hamming = binary_uniform()
+        _, src, hamming = binary_uniform()
         curve = conditional_rd_curve(src, src.names[0], None,
-                                     a, hamming, np.arange(0.25, 4.5, 0.02))
+                                     hamming, np.arange(0.25, 4.5, 0.02))
         assert all(p.converged for p in curve.points)
         for D in np.linspace(0.08, 0.42, 12):
             assert abs(curve.rate_at(D) - (1 - h2(D))) < 1e-4
 
     def test_single_point_certificate(self):
-        a, src, hamming = binary_uniform()
-        pt = conditional_rd_curve(src, src.names[0], None, a, hamming, [1.0]).points[0]
+        _, src, hamming = binary_uniform()
+        pt = conditional_rd_curve(src, src.names[0], None, hamming, [1.0]).points[0]
         assert pt.converged
         # slope 1: optimal D solves log2((1-D)/D) = 1, i.e. D = 1/3
         assert abs(pt.distortion - 1 / 3) < 1e-6
@@ -110,19 +110,19 @@ class TestDegenerateSources:
         a = integer_alphabet("u", 0, 3)
         src = JointPMF([("u", a)], [[2]], [1.0])
         curve = conditional_rd_curve(src, src.names[0], None,
-                                     a, squared_error(a, a), np.geomspace(0.01, 100, 9))
+                                     squared_error(a, a), np.geomspace(0.01, 100, 9))
         assert all(p.rate == 0.0 for p in curve.points)
         assert all(p.distortion == 0.0 for p in curve.points)
 
     def test_steep_slope_reaches_entropy(self):
-        a, src, hamming = binary_uniform()
-        pt = conditional_rd_curve(src, src.names[0], None, a, hamming, [60.0]).points[0]
+        _, src, hamming = binary_uniform()
+        pt = conditional_rd_curve(src, src.names[0], None, hamming, [60.0]).points[0]
         assert pt.distortion < 1e-12
         assert abs(pt.rate - 1.0) < 1e-6
 
     def test_shallow_slope_reaches_zero_rate(self):
-        a, src, hamming = binary_uniform()
-        pt = conditional_rd_curve(src, src.names[0], None, a, hamming, [1e-4]).points[0]
+        _, src, hamming = binary_uniform()
+        pt = conditional_rd_curve(src, src.names[0], None, hamming, [1e-4]).points[0]
         assert pt.rate < 1e-6
 
 
@@ -135,8 +135,8 @@ class TestConditionalSolver:
         joint = JointPMF([("u", a), ("s", s)], idx, w)
         hamming = DistortionMatrix(a, a, np.array([[0.0, 1.0], [1.0, 0.0]]))
         grid = np.geomspace(0.3, 30, 12)
-        cond = conditional_rd_curve(joint, "u", "s", a, hamming, grid)
-        flat = conditional_rd_curve(marginalize(joint, ["u"]), "u", None, a, hamming, grid)
+        cond = conditional_rd_curve(joint, "u", "s", hamming, grid)
+        flat = conditional_rd_curve(marginalize(joint, ["u"]), "u", None, hamming, grid)
         for pc, pf in zip(cond.points, flat.points):
             assert abs(pc.rate - pf.rate) < 1e-9
             assert abs(pc.distortion - pf.distortion) < 1e-9
@@ -146,7 +146,7 @@ class TestConditionalSolver:
         s = integer_alphabet("s", 0, 3)
         idx = [[i, i] for i in range(4)]
         joint = JointPMF([("u", a), ("s", s)], idx, np.full(4, 0.25))
-        curve = conditional_rd_curve(joint, "u", "s", a, squared_error(a, a),
+        curve = conditional_rd_curve(joint, "u", "s", squared_error(a, a),
                                      np.geomspace(0.1, 10, 6))
         assert all(p.rate == 0.0 for p in curve.points)
 
@@ -155,8 +155,8 @@ class TestConditionalSolver:
         r_alph = pmf.alphabet("r")
         d = squared_error(r_alph, r_alph)
         grid = np.geomspace(0.01, 100, 10)
-        c1 = conditional_rd_curve(pmf, "r", "xq", r_alph, d, grid)
-        c2 = conditional_rd_curve(pmf, "r", "xq", r_alph, d, grid)
+        c1 = conditional_rd_curve(pmf, "r", "xq", d, grid)
+        c2 = conditional_rd_curve(pmf, "r", "xq", d, grid)
         assert [(p.rate, p.distortion) for p in c1.points] == \
                [(p.rate, p.distortion) for p in c2.points]
 
@@ -190,10 +190,11 @@ class TestParadigmComparison:
 
 class TestInputGuards:
     def test_alphabet_mismatch_rejected(self):
-        a, src, hamming = binary_uniform()
+        # the distortion matrix must be over the coded variable's alphabet
+        _, src, _ = binary_uniform()
         other = integer_alphabet("v", 0, 2)
         with pytest.raises(InputError):
-            conditional_rd_curve(src, src.names[0], None, other, hamming, [1.0])
+            conditional_rd_curve(src, src.names[0], None, squared_error(other, other), [1.0])
 
     def test_default_grid_shape(self):
         g = default_slope_grid()
@@ -207,9 +208,9 @@ class TestInputGuards:
             raise AssertionError("solved before the grid was checked")
 
         monkeypatch.setattr(rd_solver, "_ba_stack", no_solve)
-        a, src, hamming = binary_uniform()
+        _, src, hamming = binary_uniform()
         with pytest.raises(InputError):
-            conditional_rd_curve(src, src.names[0], None, a, hamming, grid)
+            conditional_rd_curve(src, src.names[0], None, hamming, grid)
         with pytest.raises(InputError):
             compare_paradigms(PixelModelParams(p=0.3, Q=2, M=8), grid)
 
@@ -244,7 +245,7 @@ class TestCertificates:
         hamming = DistortionMatrix(a, a, np.array([[0.0, 1.0], [1.0, 0.0]]))
         slope = 4.0
         monkeypatch.setattr(rd_solver, "MAX_ITERS", 1)
-        pt = conditional_rd_curve(src, src.names[0], None, a, hamming, [slope]).points[0]
+        pt = conditional_rd_curve(src, src.names[0], None, hamming, [slope]).points[0]
         assert not pt.converged and pt.iters == 1
         d_opt = 1 / (1 + 2 ** slope)
         excess = pt.rate + slope * pt.distortion - (h2(0.2) - h2(d_opt) + slope * d_opt)
@@ -302,9 +303,9 @@ class TestSlopeStacking:
     @settings(max_examples=25, deadline=None)
     def test_stacked_grid_matches_one_call_per_slope(self, problem):
         joint, dist, grid = problem
-        stacked = conditional_rd_curve(joint, "u", "s", dist.recon, dist, grid)
+        stacked = conditional_rd_curve(joint, "u", "s", dist, grid)
         for pt in stacked.points:
-            alone = conditional_rd_curve(joint, "u", "s", dist.recon, dist, [pt.slope])
+            alone = conditional_rd_curve(joint, "u", "s", dist, [pt.slope])
             assert _same_point(pt, alone.points[0]), (pt, alone.points[0])
             assert pt.iters == alone.points[0].iters
 
@@ -315,7 +316,7 @@ class TestSlopeStacking:
         curves = compare_paradigms(PixelModelParams(p=p, Q=Q, M=8), grid)
         for row in PARADIGMS:
             alph = joint.alphabet(row.coded)
-            alone = conditional_rd_curve(joint, row.coded, row.context, alph,
+            alone = conditional_rd_curve(joint, row.coded, row.context,
                                          squared_error(alph, alph), grid)
             got = curves[row.label].points
             assert len(got) == len(alone.points), row.label

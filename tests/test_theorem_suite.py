@@ -215,6 +215,21 @@ class TestLossy:
         with pytest.raises(PreconditionError):
             check_lossy(pixel_pmf)
 
+    def test_broken_premise_rejected(self):
+        pmf = trial_pmf(trial_seed(0, 1), (4, 4))
+        assert check_lossy(pmf).all_passed
+        xq, rt = pmf.var_pos("xq"), pmf.var_pos("rt")
+        # one row's xq moved off its xp cell's image: xq is no function of xp
+        split = pmf.idx.copy()
+        row = np.flatnonzero(split[:, 1] == split[0, 1])[1]
+        split[row, xq] = (split[row, xq] + 1) % len(pmf.alphabet("xq"))
+        # every rt moved by one symbol: rt != xt - xp
+        shifted = pmf.idx.copy()
+        shifted[:, rt] = (shifted[:, rt] + 1) % len(pmf.alphabet("rt"))
+        for idx in (split, shifted):
+            with pytest.raises(PreconditionError):
+                check_lossy(JointPMF(pmf.variables, idx, pmf.probs))
+
     def test_identities_on_arbitrary_joint(self):
         # nothing pixel-specific: random 6x6 joint, random bottleneck
         report = replay_trial(seed=123, k=0, shape=(6, 6))
@@ -225,6 +240,35 @@ class TestLossy:
 
 
 class TestRandomizedSuite:
+    def test_premises_checked_once_per_joint_or_block(self, monkeypatch):
+        """Each premise check groups or scans a whole joint: check_lossless
+        and check_lossy check theirs once, and a block of stacked trials
+        checks the lossy premises, which hold the lossless ones, once."""
+        calls = []
+
+        def counting(name):
+            real = getattr(theorem_suite, name)
+
+            def wrapper(pmf, *names):
+                calls.append(names)
+                return real(pmf, *names)
+            return wrapper
+
+        for name in ("_require_deterministic", "_require_difference"):
+            monkeypatch.setattr(theorem_suite, name, counting(name))
+        lossless = [("xp", "xq"), ("r", "x", "xp")]
+        lossy = lossless + [("rt", "xt", "xp")]
+        pmf = trial_pmf(trial_seed(0, 0), (8, 8))
+        check_lossless(pmf)
+        assert calls == lossless
+        calls.clear()
+        check_lossy(pmf)
+        assert calls == lossy
+        calls.clear()
+        # four 8x8 trials to a block: 9 trials make 3 blocks
+        run_randomized_suite(9, (8, 8), seed=0)
+        assert calls == lossy * 3
+
     def test_small_fuzz_run_passes(self):
         report = run_randomized_suite(60, (6, 5), seed=11)
         assert report.all_passed
