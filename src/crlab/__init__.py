@@ -21,7 +21,6 @@ from .errors import (
 )
 from .prob_core import (
     Alphabet,
-    DeterministicMap,
     JointPMF,
     adjoin_channel,
     adjoin_difference,

@@ -49,6 +49,7 @@ from .errors import (
 )
 from .pixel_model import PARADIGMS, PixelModelParams, build_joint, codec_paradigm
 from .prob_core import (
+    Alphabet,
     JointPMF,
     conditional_table,
     integer_alphabet,
@@ -222,15 +223,17 @@ class ProbabilityModel:
     """Static per-context frequency tables for one paradigm.
 
     paradigm is a codec name or label of pixel_model.PARADIGMS and is
-    stored as the name. contexts are quantized-prediction values, or
-    (None,) for a contextless paradigm. freq rows sum exactly to TOTAL and
-    every symbol that the exact model can emit has count >= 1.
+    stored as the name. symbols are the consecutive integers the coded
+    variable may take, stored as a range, one freq column each. contexts
+    are the cells 0..K-1 of the step-Q quantizer on x_p, one freq row
+    each, or (None,) for a contextless paradigm. freq rows sum exactly to
+    TOTAL and every symbol that the exact model can emit has count >= 1.
     """
 
     paradigm: str
     M: int
     Q: Fraction
-    symbols: tuple
+    symbols: range
     contexts: tuple
     freq: np.ndarray
 
@@ -238,6 +241,7 @@ class ProbabilityModel:
         row = codec_paradigm(self.paradigm)
         object.__setattr__(self, "paradigm", row.name)
         object.__setattr__(self, "_row", row)
+        object.__setattr__(self, "symbols", Alphabet(row.coded, self.symbols).symbols)
         freq = np.ascontiguousarray(self.freq, dtype=np.int64)
         if freq.shape != (len(self.contexts), len(self.symbols)):
             raise InputError(
@@ -259,24 +263,17 @@ class ProbabilityModel:
         # model symbol index of every value the coded variable can take
         # (x - x_p + M - 1 for a residual, x otherwise); -1 where the
         # model has no such symbol
-        index = {s: i for i, s in enumerate(self.symbols)}
-        lo = 1 - self.M if row.coded == "r" else 0
-        object.__setattr__(self, "_sym_of", np.array(
-            [index.get(v, -1) for v in range(lo, self.M)], dtype=np.int64))
+        values = np.arange(1 - self.M if row.coded == "r" else 0, self.M)
+        sym_of = values - self.symbols[0]
+        object.__setattr__(self, "_sym_of",
+                           np.where((sym_of >= 0) & (sym_of < len(self.symbols)), sym_of, -1))
         if row.context is None:
             ctx_of = np.zeros(self.M, dtype=np.int64)
         else:
-            qmap = quantizer_map(integer_alphabet("xp", 0, self.M - 1), self.Q)
-            ctx_index = {c: i for i, c in enumerate(self.contexts)}
-            try:
-                ctx_of = np.array(
-                    [ctx_index[qmap.codomain.symbols[j]] for j in qmap.image_idx],
-                    dtype=np.int64,
-                )
-            except KeyError as e:
-                raise InputError(
-                    f"model contexts do not cover quantizer image {e.args[0]!r}"
-                ) from None
+            ctx_of = quantizer_map(integer_alphabet("xp", 0, self.M - 1), self.Q)
+            if tuple(self.contexts) != tuple(range(ctx_of[-1] + 1)):
+                raise InputError(f"model contexts are not the {ctx_of[-1] + 1} "
+                                 f"cells of the step-{self.Q} quantizer")
         object.__setattr__(self, "_ctx_of_xp", ctx_of)
 
 
@@ -401,10 +398,9 @@ def encode(seq, paradigm: str, model: ProbabilityModel) -> Bitstream:
         i = int(np.argmax(bad))
         if si[i] < 0:
             raise InputError(f"symbol {int(sym[i])!r} outside the model alphabet")
-        raise ModelCoverageError(
-            f"symbol {int(sym[i])!r} has zero count in context "
-            f"{model.contexts[int(ci[i])]!r}"
-        )
+        where = "" if model._row.context is None else \
+            f" in context cell {int(ci[i])} (Q={model.Q})"
+        raise ModelCoverageError(f"symbol {int(sym[i])!r} has zero count{where}")
     return Bitstream(model._row.byte, model.M, len(pairs),
                      range_encode(starts.tolist(), sizes.tolist()))
 
@@ -426,7 +422,7 @@ def decode(bs: Bitstream, x_p_seq, model: ProbabilityModel, *,
             f"stream carries {bs.n} symbols but {len(preds)} predictions given"
         )
     si = range_decode(bs.payload, model._cum_rows, model._ctx_of_xp[preds].tolist())
-    x = np.array(model.symbols)[si]
+    x = np.array(si, dtype=np.int64) + model.symbols[0]
     x = x + preds if model._row.coded == "r" else x
     return x if as_array else x.tolist()
 

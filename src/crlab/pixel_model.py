@@ -7,7 +7,9 @@ is an independent uniform draw:
     Pr(x_p | x) = p/M + (1 - p) * [x_p == x]
 
 The decoder never sees X_p itself, only a quantized version X^_p with
-step Q (the bottleneck). R = X - X_p is the plain signed residual. All
+step Q (the bottleneck), coded by its cell floor(X_p/Q): every rate
+depends on which cell X_p falls in, never on the cell's value. R = X - X_p
+is the plain signed residual. All
 joint masses are formed in exact rational arithmetic and rounded to
 float64 once, so the entropy reports are exact to float precision.
 """
@@ -79,7 +81,8 @@ def _masses(params: PixelModelParams) -> tuple[float, float]:
 
 
 def build_joint(params: PixelModelParams) -> JointPMF:
-    """Exact joint over (x, xp, xq, r) for the given parameters."""
+    """Exact joint over (x, xp, xq, r) for the given parameters; xq is
+    the cell index of xp."""
     M = params.M
     ax = integer_alphabet("x", 0, M - 1)
     axp = integer_alphabet("xp", 0, M - 1)
@@ -93,7 +96,8 @@ def build_joint(params: PixelModelParams) -> JointPMF:
     probs = np.where(idx[:, 0] == idx[:, 1], diag, off)
 
     pmf = JointPMF((ax, axp), idx, probs, _trusted=True)
-    pmf = adjoin_map(pmf, "xp", quantizer_map(axp, params.Q, "xq"), "xq")
+    cells = quantizer_map(axp, params.Q)
+    pmf = adjoin_map(pmf, "xp", cells, integer_alphabet("xq", 0, int(cells[-1])), "xq")
     return adjoin_difference(pmf, "x", "xp", "r")
 
 

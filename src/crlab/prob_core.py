@@ -7,10 +7,12 @@ deterministic function of an existing variable adds a derived column
 instead of a new dense axis. The largest in-scope object, a four-variable
 pixel-model joint at M=256, therefore stays at 256*256 support points.
 
-Symbols are exact numbers (int or Fraction). Floats given as symbols or
-quantizer steps are read through their shortest decimal representation, so
-a step of 1.4 means exactly 7/5 and cell boundaries never depend on binary
-rounding.
+Every variable is integer-coded: its symbols are consecutive integers,
+and a row stores each as its offset from the first. A quantized variable
+is coded by its cell, so its symbols are the cell indices 0..K-1. Steps
+and other parameters are exact numbers (int or Fraction); a float is read
+through its shortest decimal representation, so a step of 1.4 means
+exactly 7/5 and cell boundaries never depend on binary rounding.
 
 All values are immutable after construction and all operations are pure.
 Sampling takes an explicit seed per call; there is no hidden global state.
@@ -22,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,10 +32,8 @@ from .errors import InputError
 
 __all__ = [
     "Alphabet",
-    "DeterministicMap",
     "JointPMF",
     "JointStack",
-    "Symbol",
     "adjoin_difference",
     "adjoin_channel",
     "adjoin_map",
@@ -55,8 +55,6 @@ __all__ = [
 
 SUM_TOL = 1e-12
 
-Symbol = Union[int, Fraction]
-
 
 def require_unit_sums(totals):
     """Raise InputError unless every total is 1 within SUM_TOL."""
@@ -74,8 +72,9 @@ def require_stochastic(kernel: np.ndarray):
         raise InputError("kernel rows must be nonnegative and sum to 1")
 
 
-def as_exact(value) -> Symbol:
-    """Coerce a number to an exact int or Fraction.
+def as_exact(value) -> int | Fraction:
+    """Coerce a number, such as p or a quantizer step, to an exact int or
+    Fraction.
 
     Floats go through repr, so 1.4 becomes Fraction(7, 5), not the binary
     float it is stored as.
@@ -100,104 +99,61 @@ def as_exact(value) -> Symbol:
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Named ordered list of distinct exact symbol values."""
+    """Named variable whose symbols are consecutive integers. Any
+    sequence of them may be given; symbols holds them as a range."""
 
     name: str
-    symbols: tuple[Symbol, ...]
+    symbols: range
 
     def __post_init__(self):
-        symbols = tuple(as_exact(s) for s in self.symbols)
-        if len(symbols) < 1:
+        given = tuple(self.symbols)
+        if not given:
             raise InputError(f"alphabet {self.name!r} is empty")
-        for a, b in zip(symbols, symbols[1:]):
-            if not a < b:
-                raise InputError(
-                    f"alphabet {self.name!r} symbols must be strictly ascending"
-                )
+        symbols = range(given[0], given[0] + len(given)) if type(given[0]) is int else None
+        if symbols is None or given != tuple(symbols):
+            raise InputError(
+                f"alphabet {self.name!r} symbols must be consecutive ascending integers"
+            )
         object.__setattr__(self, "symbols", symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    @cached_property
-    def index(self) -> dict:
-        return {s: i for i, s in enumerate(self.symbols)}
-
-    @cached_property
-    def is_contiguous_int(self) -> bool:
-        s = self.symbols
-        return all(isinstance(v, int) for v in s) and s[-1] - s[0] == len(s) - 1
 
 
 def integer_alphabet(name: str, lo: int, hi: int) -> Alphabet:
     """Alphabet of the consecutive integers lo..hi inclusive."""
     if hi < lo:
         raise InputError(f"empty integer range {lo}..{hi}")
-    return Alphabet(name, tuple(range(lo, hi + 1)))
-
-
-def _cross_alphabet(a: Alphabet, b: Alphabet, op, name: str) -> Alphabet:
-    if a.is_contiguous_int and b.is_contiguous_int:
-        # op is monotone in each argument, so two integer ranges combine
-        # into the integer range spanned by the four corner values
-        corners = [op(u, v) for u in (a.symbols[0], a.symbols[-1])
-                   for v in (b.symbols[0], b.symbols[-1])]
-        return integer_alphabet(name, min(corners), max(corners))
-    values = sorted({op(u, v) for u in a.symbols for v in b.symbols})
-    return Alphabet(name, tuple(values))
+    return Alphabet(name, range(lo, hi + 1))
 
 
 def difference_alphabet(a: Alphabet, b: Alphabet, name: str = "diff") -> Alphabet:
     """All values u - v for u in a, v in b (full cross set, support free)."""
-    return _cross_alphabet(a, b, lambda u, v: u - v, name)
+    return integer_alphabet(name, a.symbols[0] - b.symbols[-1], a.symbols[-1] - b.symbols[0])
 
 
 def sum_alphabet(a: Alphabet, b: Alphabet, name: str = "sum") -> Alphabet:
     """All values u + v for u in a, v in b."""
-    return _cross_alphabet(a, b, lambda u, v: u + v, name)
+    return integer_alphabet(name, a.symbols[0] + b.symbols[0], a.symbols[-1] + b.symbols[-1])
 
 
-@dataclass(frozen=True)
-class DeterministicMap:
-    """Total map from a domain alphabet into a codomain alphabet."""
+def quantizer_map(domain: Alphabet, step) -> np.ndarray:
+    """Cell of each symbol of domain under the lattice quantizer
+    v -> floor(v/step), counted from the cell of the first symbol.
 
-    domain: Alphabet
-    codomain: Alphabet
-    images: tuple[Symbol, ...]
-
-    def __post_init__(self):
-        images = tuple(as_exact(v) for v in self.images)
-        if len(images) != len(self.domain):
-            raise InputError("map must list one image per domain symbol")
-        missing = [v for v in images if v not in self.codomain.index]
-        if missing:
-            raise InputError(f"images {missing[:3]} not in codomain alphabet")
-        object.__setattr__(self, "images", images)
-
-    @cached_property
-    def image_idx(self) -> np.ndarray:
-        arr = np.array([self.codomain.index[v] for v in self.images], dtype=np.intp)
-        arr.flags.writeable = False
-        return arr
-
-    @classmethod
-    def from_callable(cls, domain: Alphabet, codomain: Alphabet, fn) -> "DeterministicMap":
-        return cls(domain, codomain, tuple(fn(s) for s in domain.symbols))
-
-
-def quantizer_map(domain: Alphabet, step, name: str = "quantized") -> DeterministicMap:
-    """Lattice quantizer v -> floor(v/step)*step in exact rational arithmetic.
-
-    Truncation (not round-half-up) is the convention here: on 0..M-1 with a
-    step dividing M every cell has exactly step members, so the entropy lost
-    by the bottleneck is exactly log2(step) bits.
+    The floor is taken in exact integer arithmetic, (v*den)//num for
+    step = num/den. Truncation (not round-half-up) is the convention here:
+    on 0..M-1 with a step dividing M every cell has exactly step members,
+    so the entropy lost by the bottleneck is exactly log2(step) bits. A
+    step of at least 1 leaves no cell empty between the first and the
+    last, so the cells are 0..K-1.
     """
-    q = as_exact(step)
-    if q <= 0:
-        raise InputError(f"quantizer step must be positive, got {step!r}")
-    images = tuple(as_exact((Fraction(v) / q).__floor__() * q) for v in domain.symbols)
-    codomain = Alphabet(name, tuple(sorted(set(images))))
-    return DeterministicMap(domain, codomain, images)
+    q = Fraction(as_exact(step))
+    if q < 1:
+        raise InputError(f"quantizer step must be >= 1, got {step!r}")
+    num, den = q.numerator, q.denominator
+    cells = np.array([v * den // num for v in domain.symbols], dtype=np.intp)
+    return cells - cells[0]
 
 
 class JointStack:
@@ -316,12 +272,6 @@ class JointPMF(JointStack):
         pairs = np.flatnonzero(m)
         return values[0][pairs // n_b], values[1][pairs % n_b], m[pairs]
 
-    def column_values(self, name: str) -> list:
-        """Symbol values of one variable, one entry per support point."""
-        c = self.var_pos(name)
-        syms = self.variables[c][1].symbols
-        return [syms[i] for i in self.idx[:, c]]
-
     def __repr__(self) -> str:
         vs = ", ".join(f"{n}[{len(a)}]" for n, a in self.variables)
         return f"JointPMF({vs}; {self.n_points} support points)"
@@ -436,11 +386,11 @@ def marginalize(pmf: JointPMF, keep: Sequence[str]) -> JointPMF:
 def conditional_table(pmf: JointPMF, target: str, given: str | None = None):
     """Dense p(target | given) over the whole alphabet of target.
 
-    Returns (w, P, contexts): the mass of each given cell that the support
-    reaches, its row-normalized conditional, and the given symbols of those
-    cells in alphabet order. With given=None the marginal of target is one
-    row, as summed and not renormalized, with weight exactly 1.0 and
-    contexts (None,).
+    Returns (w, P, contexts): the mass of each given symbol that the
+    support reaches, its row-normalized conditional, and those given
+    symbols in ascending order (the cell indices, for a quantized given).
+    With given=None the marginal of target is one row, as summed and not
+    renormalized, with weight exactly 1.0 and contexts (None,).
     """
     cols, radix = _columns(pmf, [target] if given is None else [given, target])
     # one bin per (given, target) cell, each summing its rows in row order
@@ -450,7 +400,7 @@ def conditional_table(pmf: JointPMF, target: str, given: str | None = None):
         return np.ones(1), P, (None,)
     w = P.sum(axis=1)
     keep = w > 0.0
-    contexts = tuple(s for s, k in zip(pmf.alphabet(given).symbols, keep) if k)
+    contexts = tuple((np.flatnonzero(keep) + pmf.alphabet(given).symbols[0]).tolist())
     return w[keep], P[keep] / w[keep, None], contexts
 
 
@@ -459,18 +409,20 @@ def _check_new_name(pmf: JointPMF, new_var: str):
         raise InputError(f"variable name {new_var!r} already in use")
 
 
-def adjoin_map(pmf: JointPMF, source_var: str, dmap: DeterministicMap,
+def adjoin_map(pmf: JointPMF, source_var: str, images, alphabet: Alphabet,
                new_var: str) -> JointPMF:
-    """Add new_var = dmap(source_var) as a derived column."""
+    """Add new_var = f(source_var) as a derived column: images lists, for
+    each symbol of source_var in alphabet order, the index of its image
+    in alphabet."""
     _check_new_name(pmf, new_var)
     c = pmf.var_pos(source_var)
-    if pmf.variables[c][1].symbols != dmap.domain.symbols:
-        raise InputError(
-            f"map domain does not match the alphabet of {source_var!r}"
-        )
-    new_col = dmap.image_idx[pmf.idx[:, c]]
-    idx = np.column_stack([pmf.idx, new_col])
-    variables = list(pmf.variables) + [(new_var, dmap.codomain)]
+    images = np.asarray(images)
+    if images.shape != (len(pmf.variables[c][1]),) or images.dtype.kind not in "iu":
+        raise InputError(f"map must list one integer image per symbol of {source_var!r}")
+    if images.min() < 0 or images.max() >= len(alphabet):
+        raise InputError(f"map images fall outside the alphabet of {new_var!r}")
+    idx = np.column_stack([pmf.idx, images.astype(np.intp)[pmf.idx[:, c]]])
+    variables = list(pmf.variables) + [(new_var, alphabet)]
     return JointPMF(variables, idx, pmf.probs, _trusted=True)
 
 
@@ -478,27 +430,10 @@ def combined_index(pmf: JointPMF, a: str, b: str, sign: int,
                    alphabet: Alphabet) -> np.ndarray:
     """Index in alphabet of a + sign*b (sign is +1 or -1) at every support
     point, or -1 where that value is not in alphabet."""
-    ca, cb = pmf.var_pos(a), pmf.var_pos(b)
-    alph_a = pmf.variables[ca][1]
-    alph_b = pmf.variables[cb][1]
-    if alph_a.is_contiguous_int and alph_b.is_contiguous_int and alphabet.is_contiguous_int:
-        va = pmf.idx[:, ca] + int(alph_a.symbols[0])
-        vb = pmf.idx[:, cb] + int(alph_b.symbols[0])
-        col = va + sign * vb - int(alphabet.symbols[0])
-        return np.where((col >= 0) & (col < len(alphabet)), col, -1)
-    # exact symbol arithmetic; only small tables reach this path
-    pair_cache: dict[tuple[int, int], int] = {}
-    sa, sb = alph_a.symbols, alph_b.symbols
-    index = alphabet.index
-    col = np.empty(pmf.n_points, dtype=np.intp)
-    for r, (ia, ib) in enumerate(zip(pmf.idx[:, ca], pmf.idx[:, cb])):
-        k = (int(ia), int(ib))
-        j = pair_cache.get(k)
-        if j is None:
-            j = index.get(sa[k[0]] + sign * sb[k[1]], -1)
-            pair_cache[k] = j
-        col[r] = j
-    return col
+    offset = pmf.alphabet(a).symbols[0] + sign * pmf.alphabet(b).symbols[0] \
+        - alphabet.symbols[0]
+    col = pmf.idx[:, pmf.var_pos(a)] + sign * pmf.idx[:, pmf.var_pos(b)] + offset
+    return np.where((col >= 0) & (col < len(alphabet)), col, -1)
 
 
 def _adjoin_combined(pmf: JointPMF, a: str, b: str, new_var: str, sign: int,
@@ -572,9 +507,8 @@ def _as_seed(seed) -> int:
 
 
 def sample_columns(pmf: JointPMF, n: int, seed) -> tuple[np.ndarray, ...]:
-    """Symbol values of n draws, one array per variable in pmf order,
-    reproducibly for a fixed seed. An all-int alphabet gives an integer
-    array; any other gives an object array of its exact symbols."""
+    """Symbol values of n draws, one int64 array per variable in pmf
+    order, reproducibly for a fixed seed."""
     if not isinstance(n, int) or n < 0:
         raise InputError(f"sample count must be a nonnegative integer, got {n!r}")
     if n == 0:
@@ -583,7 +517,7 @@ def sample_columns(pmf: JointPMF, n: int, seed) -> tuple[np.ndarray, ...]:
         rng = seed if isinstance(seed, np.random.Generator) \
             else np.random.default_rng(_as_seed(seed))
         rows = pmf.idx[rng.choice(pmf.n_points, size=n, p=pmf.probs / pmf.probs.sum())]
-    return tuple(np.array(alphabet.symbols)[rows[:, c]]
+    return tuple(rows[:, c] + np.int64(alphabet.symbols[0])
                  for c, (_, alphabet) in enumerate(pmf.variables))
 
 

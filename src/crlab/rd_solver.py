@@ -72,8 +72,8 @@ class DistortionMatrix:
 
 
 def squared_error(source: Alphabet, recon: Alphabet) -> DistortionMatrix:
-    sv = np.array([float(v) for v in source.symbols])
-    rv = np.array([float(v) for v in recon.symbols])
+    sv = np.array(source.symbols, dtype=np.float64)
+    rv = np.array(recon.symbols, dtype=np.float64)
     return DistortionMatrix(source, recon, (sv[:, None] - rv[None, :]) ** 2)
 
 

@@ -306,7 +306,7 @@ def _trial_layout(shape: tuple[int, int]):
     rt_alph = Alphabet("rt_values", r_alph.symbols)
     xt_alph = sum_alphabet(xp_alph, rt_alph, name="xt")
     variables = (("x", x_alph), ("xp", xp_alph),
-                 ("xq", Alphabet("xq_values", tuple(range(shape[1])))),
+                 ("xq", integer_alphabet("xq_values", 0, shape[1] - 1)),
                  ("r", r_alph), ("rt", rt_alph), ("xt", xt_alph))
     nr = len(r_alph)
     x, xp = np.indices(shape).reshape(2, -1)

@@ -1,5 +1,6 @@
 """Range coder and static models: exact round trips or loud failures."""
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -356,35 +357,37 @@ class TestRangeCoderPrimitive:
 
 
 def hand_model(rng, paradigm, M, Q):
-    """A ProbabilityModel whose alphabet misses some values the coded
-    variable can take and whose rows hold some zero counts."""
+    """A ProbabilityModel whose alphabet, a run of the values the coded
+    variable can take, may miss some of them at either end and whose rows
+    hold some zero counts."""
     row = codec_paradigm(paradigm)
     values = range(1 - M, M) if row.coded == "r" else range(M)
-    symbols = tuple(v for v in values if rng.random() < 0.8) or (values[0],)
-    contexts = (None,) if row.context is None else tuple(range(0, M, Q))
+    cut = rng.integers(0, len(values) // 5 + 1, 2)
+    symbols = values[cut[0]:len(values) - cut[1]]
+    cells = math.floor((M - 1) / Q) + 1
+    contexts = (None,) if row.context is None else tuple(range(cells))
     freq, _ = random_tables(rng, len(contexts), len(symbols))
-    return codec.ProbabilityModel(paradigm, M, Fraction(Q), symbols, contexts, freq)
+    return codec.ProbabilityModel(paradigm, M, Q, symbols, contexts, freq)
 
 
 def reference_encode(pairs, model):
-    """The symbol-at-a-time encode loop the array path replaced: the
-    payload, or the error of the first position it cannot code."""
+    """The symbol-at-a-time encode loop the array path replaced, with the
+    context cell floor(x_p/Q) taken in Fractions: the payload, or the error
+    of the first position it cannot code."""
     row = codec_paradigm(model.paradigm)
     sym_index = {s: i for i, s in enumerate(model.symbols)}
-    ctx_index = {c: i for i, c in enumerate(model.contexts)}
     freq = model.freq.tolist()
     cum = [[0, *np.cumsum(r).tolist()] for r in freq]
     enc = ReferenceEncoder()
     for x, xp in pairs:
         sym = x - xp if row.coded == "r" else x
-        ci = 0 if row.context is None else ctx_index[xp // model.Q * model.Q]
+        ci = 0 if row.context is None else math.floor(Fraction(xp) / model.Q)
         si = sym_index.get(sym)
         if si is None:
             raise InputError(f"symbol {sym!r} outside the model alphabet")
         if freq[ci][si] == 0:
-            raise ModelCoverageError(
-                f"symbol {sym!r} has zero count in context {model.contexts[ci]!r}"
-            )
+            where = "" if row.context is None else f" in context cell {ci} (Q={model.Q})"
+            raise ModelCoverageError(f"symbol {sym!r} has zero count{where}")
         enc.encode(cum[ci][si], freq[ci][si], TOTAL)
     return enc.finish() if pairs else b""
 
@@ -393,13 +396,13 @@ class TestEncodeMatchesReference:
     @given(st.integers(min_value=0, max_value=2 ** 32),
            st.sampled_from(CODEC_NAMES),
            st.integers(min_value=2, max_value=12),
-           st.integers(min_value=1, max_value=12),
+           st.fractions(min_value=1, max_value=12, max_denominator=5),
            st.integers(min_value=0, max_value=300),
            st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_same_bytes_or_same_first_error(self, seed, paradigm, M, Q, n, codable):
         rng = np.random.default_rng(seed)
-        model = hand_model(rng, paradigm, M, min(Q, M))
+        model = hand_model(rng, paradigm, M, Q)
         pairs = [tuple(p) for p in rng.integers(0, M, (n, 2)).tolist()]
         if codable:
             pairs = [p for p in pairs if self.codes(p, model)]
@@ -453,6 +456,19 @@ class TestModel:
             model = build_model(params, paradigm)
             # 16-bit frequency quantization costs a hair of cross-entropy
             assert h <= expected_rate(model, build_joint(params)) <= h + 1e-3
+
+    def test_tables_must_match_the_quantizer_cells(self):
+        freq = np.full((8, 16), TOTAL // 16)
+        model = codec.ProbabilityModel("conditional", 16, 2, tuple(range(16)),
+                                       tuple(range(8)), freq)
+        assert model.symbols == range(16)
+        # the step-2 cells are 0..7; the old cell values 0, 2, .., 14 are not
+        for contexts in (tuple(range(1, 9)), tuple(range(0, 16, 2))):
+            with pytest.raises(InputError, match="cells"):
+                codec.ProbabilityModel("conditional", 16, 2, range(16), contexts, freq)
+        with pytest.raises(InputError, match="consecutive"):
+            codec.ProbabilityModel("conditional", 16, 2, (0, 2, 3), tuple(range(8)),
+                                   freq[:, :3])
 
     def test_expected_rate_rejects_another_joint(self):
         model = build_model(small_params(Q=2), "conditional")
@@ -626,11 +642,13 @@ class TestInputGuards:
             build_model(PixelModelParams(p=0.5, Q=1, M=0x10000), "residual")
 
     def test_uncovered_symbol_is_coverage_error(self):
-        # p=0 leaves only r=0 in the model; any other residual cannot code
-        params = small_params(p=0.0, Q=1, M=16)
+        # p=0 leaves only r=0 in the model; any other residual cannot code.
+        # The error names the context by its cell, floor(3/1.4) = 2
+        params = small_params(p=0.0, Q=1.4, M=16)
         model = build_model(params, "conditional-residual")
-        with pytest.raises(ModelCoverageError):
-            encode([(5, 0)], "conditional-residual", model)
+        with pytest.raises(ModelCoverageError,
+                           match=r"^symbol 2 has zero count in context cell 2 \(Q=7/5\)$"):
+            encode([(5, 3)], "conditional-residual", model)
 
     def test_measure_rate_validates_n(self):
         stream = Bitstream(codec_paradigm("residual").byte, 16, 4, b"abcd")

@@ -59,16 +59,24 @@ class TestJointStructure:
         pmf = build_joint(PixelModelParams(p=0.5, Q=2, M=8))
         assert set(pmf.names) >= {"x", "xp", "xq", "r"}
 
+    @staticmethod
+    def values(pmf, name):
+        return pmf.idx[:, pmf.var_pos(name)] + pmf.alphabet(name).symbols[0]
+
     def test_residual_is_difference(self):
         pmf = build_joint(PixelModelParams(p=0.5, Q=2, M=8))
-        xs = pmf.column_values("x")
-        xps = pmf.column_values("xp")
-        rs = pmf.column_values("r")
-        assert all(r == x - xp for x, xp, r in zip(xs, xps, rs))
+        x, xp, r = (self.values(pmf, n) for n in ("x", "xp", "r"))
+        assert np.array_equal(r, x - xp)
 
     def test_p_zero_copies_prediction(self):
         pmf = build_joint(PixelModelParams(p=0.0, Q=1, M=8))
-        assert all(v == 0 for v in pmf.column_values("r"))
+        assert not self.values(pmf, "r").any()
+
+    def test_xq_is_the_cell_of_xp(self):
+        pmf = build_joint(PixelModelParams(p=0.5, Q=1.4, M=8))
+        xp, xq = self.values(pmf, "xp"), self.values(pmf, "xq")
+        assert np.array_equal(xq, xp * 5 // 7)
+        assert pmf.alphabet("xq").symbols == range(6)  # 7 * 5 // 7 = 5
 
     def test_x_marginal_uniform(self):
         pmf = build_joint(PixelModelParams(p=0.7, Q=2, M=32))

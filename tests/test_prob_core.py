@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crlab import prob_core
@@ -14,7 +14,6 @@ from crlab.info_measures import entropy
 from crlab.pixel_model import PARADIGMS, PixelModelParams, build_joint
 from crlab.prob_core import (
     Alphabet,
-    DeterministicMap,
     JointPMF,
     adjoin_channel,
     adjoin_difference,
@@ -51,6 +50,11 @@ def _table_by_rows(pmf, target, given):
     w = P.sum(axis=1)
     keep = w > 0.0
     return w[keep], P[keep] / w[keep, None], tuple(s for s, k in zip(symbols, keep) if k)
+
+
+def values(pmf, name):
+    """Symbol values of one variable, one per support point."""
+    return (pmf.idx[:, pmf.var_pos(name)] + pmf.alphabet(name).symbols[0]).tolist()
 
 
 def uniform_pair(n=4):
@@ -94,59 +98,81 @@ class TestAlphabet:
             Alphabet("a", (2, 1))
         with pytest.raises(InputError):
             Alphabet("a", ())
+        with pytest.raises(InputError):
+            Alphabet("a", (0, 2))  # a gap
+
+    def test_rejects_non_integer_symbols(self):
+        for symbols in [(0, Fraction(7, 5)), (Fraction(1, 2), Fraction(3, 2)), (0.5, 1.5)]:
+            with pytest.raises(InputError):
+                Alphabet("a", symbols)
 
     def test_integer_alphabet(self):
         a = integer_alphabet("x", 0, 5)
         assert len(a) == 6
-        assert a.symbols == (0, 1, 2, 3, 4, 5)
-        assert a.is_contiguous_int
+        assert a.symbols == range(6)
+        assert Alphabet("x", (0, 1, 2, 3, 4, 5)) == a
         with pytest.raises(InputError):
             integer_alphabet("x", 3, 2)
 
     def test_difference_alphabet_covers_cross_set(self):
         a = integer_alphabet("x", 0, 2)
         d = difference_alphabet(a, a)
-        assert d.symbols == (-2, -1, 0, 1, 2)
+        assert tuple(d.symbols) == (-2, -1, 0, 1, 2)
 
     @pytest.mark.parametrize("lo_a,hi_a,lo_b,hi_b", [(0, 0, 0, 0), (-3, 2, 5, 9), (4, 4, -2, 7)])
     def test_integer_cross_sets_match_enumeration(self, lo_a, hi_a, lo_b, hi_b):
         a = integer_alphabet("a", lo_a, hi_a)
         b = integer_alphabet("b", lo_b, hi_b)
         pairs = [(u, v) for u in a.symbols for v in b.symbols]
-        assert difference_alphabet(a, b).symbols == tuple(sorted({u - v for u, v in pairs}))
-        assert sum_alphabet(a, b).symbols == tuple(sorted({u + v for u, v in pairs}))
-
-    def test_fraction_cross_set_enumerates(self):
-        a = Alphabet("a", (0, Fraction(7, 5), Fraction(14, 5)))
-        b = integer_alphabet("b", 0, 1)
-        assert difference_alphabet(a, b).symbols == (
-            -1, 0, Fraction(2, 5), Fraction(7, 5), Fraction(9, 5), Fraction(14, 5))
+        assert tuple(difference_alphabet(a, b).symbols) == \
+            tuple(sorted({u - v for u, v in pairs}))
+        assert tuple(sum_alphabet(a, b).symbols) == tuple(sorted({u + v for u, v in pairs}))
 
 
 class TestQuantizerMap:
     def test_integer_step_truncates(self):
         dom = integer_alphabet("x", 0, 7)
         m = quantizer_map(dom, 2)
-        assert m.images == (0, 0, 2, 2, 4, 4, 6, 6)
+        assert m.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
 
     def test_fractional_step_is_exact(self):
-        # step 7/5 on 0..6: floor(v/1.4)*1.4 lands on exact rationals
+        # step 7/5 on 0..6: the cell of v is floor(v/1.4) in exact arithmetic
         dom = integer_alphabet("x", 0, 6)
-        m = quantizer_map(dom, 1.4)
-        q = Fraction(7, 5)
-        expected = tuple((Fraction(v) / q).__floor__() * q for v in range(7))
-        assert m.images == expected
+        assert quantizer_map(dom, 1.4).tolist() == [0, 0, 1, 2, 2, 3, 4]
+
+    def test_step_seven_fifths_cell_sizes(self):
+        # 110 one-symbol and 73 two-symbol cells: the bottleneck loses
+        # 8 - (110*8 + 73*2*7)/256 = 146/256 bits of H(xp)
+        cells = quantizer_map(integer_alphabet("xp", 0, 255), Fraction(7, 5))
+        sizes = np.bincount(cells)
+        assert cells.dtype == np.intp and sizes.size == 183
+        assert np.bincount(sizes).tolist() == [0, 110, 73]
+
+    @given(st.integers(-20, 20), st.integers(1, 300),
+           st.integers(1, 50), st.integers(1, 50))
+    @example(0, 256, 7, 5)
+    @settings(max_examples=60, deadline=None)
+    def test_cells_are_the_exact_floor(self, lo, M, a, b):
+        """The cells are floor(v/Q) taken with Fractions, less the first
+        cell, for Q = a/b >= 1; so K, their count, is the last cell + 1."""
+        if a < b:
+            a, b = b, a
+        q = Fraction(a, b)
+        dom = integer_alphabet("x", lo, lo + M - 1)
+        exact = [math.floor(Fraction(v) / q) for v in dom.symbols]
+        cells = quantizer_map(dom, q)
+        assert cells.tolist() == [c - exact[0] for c in exact]
+        assert np.unique(cells).size == cells[-1] + 1 == exact[-1] - exact[0] + 1
 
     def test_rejects_nonpositive_step(self):
         dom = integer_alphabet("x", 0, 3)
         with pytest.raises(InputError):
             quantizer_map(dom, 0)
 
-    def test_from_callable_must_be_total(self):
-        dom = integer_alphabet("x", 0, 3)
-        cod = integer_alphabet("y", 0, 1)
+    def test_rejects_step_below_one(self):
+        # cells of a step below 1 would skip indices that no symbol takes
         with pytest.raises(InputError):
-            DeterministicMap.from_callable(dom, cod, lambda v: v)  # 2,3 escape
+            quantizer_map(integer_alphabet("x", 0, 3), Fraction(1, 2))
 
 
 class TestJointPMF:
@@ -162,10 +188,9 @@ class TestJointPMF:
         with pytest.raises(InputError):
             JointPMF([("x", a)], [[0], [0]], [0.5, 0.5])
 
-    def test_column_values_and_names(self):
+    def test_names(self):
         pmf = uniform_pair(3)
         assert pmf.names == ("x", "xp")
-        assert pmf.column_values("x") == [0, 1, 2]
         with pytest.raises(InputError):
             pmf.var_pos("nope")
 
@@ -187,6 +212,9 @@ class TestJointPMF:
         assert P.tolist() == [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]
         w, P, contexts = conditional_table(pmf, "y")
         assert contexts == (None,)
+        # a quantized given: the contexts are its cells, ascending
+        pixel = build_joint(PixelModelParams(p=0.3, Q=1.4, M=256))
+        assert conditional_table(pixel, "x", "xq")[2] == tuple(range(183))
         assert w.tolist() == [1.0]
         assert P.tolist() == [[0.5, 0.0, 0.5]]
 
@@ -194,7 +222,7 @@ class TestJointPMF:
     @pytest.mark.parametrize("Q", [1, 1.4, 2, 64])
     @pytest.mark.parametrize("M", [2, 3, 16])
     def test_conditional_table_matches_grouped_rows(self, M, Q, p):
-        # every PARADIGMS row: given=None for res, Fraction symbols for xq at Q=1.4
+        # every PARADIGMS row: given=None for res, irregular xq cells at Q=1.4
         pmf = build_joint(PixelModelParams(p=p, Q=Q, M=M))
         for row in PARADIGMS:
             got = conditional_table(pmf, row.coded, row.context)
@@ -257,30 +285,40 @@ class TestAdjoin:
     def test_adjoin_difference_matches_by_hand(self):
         pmf = uniform_pair(4)
         ext = adjoin_difference(pmf, "x", "xp", "r")
-        assert ext.column_values("r") == [0, 0, 0, 0]  # xp == x here
+        assert values(ext, "r") == [0, 0, 0, 0]  # xp == x here
 
     def test_adjoin_sum_then_difference_roundtrip(self):
         pmf = uniform_pair(3)
         ext = adjoin_sum(pmf, "x", "xp", "s")
         back = adjoin_difference(ext, "s", "xp", "x2")
-        assert back.column_values("x2") == back.column_values("x")
+        assert values(back, "x2") == values(back, "x")
 
     def test_adjoin_map_quantizer_column(self):
         a = integer_alphabet("x", 0, 7)
         pmf = JointPMF([("x", a)], [[i] for i in range(8)], np.full(8, 0.125))
-        ext = adjoin_map(pmf, "x", quantizer_map(a, 4, name="xq"), "xq")
-        assert ext.column_values("xq") == [0, 0, 0, 0, 4, 4, 4, 4]
+        ext = adjoin_map(pmf, "x", quantizer_map(a, 4), integer_alphabet("xq", 0, 1), "xq")
+        assert values(ext, "xq") == [0, 0, 0, 0, 1, 1, 1, 1]
 
-    @pytest.mark.parametrize("step", [1, Fraction(1, 2)])
-    def test_combined_index_marks_values_outside_the_alphabet(self, step):
-        # x in {0, step, 2*step}, xp = 0 or step; step = 1/2 takes the exact path
-        x = Alphabet("x", (0, step, 2 * step))
-        xp = Alphabet("xp", (0, step))
+    def test_adjoin_map_rejects_images_outside_the_alphabet(self):
+        a = integer_alphabet("x", 0, 3)
+        pmf = JointPMF([("x", a)], [[i] for i in range(4)], np.full(4, 0.25))
+        y = integer_alphabet("y", 0, 1)
+        for images in ([0, 1, 2, 3], [0, -1, 0, 1], [0, 1, 0], [0.0, 1.0, 0.0, 1.0]):
+            with pytest.raises(InputError):
+                adjoin_map(pmf, "x", np.array(images), y, "y")  # 2, 3 and -1 escape
+
+    @pytest.mark.parametrize("lo", [1, -2])
+    def test_combined_index_marks_values_outside_the_alphabet(self, lo):
+        # x in {lo, lo+1, lo+2}, xp = lo or lo+1, out = {0, 1} in index
+        # terms: every alphabet starts at lo, so each symbol's offset shifts
+        x = integer_alphabet("x", lo, lo + 2)
+        xp = integer_alphabet("xp", lo, lo + 1)
         pmf = JointPMF([("x", x), ("xp", xp)], [[0, 0], [0, 1], [1, 1], [2, 0]],
                        np.full(4, 0.25))
-        out = Alphabet("out", (0, step))  # lacks -step and 2*step
-        assert combined_index(pmf, "x", "xp", -1, out).tolist() == [0, -1, 0, -1]
-        assert combined_index(pmf, "x", "xp", +1, out).tolist() == [0, 1, -1, -1]
+        diff = integer_alphabet("diff", 0, 1)  # lacks -1 and 2
+        assert combined_index(pmf, "x", "xp", -1, diff).tolist() == [0, -1, 0, -1]
+        total = integer_alphabet("total", 2 * lo, 2 * lo + 1)  # lacks 2*lo + 2, + 3
+        assert combined_index(pmf, "x", "xp", +1, total).tolist() == [0, 1, -1, -1]
 
     def test_adjoin_rejects_name_collision(self):
         pmf = uniform_pair(3)
@@ -342,13 +380,14 @@ class TestRandomness:
             return []
         rng = np.random.default_rng(seed)
         picks = rng.choice(pmf.n_points, size=n, p=pmf.probs / pmf.probs.sum())
-        columns = [pmf.column_values(name) for name in pmf.names]
+        columns = [[pmf.alphabet(name).symbols[i] for i in pmf.idx[:, c]]
+                   for c, name in enumerate(pmf.names)]
         return [tuple(col[i] for col in columns) for i in picks]
 
     @pytest.mark.parametrize("pmf", [
         random_pmf((3, 4), seed=7),
         marginalize(build_joint(PixelModelParams(p=0.3, Q=2, M=16)), ["x", "xp"]),
-        # the 7/5 step mixes int cells (0, 7, 14) with Fraction ones
+        # the 7/5 step gives cells of one and two symbols
         build_joint(PixelModelParams(p=0.3, Q=Fraction(7, 5), M=16)),
     ], ids=["random", "pixel-int", "pixel-7/5"])
     @pytest.mark.parametrize("n,seed", [(0, 1), (1, 0), (500, 3), (2000, 2 ** 64 - 1)])
@@ -362,8 +401,8 @@ class TestRandomness:
         pmf = build_joint(PixelModelParams(p=0.3, Q=Fraction(7, 5), M=16))
         cols = sample_columns(pmf, 300, 5)
         assert list(zip(*(c.tolist() for c in cols))) == self.sample(pmf, 300, 5)
-        assert cols[pmf.var_pos("x")].dtype == np.int64
-        assert cols[pmf.var_pos("xq")].dtype == object
+        assert [c.dtype for c in cols] == [np.int64] * 4
+        assert set(cols[pmf.var_pos("xq")].tolist()) <= set(range(11))  # 15*5//7 = 10
 
     def test_random_pmf_shape_and_determinism(self):
         pmf = random_pmf((3, 4), seed=7)
@@ -378,15 +417,16 @@ class TestRandomness:
 @st.composite
 def grouping_cases(draw):
     """A joint and a nonempty ordered subset of its variable names."""
-    kind = draw(st.sampled_from(["random", "fraction", "holes", "diagonal"]))
+    kind = draw(st.sampled_from(["random", "quantized", "holes", "diagonal"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     if kind == "random":
         shape = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
         pmf = random_pmf(shape, seed=rng)
-    elif kind == "fraction":
+    elif kind == "quantized":
         n = draw(st.integers(2, 12))
         pmf = random_pmf((n, n), seed=rng, names=("x", "xp"))
-        pmf = adjoin_map(pmf, "xp", quantizer_map(pmf.alphabet("xp"), 1.4, "xq"), "xq")
+        cells = quantizer_map(pmf.alphabet("xp"), 1.4)
+        pmf = adjoin_map(pmf, "xp", cells, integer_alphabet("xq", 0, int(cells[-1])), "xq")
     elif kind == "holes":
         n = draw(st.integers(2, 6))
         pmf = adjoin_difference(random_pmf((n, n), seed=rng, names=("x", "xp")),

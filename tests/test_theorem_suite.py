@@ -1,7 +1,6 @@
 """Identity and inequality checks on hand-built and randomized joints."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,12 +14,12 @@ from crlab.info_measures import _CHUNK
 from crlab.pixel_model import PixelModelParams, build_joint
 from crlab.prob_core import (
     Alphabet,
-    DeterministicMap,
     JointPMF,
     adjoin_channel,
     adjoin_difference,
     adjoin_map,
     adjoin_sum,
+    integer_alphabet,
     quantizer_map,
     random_pmf,
 )
@@ -47,10 +46,8 @@ def trial_pmf(t_seed, shape):
     rng = np.random.default_rng(t_seed)
     pmf = random_pmf(shape, seed=rng, names=("x", "xp"))
     k = int(rng.integers(1, shape[1] + 1))
-    images = tuple(int(v) for v in rng.integers(0, k, size=shape[1]))
-    bottleneck = DeterministicMap(pmf.alphabet("xp"),
-                                  Alphabet("xq_values", tuple(range(k))), images)
-    pmf = adjoin_map(pmf, "xp", bottleneck, "xq")
+    images = rng.integers(0, k, size=shape[1])
+    pmf = adjoin_map(pmf, "xp", images, integer_alphabet("xq_values", 0, k - 1), "xq")
     pmf = adjoin_difference(pmf, "x", "xp", "r")
     r_alph = pmf.alphabet("r")
     kernel = rng.dirichlet(np.ones(len(r_alph)), size=len(r_alph))
@@ -155,32 +152,32 @@ class TestLossless:
             check_lossless(pmf)
 
 
-def half_step_pmf(r_symbols, r_values):
-    """x, xp on half-integer alphabets, xq = xp, and the given r column."""
-    h = Fraction(1, 2)
-    pairs = [(h, 0), (0, h), (1, h)]
-    alphs = [Alphabet("x", (0, h, 1)), Alphabet("xp", (0, h)),
-             Alphabet("xq", (0, h)), Alphabet("r", r_symbols)]
-    idx = [[alphs[0].index[x], alphs[1].index[xp], alphs[2].index[xp],
-            alphs[3].index[r]] for (x, xp), r in zip(pairs, r_values)]
+def offset_pmf(r_lo, r_values):
+    """x in 1..3 and xp in 2..3 at the pairs (2, 2), (1, 2), (3, 3), xq the
+    cell of xp at step 2, and the given r values on the alphabet
+    r_lo..r_lo+1."""
+    pairs = [(2, 2), (1, 2), (3, 3)]
+    alphs = [integer_alphabet("x", 1, 3), integer_alphabet("xp", 2, 3),
+             integer_alphabet("xq", 0, 0), integer_alphabet("r", r_lo, r_lo + 1)]
+    idx = [[x - 1, xp - 2, 0, r - r_lo] for (x, xp), r in zip(pairs, r_values)]
     return JointPMF(alphs, idx, [0.5, 0.25, 0.25])
 
 
 class TestDifferencePrecondition:
-    h = Fraction(1, 2)
+    # r = x - xp is 0, -1, 0 at the three pairs
 
     def test_exact_residual_passes(self):
-        pmf = half_step_pmf((-self.h, self.h), (self.h, -self.h, self.h))
+        pmf = offset_pmf(-1, (0, -1, 0))
         assert check_lossless(pmf).all_passed
 
     def test_wrong_residual_rejected(self):
-        pmf = half_step_pmf((-self.h, self.h), (self.h, -self.h, -self.h))
+        pmf = offset_pmf(-1, (0, -1, -1))
         with pytest.raises(PreconditionError):
             check_lossless(pmf)
 
     def test_residual_missing_from_alphabet_rejected(self):
-        q = Fraction(1, 4)
-        pmf = half_step_pmf((-self.h, q), (q, -self.h, q))
+        # the alphabet 0..1 has no -1, so no r index matches the second pair
+        pmf = offset_pmf(0, (0, 1, 0))
         with pytest.raises(PreconditionError):
             check_lossless(pmf)
 
@@ -204,7 +201,8 @@ class TestLossy:
     def test_adjoins_missing_residuals(self):
         rng = np.random.default_rng(5)
         pmf = random_pmf((4, 4), seed=rng, names=("x", "xp"))
-        pmf = adjoin_map(pmf, "xp", quantizer_map(pmf.alphabet("xp"), 2, "xq"), "xq")
+        pmf = adjoin_map(pmf, "xp", quantizer_map(pmf.alphabet("xp"), 2),
+                         integer_alphabet("xq", 0, 1), "xq")
         kernel = rng.dirichlet(np.ones(4), size=4)
         pmf = adjoin_channel(pmf, "x", kernel, Alphabet("xt", (0, 1, 2, 3)), "xt")
         assert pmf.names == ("x", "xp", "xq", "xt")
