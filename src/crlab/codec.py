@@ -49,7 +49,6 @@ from .errors import (
 )
 from .pixel_model import PARADIGMS, PixelModelParams, build_joint, codec_paradigm
 from .prob_core import (
-    Alphabet,
     JointPMF,
     conditional_table,
     integer_alphabet,
@@ -73,7 +72,6 @@ __all__ = [
     "range_decode",
     "range_encode",
     "require_encodable",
-    "sample_arrays",
     "sample_pairs",
 ]
 
@@ -223,30 +221,36 @@ class ProbabilityModel:
     """Static per-context frequency tables for one paradigm.
 
     paradigm is a codec name or label of pixel_model.PARADIGMS and is
-    stored as the name. symbols are the consecutive integers the coded
-    variable may take, stored as a range, one freq column each. contexts
-    are the cells 0..K-1 of the step-Q quantizer on x_p, one freq row
-    each, or (None,) for a contextless paradigm. freq rows sum exactly to
-    TOTAL and every symbol that the exact model can emit has count >= 1.
+    stored as the name; it, M and Q fix the shape of freq. Its columns
+    are the values first..M-1 of the coded variable, where first is 1-M
+    for a residual and 0 for x. Its rows are the contexts: the cells
+    0..K-1 of the step-Q quantizer on x_p 0..M-1, or one row for a
+    contextless paradigm. freq rows sum exactly to TOTAL and every symbol
+    that the exact model can emit has count >= 1.
     """
 
     paradigm: str
     M: int
     Q: Fraction
-    symbols: range
-    contexts: tuple
     freq: np.ndarray
 
     def __post_init__(self):
         row = codec_paradigm(self.paradigm)
+        require_encodable(self.M)
         object.__setattr__(self, "paradigm", row.name)
         object.__setattr__(self, "_row", row)
-        object.__setattr__(self, "symbols", Alphabet(row.coded, self.symbols).symbols)
+        object.__setattr__(self, "first", 1 - self.M if row.coded == "r" else 0)
+        if row.context is None:
+            ctx_of = np.zeros(self.M, dtype=np.int64)
+        else:
+            ctx_of = quantizer_map(integer_alphabet("xp", 0, self.M - 1), self.Q)
+        object.__setattr__(self, "_ctx_of_xp", ctx_of)
         freq = np.ascontiguousarray(self.freq, dtype=np.int64)
-        if freq.shape != (len(self.contexts), len(self.symbols)):
+        shape = (int(ctx_of[-1]) + 1, self.M - self.first)
+        if freq.shape != shape:
             raise InputError(
-                f"freq shape {freq.shape} does not match "
-                f"{len(self.contexts)} contexts x {len(self.symbols)} symbols"
+                f"freq shape {freq.shape} is not the {shape[0]} contexts x "
+                f"{shape[1]} symbols of {row.name} at M={self.M}, Q={self.Q}"
             )
         if np.any(freq < 0):
             raise InputError("negative frequency count")
@@ -260,21 +264,6 @@ class ProbabilityModel:
         object.__setattr__(self, "_cum", cum)
         # the decoder bisects plain lists, which beat ndarray scalar indexing
         object.__setattr__(self, "_cum_rows", cum.tolist())
-        # model symbol index of every value the coded variable can take
-        # (x - x_p + M - 1 for a residual, x otherwise); -1 where the
-        # model has no such symbol
-        values = np.arange(1 - self.M if row.coded == "r" else 0, self.M)
-        sym_of = values - self.symbols[0]
-        object.__setattr__(self, "_sym_of",
-                           np.where((sym_of >= 0) & (sym_of < len(self.symbols)), sym_of, -1))
-        if row.context is None:
-            ctx_of = np.zeros(self.M, dtype=np.int64)
-        else:
-            ctx_of = quantizer_map(integer_alphabet("xp", 0, self.M - 1), self.Q)
-            if tuple(self.contexts) != tuple(range(ctx_of[-1] + 1)):
-                raise InputError(f"model contexts are not the {ctx_of[-1] + 1} "
-                                 f"cells of the step-{self.Q} quantizer")
-        object.__setattr__(self, "_ctx_of_xp", ctx_of)
 
 
 @dataclass(frozen=True)
@@ -329,10 +318,8 @@ def build_model(params: PixelModelParams, paradigm: str,
     row = codec_paradigm(paradigm)
     require_encodable(params.M)
     joint = pmf if pmf is not None else build_joint(params)
-    _, p, contexts = conditional_table(joint, row.coded, row.context)
-    freq = quantize_freq(p)
-    return ProbabilityModel(row.name, params.M, params.Q,
-                            joint.alphabet(row.coded).symbols, contexts, freq)
+    _, p = conditional_table(joint, row.coded, row.context)
+    return ProbabilityModel(row.name, params.M, params.Q, quantize_freq(p))
 
 
 def expected_rate(model: ProbabilityModel, joint: JointPMF) -> float:
@@ -342,7 +329,7 @@ def expected_rate(model: ProbabilityModel, joint: JointPMF) -> float:
     quantization loss (zero when the exact PMF hits the count grid).
     """
     row = model._row
-    w, p, _ = conditional_table(joint, row.coded, row.context)
+    w, p = conditional_table(joint, row.coded, row.context)
     if p.shape != model.freq.shape:
         raise InputError("model tables do not match this joint")
     mask = p > 0.0
@@ -385,19 +372,16 @@ def encode(seq, paradigm: str, model: ProbabilityModel) -> Bitstream:
         )
     pairs = _symbols(seq, model.M, pairs=True)
     x, xp = pairs[:, 0], pairs[:, 1]
-    residual = model._row.coded == "r"
-    sym = x - xp if residual else x
-    si = model._sym_of[sym + (model.M - 1) if residual else sym]
+    sym = x - xp if model._row.coded == "r" else x
+    si = sym - model.first
     ci = model._ctx_of_xp[xp]
     starts = model._cum[ci, si]
     sizes = model.freq[ci, si]
-    # the first bad position decides the error, as a symbol-by-symbol
+    # the first zero count decides the error, as a symbol-by-symbol
     # coder would meet it
-    bad = (si < 0) | (sizes == 0)
+    bad = sizes == 0
     if bad.any():
         i = int(np.argmax(bad))
-        if si[i] < 0:
-            raise InputError(f"symbol {int(sym[i])!r} outside the model alphabet")
         where = "" if model._row.context is None else \
             f" in context cell {int(ci[i])} (Q={model.Q})"
         raise ModelCoverageError(f"symbol {int(sym[i])!r} has zero count{where}")
@@ -422,7 +406,7 @@ def decode(bs: Bitstream, x_p_seq, model: ProbabilityModel, *,
             f"stream carries {bs.n} symbols but {len(preds)} predictions given"
         )
     si = range_decode(bs.payload, model._cum_rows, model._ctx_of_xp[preds].tolist())
-    x = np.array(si, dtype=np.int64) + model.symbols[0]
+    x = np.array(si, dtype=np.int64) + model.first
     x = x + preds if model._row.coded == "r" else x
     return x if as_array else x.tolist()
 
@@ -434,14 +418,9 @@ def measure_rate(bs: Bitstream, n: int) -> float:
     return 8.0 * len(bs.payload) / n
 
 
-def sample_arrays(joint: JointPMF, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """x and x_p of n iid draws of a pixel joint's rows, which are its
-    distinct (x, x_p) pairs, as int64 arrays, reproducibly by seed."""
-    return sample_columns(joint, n, seed)[:2]
-
-
 def sample_pairs(params: PixelModelParams, n: int, seed) -> list[tuple[int, int]]:
-    """The draws of sample_arrays as (x, x_p) pairs of Python ints; it
+    """n iid draws of the pixel joint's rows, which are its distinct
+    (x, x_p) pairs, as pairs of Python ints, reproducibly by seed; it
     takes params, not a joint, for perfbench's codec check."""
-    x, xp = sample_arrays(build_joint(params), n, seed)
+    x, xp = sample_columns(build_joint(params), n, seed)[:2]
     return list(zip(x.tolist(), xp.tolist()))

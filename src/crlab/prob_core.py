@@ -80,21 +80,21 @@ def as_exact(value) -> int | Fraction:
     float it is stored as.
     """
     if isinstance(value, bool):
-        raise InputError("booleans are not valid symbols")
+        raise InputError("booleans are not valid numbers")
     if isinstance(value, int):
         return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise InputError(f"non-finite symbol value: {value!r}")
+            raise InputError(f"non-finite number: {value!r}")
         return as_exact(Fraction(repr(value)))
     if isinstance(value, str):
         try:
             return as_exact(Fraction(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse {value!r} as an exact number") from exc
-    raise InputError(f"unsupported symbol type: {type(value).__name__}")
+    raise InputError(f"unsupported number type: {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -386,22 +386,20 @@ def marginalize(pmf: JointPMF, keep: Sequence[str]) -> JointPMF:
 def conditional_table(pmf: JointPMF, target: str, given: str | None = None):
     """Dense p(target | given) over the whole alphabet of target.
 
-    Returns (w, P, contexts): the mass of each given symbol that the
-    support reaches, its row-normalized conditional, and those given
-    symbols in ascending order (the cell indices, for a quantized given).
+    Returns (w, P): the mass of each given symbol that the support
+    reaches, in ascending order, and its row-normalized conditional.
     With given=None the marginal of target is one row, as summed and not
-    renormalized, with weight exactly 1.0 and contexts (None,).
+    renormalized, with weight exactly 1.0.
     """
     cols, radix = _columns(pmf, [target] if given is None else [given, target])
     # one bin per (given, target) cell, each summing its rows in row order
     P = np.bincount(_ravel_rows(pmf.idx, cols, radix), weights=pmf.probs,
                     minlength=math.prod(radix)).reshape(-1, radix[-1])
     if given is None:
-        return np.ones(1), P, (None,)
+        return np.ones(1), P
     w = P.sum(axis=1)
     keep = w > 0.0
-    contexts = tuple((np.flatnonzero(keep) + pmf.alphabet(given).symbols[0]).tolist())
-    return w[keep], P[keep] / w[keep, None], contexts
+    return w[keep], P[keep] / w[keep, None]
 
 
 def _check_new_name(pmf: JointPMF, new_var: str):

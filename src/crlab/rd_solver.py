@@ -557,7 +557,7 @@ def conditional_rd_curve(joint: JointPMF, source_var: str, cond_var: str | None,
     if label is None:
         label = f"{source_var}|{cond_var}"
 
-    w, P, _ = conditional_table(joint, source_var, cond_var)
+    w, P = conditional_table(joint, source_var, cond_var)
     return _stack_curves([(label, w, P)], dist.d, grid)[label]
 
 
@@ -577,7 +577,7 @@ def compare_paradigms(params: PixelModelParams, slope_grid=None) -> dict[str, RD
     curves = {}
     for coded, rows in by_coded.items():
         alph = joint.alphabet(coded)
-        tables = [(row.label, *conditional_table(joint, coded, row.context)[:2])
+        tables = [(row.label, *conditional_table(joint, coded, row.context))
                   for row in rows]
         curves.update(_stack_curves(tables, squared_error(alph, alph).d, grid))
     return {row.label: curves[row.label] for row in PARADIGMS}

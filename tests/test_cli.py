@@ -41,6 +41,12 @@ class TestUsageErrors:
         assert code == 64
         assert err != ""
 
+    @pytest.mark.parametrize("argv", [["--p", "0.3", "--Q", "inf"], ["--p", "nan"]])
+    def test_non_finite_number_exits_64(self, capsys, argv):
+        code, _, err = run(capsys, "codec", *argv, "--n", "10", "--paradigm", "residual")
+        assert code == 64
+        assert err == f"error: non-finite number: {argv[-1]}\n"
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -21,7 +21,6 @@ from crlab.codec import (
     quantize_freq,
     range_decode,
     range_encode,
-    sample_arrays,
     sample_pairs,
 )
 from crlab.errors import (
@@ -357,34 +356,28 @@ class TestRangeCoderPrimitive:
 
 
 def hand_model(rng, paradigm, M, Q):
-    """A ProbabilityModel whose alphabet, a run of the values the coded
-    variable can take, may miss some of them at either end and whose rows
-    hold some zero counts."""
+    """A ProbabilityModel over every value the coded variable can take,
+    one row per context, whose rows hold some zero counts."""
     row = codec_paradigm(paradigm)
-    values = range(1 - M, M) if row.coded == "r" else range(M)
-    cut = rng.integers(0, len(values) // 5 + 1, 2)
-    symbols = values[cut[0]:len(values) - cut[1]]
-    cells = math.floor((M - 1) / Q) + 1
-    contexts = (None,) if row.context is None else tuple(range(cells))
-    freq, _ = random_tables(rng, len(contexts), len(symbols))
-    return codec.ProbabilityModel(paradigm, M, Q, symbols, contexts, freq)
+    values = 2 * M - 1 if row.coded == "r" else M
+    cells = 1 if row.context is None else math.floor((M - 1) / Q) + 1
+    freq, _ = random_tables(rng, cells, values)
+    return codec.ProbabilityModel(paradigm, M, Q, freq)
 
 
 def reference_encode(pairs, model):
     """The symbol-at-a-time encode loop the array path replaced, with the
-    context cell floor(x_p/Q) taken in Fractions: the payload, or the error
-    of the first position it cannot code."""
+    context cell floor(x_p/Q) taken in Fractions: the payload, or the
+    zero-count error of the first position it cannot code."""
     row = codec_paradigm(model.paradigm)
-    sym_index = {s: i for i, s in enumerate(model.symbols)}
     freq = model.freq.tolist()
     cum = [[0, *np.cumsum(r).tolist()] for r in freq]
     enc = ReferenceEncoder()
     for x, xp in pairs:
         sym = x - xp if row.coded == "r" else x
         ci = 0 if row.context is None else math.floor(Fraction(xp) / model.Q)
-        si = sym_index.get(sym)
-        if si is None:
-            raise InputError(f"symbol {sym!r} outside the model alphabet")
+        # the residual's columns start at 1 - M
+        si = sym + model.M - 1 if row.coded == "r" else sym
         if freq[ci][si] == 0:
             where = "" if row.context is None else f" in context cell {ci} (Q={model.Q})"
             raise ModelCoverageError(f"symbol {sym!r} has zero count{where}")
@@ -408,8 +401,8 @@ class TestEncodeMatchesReference:
             pairs = [p for p in pairs if self.codes(p, model)]
         try:
             want = reference_encode(pairs, model)
-        except (InputError, ModelCoverageError) as e:
-            with pytest.raises(type(e)) as got:
+        except ModelCoverageError as e:
+            with pytest.raises(ModelCoverageError) as got:
                 encode(pairs, paradigm, model)
             assert str(got.value) == str(e)
             return
@@ -421,16 +414,18 @@ class TestEncodeMatchesReference:
     def codes(pair, model):
         try:
             reference_encode([pair], model)
-        except (InputError, ModelCoverageError):
+        except ModelCoverageError:
             return False
         return True
 
     def test_earliest_bad_position_decides(self):
-        model = codec.ProbabilityModel("residual", 8, Fraction(1), (-1, 0, 1, 2),
-                                       (None,), [[0, TOTAL // 2, TOTAL // 2, 0]])
-        # r = 5 is outside the alphabet; r = 2 and r = -1 have zero count
-        with pytest.raises(InputError, match="symbol 5 outside"):
-            encode([(0, 0), (5, 0), (2, 0)], "residual", model)
+        # columns r = -7..7; only r = 0 and r = 1 have counts
+        freq = np.zeros((1, 15), dtype=np.int64)
+        freq[0, [7, 8]] = TOTAL // 2
+        model = codec.ProbabilityModel("residual", 8, Fraction(1), freq)
+        # x = 8 is outside 0..7, which the input check rejects before coding
+        with pytest.raises(InputError, match="symbol 8 outside alphabet 0..7"):
+            encode([(0, 0), (8, 0), (2, 0)], "residual", model)
         with pytest.raises(ModelCoverageError, match="symbol 2 has zero count"):
             encode([(0, 0), (2, 0), (5, 0)], "residual", model)
         with pytest.raises(ModelCoverageError, match="symbol -1 has zero count"):
@@ -458,17 +453,21 @@ class TestModel:
             assert h <= expected_rate(model, build_joint(params)) <= h + 1e-3
 
     def test_tables_must_match_the_quantizer_cells(self):
-        freq = np.full((8, 16), TOTAL // 16)
-        model = codec.ProbabilityModel("conditional", 16, 2, tuple(range(16)),
-                                       tuple(range(8)), freq)
-        assert model.symbols == range(16)
-        # the step-2 cells are 0..7; the old cell values 0, 2, .., 14 are not
-        for contexts in (tuple(range(1, 9)), tuple(range(0, 16, 2))):
-            with pytest.raises(InputError, match="cells"):
-                codec.ProbabilityModel("conditional", 16, 2, range(16), contexts, freq)
-        with pytest.raises(InputError, match="consecutive"):
-            codec.ProbabilityModel("conditional", 16, 2, (0, 2, 3), tuple(range(8)),
-                                   freq[:, :3])
+        def flat(rows, cols):
+            return np.tile(quantize_freq(np.full(cols, 1 / cols)), (rows, 1))
+
+        # a residual at M=16 has one row over r = -15..15
+        assert codec.ProbabilityModel("residual", 16, 2, flat(1, 31)).first == -15
+        with pytest.raises(InputError, match=r"freq shape \(1, 30\) is not the 1 contexts x 31"):
+            codec.ProbabilityModel("residual", 16, 2, flat(1, 30))
+        # the step-2 cells of x_p 0..15 are the 8 rows 0..7
+        assert codec.ProbabilityModel("conditional", 16, 2, flat(8, 16)).first == 0
+        for rows in (7, 9):
+            with pytest.raises(InputError, match=r"is not the 8 contexts x 16 symbols"):
+                codec.ProbabilityModel("conditional", 16, 2, flat(rows, 16))
+        # the shape derives from M, so an M the header cannot carry is refused
+        with pytest.raises(InputError, match="16 bits"):
+            codec.ProbabilityModel("residual", 0x10000, 1, flat(1, 1))
 
     def test_expected_rate_rejects_another_joint(self):
         model = build_model(small_params(Q=2), "conditional")
@@ -482,7 +481,7 @@ class TestEndToEnd:
         # the joint's rows are its distinct (x, x_p) pairs, in order, so
         # drawing rows of the joint draws the pairs
         joint = build_joint(small_params(p=p, Q=Q, M=16))
-        x, xp = sample_arrays(joint, 500, seed=4)
+        x, xp = sample_columns(joint, 500, seed=4)[:2]
         want = sample_columns(marginalize(joint, ["x", "xp"]), 500, 4)
         assert x.dtype == xp.dtype == np.int64
         assert np.array_equal(x, want[0]) and np.array_equal(xp, want[1])
