@@ -4,8 +4,10 @@ theorem checks, RD envelopes, a range coder, and BD-rate analysis.
 The common workflow is: build a `PixelModelParams`, look at its
 `entropy_report`, and go deeper with `compare_paradigms` (RD envelopes),
 `run_randomized_suite` (identity fuzzing), or `encode`/`decode` (actual
-bitstreams). Everything is importable from the submodules; this namespace
-re-exports the pieces that workflow touches.
+bitstreams). A joint's variables are (name, range) pairs, each range
+the consecutive integer symbols of its variable. Everything is
+importable from the submodules; this namespace re-exports the pieces
+that workflow touches.
 """
 
 from .errors import (
@@ -20,12 +22,10 @@ from .errors import (
     UsageError,
 )
 from .prob_core import (
-    Alphabet,
     JointPMF,
     adjoin_channel,
     adjoin_difference,
     adjoin_map,
-    integer_alphabet,
     marginalize,
     quantizer_map,
     random_pmf,

@@ -51,7 +51,6 @@ from .pixel_model import PARADIGMS, PixelModelParams, build_joint, codec_paradig
 from .prob_core import (
     JointPMF,
     conditional_table,
-    integer_alphabet,
     quantizer_map,
     sample_columns,
 )
@@ -243,7 +242,7 @@ class ProbabilityModel:
         if row.context is None:
             ctx_of = np.zeros(self.M, dtype=np.int64)
         else:
-            ctx_of = quantizer_map(integer_alphabet("xp", 0, self.M - 1), self.Q)
+            ctx_of = quantizer_map(range(self.M), self.Q)
         object.__setattr__(self, "_ctx_of_xp", ctx_of)
         freq = np.ascontiguousarray(self.freq, dtype=np.int64)
         shape = (int(ctx_of[-1]) + 1, self.M - self.first)

@@ -29,7 +29,6 @@ from .prob_core import (
     adjoin_difference,
     adjoin_map,
     as_exact,
-    integer_alphabet,
     quantizer_map,
 )
 
@@ -84,9 +83,6 @@ def build_joint(params: PixelModelParams) -> JointPMF:
     """Exact joint over (x, xp, xq, r) for the given parameters; xq is
     the cell index of xp."""
     M = params.M
-    ax = integer_alphabet("x", 0, M - 1)
-    axp = integer_alphabet("xp", 0, M - 1)
-
     if params.p == 0:
         # every off-diagonal pair has mass 0: the support is x == xp
         idx = np.repeat(np.arange(M, dtype=np.intp)[:, None], 2, axis=1)
@@ -95,9 +91,9 @@ def build_joint(params: PixelModelParams) -> JointPMF:
     off, diag = _masses(params)
     probs = np.where(idx[:, 0] == idx[:, 1], diag, off)
 
-    pmf = JointPMF((ax, axp), idx, probs, _trusted=True)
-    cells = quantizer_map(axp, params.Q)
-    pmf = adjoin_map(pmf, "xp", cells, integer_alphabet("xq", 0, int(cells[-1])), "xq")
+    pmf = JointPMF((("x", range(M)), ("xp", range(M))), idx, probs, _trusted=True)
+    cells = quantizer_map(range(M), params.Q)
+    pmf = adjoin_map(pmf, "xp", cells, range(int(cells[-1]) + 1), "xq")
     return adjoin_difference(pmf, "x", "xp", "r")
 
 

@@ -7,12 +7,14 @@ deterministic function of an existing variable adds a derived column
 instead of a new dense axis. The largest in-scope object, a four-variable
 pixel-model joint at M=256, therefore stays at 256*256 support points.
 
-Every variable is integer-coded: its symbols are consecutive integers,
-and a row stores each as its offset from the first. A quantized variable
-is coded by its cell, so its symbols are the cell indices 0..K-1. Steps
-and other parameters are exact numbers (int or Fraction); a float is read
-through its shortest decimal representation, so a step of 1.4 means
-exactly 7/5 and cell boundaries never depend on binary rounding.
+A variable is a name and a range of consecutive integers, its alphabet;
+a row stores each symbol as its offset from the first. A quantized
+variable is coded by its cell, so its alphabet is range(K), the cell
+indices. An alphabet given from outside that is not a nonempty range
+with step 1 raises InputError where it enters. Steps and other
+parameters are exact numbers (int or Fraction); a float is read through
+its shortest decimal representation, so a step of 1.4 means exactly 7/5
+and cell boundaries never depend on binary rounding.
 
 All values are immutable after construction and all operations are pure.
 Sampling takes an explicit seed per call; there is no hidden global state.
@@ -21,7 +23,6 @@ Sampling takes an explicit seed per call; there is no hidden global state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -31,7 +32,6 @@ import numpy as np
 from .errors import InputError
 
 __all__ = [
-    "Alphabet",
     "JointPMF",
     "JointStack",
     "adjoin_difference",
@@ -42,7 +42,6 @@ __all__ = [
     "combined_index",
     "conditional_table",
     "difference_alphabet",
-    "integer_alphabet",
     "marginalize",
     "quantizer_map",
     "random_pmf",
@@ -97,47 +96,25 @@ def as_exact(value) -> int | Fraction:
     raise InputError(f"unsupported number type: {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Named variable whose symbols are consecutive integers. Any
-    sequence of them may be given; symbols holds them as a range."""
-
-    name: str
-    symbols: range
-
-    def __post_init__(self):
-        given = tuple(self.symbols)
-        if not given:
-            raise InputError(f"alphabet {self.name!r} is empty")
-        symbols = range(given[0], given[0] + len(given)) if type(given[0]) is int else None
-        if symbols is None or given != tuple(symbols):
-            raise InputError(
-                f"alphabet {self.name!r} symbols must be consecutive ascending integers"
-            )
-        object.__setattr__(self, "symbols", symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
+def _require_alphabet(name: str, alphabet):
+    """Raise InputError unless alphabet, the symbols of variable name, is
+    a nonempty range of consecutive ascending integers."""
+    if not isinstance(alphabet, range) or alphabet.step != 1 or not alphabet:
+        raise InputError(f"alphabet of {name!r} must be a nonempty range with step 1, "
+                         f"got {alphabet!r}")
 
 
-def integer_alphabet(name: str, lo: int, hi: int) -> Alphabet:
-    """Alphabet of the consecutive integers lo..hi inclusive."""
-    if hi < lo:
-        raise InputError(f"empty integer range {lo}..{hi}")
-    return Alphabet(name, range(lo, hi + 1))
-
-
-def difference_alphabet(a: Alphabet, b: Alphabet, name: str = "diff") -> Alphabet:
+def difference_alphabet(a: range, b: range) -> range:
     """All values u - v for u in a, v in b (full cross set, support free)."""
-    return integer_alphabet(name, a.symbols[0] - b.symbols[-1], a.symbols[-1] - b.symbols[0])
+    return range(a[0] - b[-1], a[-1] - b[0] + 1)
 
 
-def sum_alphabet(a: Alphabet, b: Alphabet, name: str = "sum") -> Alphabet:
+def sum_alphabet(a: range, b: range) -> range:
     """All values u + v for u in a, v in b."""
-    return integer_alphabet(name, a.symbols[0] + b.symbols[0], a.symbols[-1] + b.symbols[-1])
+    return range(a[0] + b[0], a[-1] + b[-1] + 1)
 
 
-def quantizer_map(domain: Alphabet, step) -> np.ndarray:
+def quantizer_map(domain: range, step) -> np.ndarray:
     """Cell of each symbol of domain under the lattice quantizer
     v -> floor(v/step), counted from the cell of the first symbol.
 
@@ -152,7 +129,7 @@ def quantizer_map(domain: Alphabet, step) -> np.ndarray:
     if q < 1:
         raise InputError(f"quantizer step must be >= 1, got {step!r}")
     num, den = q.numerator, q.denominator
-    cells = np.array([v * den // num for v in domain.symbols], dtype=np.intp)
+    cells = np.array([v * den // num for v in domain], dtype=np.intp)
     return cells - cells[0]
 
 
@@ -161,9 +138,10 @@ class JointStack:
     stacked, one segment per joint, so that one key groups all of them at
     once. A JointPMF is the stack of one joint.
 
-    variables: ordered (name, Alphabet) pairs shared by the joints. Joint t
-    uses the first sizes[t][v] symbols of the alphabet of variable v, so an
-    index names the same symbol in every joint.
+    variables: ordered (name, alphabet) pairs shared by the joints, each
+    alphabet a range of consecutive integers. Joint t uses the first
+    sizes[t][v] symbols of the alphabet of variable v, so an index names
+    the same symbol in every joint.
     idx, probs: the support rows of joint 0, then those of joint 1, and so
     on, each in its joint's support order; the weights of each joint sum
     to 1. seg[i] is the joint of row i, and is None for a single joint.
@@ -190,7 +168,7 @@ class JointStack:
         except ValueError:
             raise InputError(f"unknown variable {name!r}; have {self.names}") from None
 
-    def alphabet(self, name: str) -> Alphabet:
+    def alphabet(self, name: str) -> range:
         return self.variables[self.var_pos(name)][1]
 
     def __len__(self) -> int:
@@ -220,16 +198,14 @@ class JointPMF(JointStack):
     """Joint distribution over named finite variables, support-point form:
     the JointStack of one joint, with seg None and sizes the alphabet sizes.
 
-    variables: ordered (name, Alphabet) pairs.
+    variables: ordered (name, alphabet) pairs, each alphabet a nonempty
+    range with step 1; index i of a variable is symbol alphabet[i].
     idx: (n_points, n_vars) alphabet indices, one row per support point.
     probs: (n_points,) strictly positive weights summing to 1 within 1e-12.
     """
 
     def __init__(self, variables, idx, probs, *, _trusted: bool = False):
-        variables = tuple(
-            (v.name, v) if isinstance(v, Alphabet) else (str(v[0]), v[1])
-            for v in variables
-        )
+        variables = tuple((str(n), a) for n, a in variables)
         idx = np.ascontiguousarray(idx, dtype=np.intp)
         probs = np.ascontiguousarray(probs, dtype=np.float64)
         if not _trusted:
@@ -288,6 +264,7 @@ def _validate_pmf(variables, idx, probs):
     if not np.all(np.isfinite(probs)) or np.any(probs < 0):
         raise InputError("probabilities must be finite and nonnegative")
     for c, (name, alph) in enumerate(variables):
+        _require_alphabet(name, alph)
         col = idx[:, c]
         if col.size and (col.min() < 0 or col.max() >= len(alph)):
             raise InputError(f"index out of range for variable {name!r}")
@@ -407,12 +384,13 @@ def _check_new_name(pmf: JointPMF, new_var: str):
         raise InputError(f"variable name {new_var!r} already in use")
 
 
-def adjoin_map(pmf: JointPMF, source_var: str, images, alphabet: Alphabet,
+def adjoin_map(pmf: JointPMF, source_var: str, images, alphabet: range,
                new_var: str) -> JointPMF:
     """Add new_var = f(source_var) as a derived column: images lists, for
     each symbol of source_var in alphabet order, the index of its image
     in alphabet."""
     _check_new_name(pmf, new_var)
+    _require_alphabet(new_var, alphabet)
     c = pmf.var_pos(source_var)
     images = np.asarray(images)
     if images.shape != (len(pmf.variables[c][1]),) or images.dtype.kind not in "iu":
@@ -425,17 +403,16 @@ def adjoin_map(pmf: JointPMF, source_var: str, images, alphabet: Alphabet,
 
 
 def combined_index(pmf: JointPMF, a: str, b: str, sign: int,
-                   alphabet: Alphabet) -> np.ndarray:
+                   alphabet: range) -> np.ndarray:
     """Index in alphabet of a + sign*b (sign is +1 or -1) at every support
     point, or -1 where that value is not in alphabet."""
-    offset = pmf.alphabet(a).symbols[0] + sign * pmf.alphabet(b).symbols[0] \
-        - alphabet.symbols[0]
+    offset = pmf.alphabet(a)[0] + sign * pmf.alphabet(b)[0] - alphabet[0]
     col = pmf.idx[:, pmf.var_pos(a)] + sign * pmf.idx[:, pmf.var_pos(b)] + offset
     return np.where((col >= 0) & (col < len(alphabet)), col, -1)
 
 
 def _adjoin_combined(pmf: JointPMF, a: str, b: str, new_var: str, sign: int,
-                     codomain: Alphabet) -> JointPMF:
+                     codomain: range) -> JointPMF:
     """codomain is the full cross set, so every index is found."""
     _check_new_name(pmf, new_var)
     idx = np.column_stack([pmf.idx, combined_index(pmf, a, b, sign, codomain)])
@@ -446,19 +423,18 @@ def _adjoin_combined(pmf: JointPMF, a: str, b: str, new_var: str, sign: int,
 def adjoin_difference(pmf: JointPMF, minuend: str, subtrahend: str,
                       new_var: str) -> JointPMF:
     """Add new_var = minuend - subtrahend; alphabet is the full cross set."""
-    codomain = difference_alphabet(pmf.alphabet(minuend), pmf.alphabet(subtrahend),
-                                   name=new_var)
+    codomain = difference_alphabet(pmf.alphabet(minuend), pmf.alphabet(subtrahend))
     return _adjoin_combined(pmf, minuend, subtrahend, new_var, -1, codomain)
 
 
 def adjoin_sum(pmf: JointPMF, a: str, b: str, new_var: str) -> JointPMF:
     """Add new_var = a + b; alphabet is the full cross set."""
-    codomain = sum_alphabet(pmf.alphabet(a), pmf.alphabet(b), name=new_var)
+    codomain = sum_alphabet(pmf.alphabet(a), pmf.alphabet(b))
     return _adjoin_combined(pmf, a, b, new_var, +1, codomain)
 
 
 def adjoin_channel(pmf: JointPMF, given: str, kernel: np.ndarray,
-                   alphabet: Alphabet, new_var: str) -> JointPMF:
+                   alphabet: range, new_var: str) -> JointPMF:
     """Extend by a conditional distribution: new_var ~ kernel[given, :].
 
     kernel rows must be indexed by the alphabet of `given` and sum to 1. The
@@ -466,6 +442,7 @@ def adjoin_channel(pmf: JointPMF, given: str, kernel: np.ndarray,
     `given`, which is exactly the memoryless test channel construction.
     """
     _check_new_name(pmf, new_var)
+    _require_alphabet(new_var, alphabet)
     c = pmf.var_pos(given)
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.shape != (len(pmf.alphabet(given)), len(alphabet)):
@@ -515,7 +492,7 @@ def sample_columns(pmf: JointPMF, n: int, seed) -> tuple[np.ndarray, ...]:
         rng = seed if isinstance(seed, np.random.Generator) \
             else np.random.default_rng(_as_seed(seed))
         rows = pmf.idx[rng.choice(pmf.n_points, size=n, p=pmf.probs / pmf.probs.sum())]
-    return tuple(rows[:, c] + np.int64(alphabet.symbols[0])
+    return tuple(rows[:, c] + np.int64(alphabet[0])
                  for c, (_, alphabet) in enumerate(pmf.variables))
 
 
@@ -534,5 +511,5 @@ def random_pmf(shape: Sequence[int], *, seed,
     cells = int(np.prod(shape))
     probs = rng.dirichlet(np.ones(cells))
     idx = np.indices(shape).reshape(len(shape), -1).T
-    variables = [(n, integer_alphabet(n, 0, s - 1)) for n, s in zip(names, shape)]
+    variables = [(n, range(s)) for n, s in zip(names, shape)]
     return JointPMF(variables, idx, probs)

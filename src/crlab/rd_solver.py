@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, InternalConsistencyError
 from .pixel_model import PARADIGMS, PixelModelParams, build_joint
-from .prob_core import Alphabet, JointPMF, conditional_table
+from .prob_core import JointPMF, _require_alphabet, conditional_table
 
 __all__ = [
     "CONVEXITY_TOL",
@@ -52,13 +52,16 @@ _LOG2E = math.log2(math.e)
 
 @dataclass(frozen=True)
 class DistortionMatrix:
-    """d[i, j] = cost of reconstructing source symbol i as recon symbol j."""
+    """d[i, j] = cost of reconstructing source[i] as recon[j]; source and
+    recon are alphabets, nonempty ranges with step 1."""
 
-    source: Alphabet
-    recon: Alphabet
+    source: range
+    recon: range
     d: np.ndarray
 
     def __post_init__(self):
+        _require_alphabet("source", self.source)
+        _require_alphabet("recon", self.recon)
         d = np.ascontiguousarray(self.d, dtype=np.float64)
         if d.shape != (len(self.source), len(self.recon)):
             raise InputError(
@@ -71,9 +74,9 @@ class DistortionMatrix:
         object.__setattr__(self, "d", d)
 
 
-def squared_error(source: Alphabet, recon: Alphabet) -> DistortionMatrix:
-    sv = np.array(source.symbols, dtype=np.float64)
-    rv = np.array(recon.symbols, dtype=np.float64)
+def squared_error(source: range, recon: range) -> DistortionMatrix:
+    sv = np.array(source, dtype=np.float64)
+    rv = np.array(recon, dtype=np.float64)
     return DistortionMatrix(source, recon, (sv[:, None] - rv[None, :]) ** 2)
 
 
@@ -551,7 +554,7 @@ def conditional_rd_curve(joint: JointPMF, source_var: str, cond_var: str | None,
     """Envelope of the conditional problem: per slope, solve each condition
     cell independently and weight rate and distortion by the cell mass.
     cond_var=None codes source_var unconditionally, as one cell."""
-    if dist.source.symbols != joint.alphabet(source_var).symbols:
+    if dist.source != joint.alphabet(source_var):
         raise InputError("distortion matrix source alphabet mismatch")
     grid = _slope_grid(slope_grid)
     if label is None:

@@ -31,13 +31,11 @@ import numpy as np
 from .errors import InputError, PreconditionError
 from .prob_core import (
     MASK64,
-    Alphabet,
     JointPMF,
     JointStack,
     adjoin_difference,
     combined_index,
     difference_alphabet,
-    integer_alphabet,
     require_stochastic,
     require_unit_sums,
     splitmix64,
@@ -300,20 +298,17 @@ def _trial_layout(shape: tuple[int, int]):
     alphabet is the widest a bottleneck can reach; a trial with k symbols
     uses its first k.
     """
-    x_alph = integer_alphabet("x", 0, shape[0] - 1)
-    xp_alph = integer_alphabet("xp", 0, shape[1] - 1)
-    r_alph = difference_alphabet(x_alph, xp_alph, name="r")
-    rt_alph = Alphabet("rt_values", r_alph.symbols)
-    xt_alph = sum_alphabet(xp_alph, rt_alph, name="xt")
-    variables = (("x", x_alph), ("xp", xp_alph),
-                 ("xq", integer_alphabet("xq_values", 0, shape[1] - 1)),
-                 ("r", r_alph), ("rt", rt_alph), ("xt", xt_alph))
+    x_alph, xp_alph = range(shape[0]), range(shape[1])
+    r_alph = difference_alphabet(x_alph, xp_alph)
+    xt_alph = sum_alphabet(xp_alph, r_alph)
+    variables = (("x", x_alph), ("xp", xp_alph), ("xq", xp_alph),
+                 ("r", r_alph), ("rt", r_alph), ("xt", xt_alph))
     nr = len(r_alph)
     x, xp = np.indices(shape).reshape(2, -1)
-    r_of_cell = x - xp - r_alph.symbols[0]
+    r_of_cell = x - xp - r_alph[0]
     x, xp, r = (np.repeat(c, nr) for c in (x, xp, r_of_cell))
     rt = np.tile(np.arange(nr), shape[0] * shape[1])
-    xt = xp + rt + rt_alph.symbols[0] - xt_alph.symbols[0]
+    xt = xp + rt + r_alph[0] - xt_alph[0]
     columns = np.stack([x, xp, np.zeros_like(x), r, rt, xt]).astype(np.intp)
     # one layout serves every block of a run
     columns.flags.writeable = r_of_cell.flags.writeable = False

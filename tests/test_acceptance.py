@@ -41,7 +41,7 @@ from crlab.analysis import QualityCurve, bd_rate
 from crlab.codec import build_model, decode, encode, measure_rate, sample_pairs
 from crlab.info_measures import entropy
 from crlab.pixel_model import PixelModelParams, build_joint, entropy_report, sweep_p
-from crlab.prob_core import JointPMF, integer_alphabet, marginalize
+from crlab.prob_core import JointPMF, marginalize
 from crlab.rd_solver import (
     TOL,
     DistortionMatrix,
@@ -123,7 +123,7 @@ def test_criterion_5_rd_solver_oracle():
     def h2(x):
         return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
-    a = integer_alphabet("u", 0, 1)
+    a = range(2)
     src = JointPMF([("u", a)], [[0], [1]], [0.5, 0.5])
     hamming = DistortionMatrix(a, a, np.array([[0.0, 1.0], [1.0, 0.0]]))
     curve = conditional_rd_curve(src, src.names[0], None, hamming, np.arange(0.25, 4.5, 0.002))
@@ -132,7 +132,7 @@ def test_criterion_5_rd_solver_oracle():
     assert worst < RD_ORACLE_TOL, f"binary oracle worst gap {worst}"
 
     # independent side information must change nothing
-    s = integer_alphabet("s", 0, 2)
+    s = range(3)
     idx = [[i, j] for i in range(2) for j in range(3)]
     w = np.outer([0.5, 0.5], [0.2, 0.3, 0.5]).ravel()
     joint = JointPMF([("u", a), ("s", s)], idx, w)
@@ -187,7 +187,7 @@ def _zero_rate_distortion(joint, source_var, cond_var):
     condition cell, taken from the source alphabet as compare_paradigms
     does."""
     names = joint.names
-    s = np.array([float(v) for v in joint.alphabet(source_var).symbols])
+    s = np.array([float(v) for v in joint.alphabet(source_var)])
     mass = np.zeros((len(joint.alphabet(cond_var)), s.size))
     np.add.at(mass, (joint.idx[:, names.index(cond_var)],
                      joint.idx[:, names.index(source_var)]), joint.probs)

@@ -18,7 +18,7 @@ from crlab.info_measures import (
     entropy,
     mutual_information,
 )
-from crlab.prob_core import JointPMF, JointStack, integer_alphabet, random_pmf
+from crlab.prob_core import JointPMF, JointStack, random_pmf
 
 
 def dense_probs(pmf, shape):
@@ -35,19 +35,19 @@ def h_of(weights):
 
 
 def test_fair_coin_is_one_bit():
-    a = integer_alphabet("x", 0, 1)
+    a = range(2)
     pmf = JointPMF([("x", a)], [[0], [1]], [0.5, 0.5])
     assert math.isclose(entropy(pmf, "x"), 1.0, abs_tol=1e-15)
 
 
 def test_uniform_eight_is_three_bits():
-    a = integer_alphabet("x", 0, 7)
+    a = range(8)
     pmf = JointPMF([("x", a)], [[i] for i in range(8)], np.full(8, 0.125))
     assert math.isclose(entropy(pmf, "x"), 3.0, abs_tol=1e-12)
 
 
 def test_deterministic_variable_has_zero_entropy():
-    a = integer_alphabet("x", 0, 3)
+    a = range(4)
     pmf = JointPMF([("x", a)], [[2]], [1.0])
     assert entropy(pmf, "x") == 0.0
 
@@ -93,16 +93,16 @@ def test_conditioning_reduces_entropy():
 
 
 def test_independent_variables_have_zero_information():
-    a = integer_alphabet("a", 0, 1)
-    b = integer_alphabet("b", 0, 1)
+    a = range(2)
+    b = range(2)
     idx = [[i, j] for i in range(2) for j in range(2)]
     pmf = JointPMF([("a", a), ("b", b)], idx, np.full(4, 0.25))
     assert mutual_information(pmf, "a", "b") == 0.0
 
 
 def test_copy_variable_information_equals_entropy():
-    a = integer_alphabet("a", 0, 3)
-    b = integer_alphabet("b", 0, 3)
+    a = range(4)
+    b = range(4)
     idx = [[i, i] for i in range(4)]
     pmf = JointPMF([("a", a), ("b", b)], idx, np.full(4, 0.25))
     assert math.isclose(mutual_information(pmf, "a", "b"), 2.0, abs_tol=1e-12)

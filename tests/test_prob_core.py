@@ -13,7 +13,6 @@ from crlab.errors import InputError
 from crlab.info_measures import entropy
 from crlab.pixel_model import PARADIGMS, PixelModelParams, build_joint
 from crlab.prob_core import (
-    Alphabet,
     JointPMF,
     adjoin_channel,
     adjoin_difference,
@@ -24,7 +23,6 @@ from crlab.prob_core import (
     conditional_table,
     difference_alphabet,
     group_weights,
-    integer_alphabet,
     marginalize,
     quantizer_map,
     random_pmf,
@@ -32,6 +30,7 @@ from crlab.prob_core import (
     splitmix64,
     sum_alphabet,
 )
+from crlab.rd_solver import DistortionMatrix
 
 
 def _table_by_rows(pmf, target, given):
@@ -53,13 +52,13 @@ def _table_by_rows(pmf, target, given):
 
 def values(pmf, name):
     """Symbol values of one variable, one per support point."""
-    return (pmf.idx[:, pmf.var_pos(name)] + pmf.alphabet(name).symbols[0]).tolist()
+    return (pmf.idx[:, pmf.var_pos(name)] + pmf.alphabet(name)[0]).tolist()
 
 
 def uniform_pair(n=4):
     """Uniform joint over x in 0..n-1 with xp = x (perfect prediction)."""
-    a = integer_alphabet("x", 0, n - 1)
-    b = integer_alphabet("xp", 0, n - 1)
+    a = range(n)
+    b = range(n)
     idx = np.column_stack([np.arange(n), np.arange(n)])
     return JointPMF([("x", a), ("xp", b)], idx, np.full(n, 1.0 / n))
 
@@ -91,60 +90,61 @@ class TestAsExact:
             as_exact(None)
 
 
+def _build_with_alphabet(entry, alphabet):
+    """Build one object that takes alphabet at the given entry point."""
+    if entry == "JointPMF":
+        return JointPMF([("x", alphabet)], [[0]], [1.0])
+    pmf = uniform_pair(2)
+    if entry == "adjoin_map":
+        return adjoin_map(pmf, "x", np.zeros(2, dtype=np.intp), alphabet, "y")
+    if entry == "adjoin_channel":
+        return adjoin_channel(pmf, "x", np.ones((2, 1)), alphabet, "y")
+    if entry == "DistortionMatrix.source":
+        return DistortionMatrix(alphabet, range(2), np.zeros((len(alphabet), 2)))
+    return DistortionMatrix(range(2), alphabet, np.zeros((2, len(alphabet))))
+
+
 class TestAlphabet:
-    def test_requires_strictly_ascending(self):
-        with pytest.raises(InputError):
-            Alphabet("a", (0, 0, 1))
-        with pytest.raises(InputError):
-            Alphabet("a", (2, 1))
-        with pytest.raises(InputError):
-            Alphabet("a", ())
-        with pytest.raises(InputError):
-            Alphabet("a", (0, 2))  # a gap
-
-    def test_rejects_non_integer_symbols(self):
-        for symbols in [(0, Fraction(7, 5)), (Fraction(1, 2), Fraction(3, 2)), (0.5, 1.5)]:
-            with pytest.raises(InputError):
-                Alphabet("a", symbols)
-
-    def test_integer_alphabet(self):
-        a = integer_alphabet("x", 0, 5)
-        assert len(a) == 6
-        assert a.symbols == range(6)
-        assert Alphabet("x", (0, 1, 2, 3, 4, 5)) == a
-        with pytest.raises(InputError):
-            integer_alphabet("x", 3, 2)
+    # a gap, a descending run, no symbols, and symbols that are not a
+    # range at all (integer or not) are each refused where they enter
+    @pytest.mark.parametrize("alphabet", [(0, 1), [0.5, 1.5], range(0), range(0, 4, 2),
+                                          range(3, 0, -1)],
+                             ids=["tuple", "list", "empty", "gap", "descending"])
+    @pytest.mark.parametrize("entry", ["JointPMF", "adjoin_map", "adjoin_channel",
+                                       "DistortionMatrix.source", "DistortionMatrix.recon"])
+    def test_rejects_non_range_alphabet(self, entry, alphabet):
+        with pytest.raises(InputError, match="must be a nonempty range with step 1"):
+            _build_with_alphabet(entry, alphabet)
 
     def test_difference_alphabet_covers_cross_set(self):
-        a = integer_alphabet("x", 0, 2)
+        a = range(3)
         d = difference_alphabet(a, a)
-        assert tuple(d.symbols) == (-2, -1, 0, 1, 2)
+        assert d == range(-2, 3)
 
     @pytest.mark.parametrize("lo_a,hi_a,lo_b,hi_b", [(0, 0, 0, 0), (-3, 2, 5, 9), (4, 4, -2, 7)])
     def test_integer_cross_sets_match_enumeration(self, lo_a, hi_a, lo_b, hi_b):
-        a = integer_alphabet("a", lo_a, hi_a)
-        b = integer_alphabet("b", lo_b, hi_b)
-        pairs = [(u, v) for u in a.symbols for v in b.symbols]
-        assert tuple(difference_alphabet(a, b).symbols) == \
-            tuple(sorted({u - v for u, v in pairs}))
-        assert tuple(sum_alphabet(a, b).symbols) == tuple(sorted({u + v for u, v in pairs}))
+        a = range(lo_a, hi_a + 1)
+        b = range(lo_b, hi_b + 1)
+        pairs = [(u, v) for u in a for v in b]
+        assert tuple(difference_alphabet(a, b)) == tuple(sorted({u - v for u, v in pairs}))
+        assert tuple(sum_alphabet(a, b)) == tuple(sorted({u + v for u, v in pairs}))
 
 
 class TestQuantizerMap:
     def test_integer_step_truncates(self):
-        dom = integer_alphabet("x", 0, 7)
+        dom = range(8)
         m = quantizer_map(dom, 2)
         assert m.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
 
     def test_fractional_step_is_exact(self):
         # step 7/5 on 0..6: the cell of v is floor(v/1.4) in exact arithmetic
-        dom = integer_alphabet("x", 0, 6)
+        dom = range(7)
         assert quantizer_map(dom, 1.4).tolist() == [0, 0, 1, 2, 2, 3, 4]
 
     def test_step_seven_fifths_cell_sizes(self):
         # 110 one-symbol and 73 two-symbol cells: the bottleneck loses
         # 8 - (110*8 + 73*2*7)/256 = 146/256 bits of H(xp)
-        cells = quantizer_map(integer_alphabet("xp", 0, 255), Fraction(7, 5))
+        cells = quantizer_map(range(256), Fraction(7, 5))
         sizes = np.bincount(cells)
         assert cells.dtype == np.intp and sizes.size == 183
         assert np.bincount(sizes).tolist() == [0, 110, 73]
@@ -159,33 +159,33 @@ class TestQuantizerMap:
         if a < b:
             a, b = b, a
         q = Fraction(a, b)
-        dom = integer_alphabet("x", lo, lo + M - 1)
-        exact = [math.floor(Fraction(v) / q) for v in dom.symbols]
+        dom = range(lo, lo + M)
+        exact = [math.floor(Fraction(v) / q) for v in dom]
         cells = quantizer_map(dom, q)
         assert cells.tolist() == [c - exact[0] for c in exact]
         assert np.unique(cells).size == cells[-1] + 1 == exact[-1] - exact[0] + 1
 
     def test_rejects_nonpositive_step(self):
-        dom = integer_alphabet("x", 0, 3)
+        dom = range(4)
         with pytest.raises(InputError):
             quantizer_map(dom, 0)
 
     def test_rejects_step_below_one(self):
         # cells of a step below 1 would skip indices that no symbol takes
         with pytest.raises(InputError):
-            quantizer_map(integer_alphabet("x", 0, 3), Fraction(1, 2))
+            quantizer_map(range(4), Fraction(1, 2))
 
 
 class TestJointPMF:
     def test_validation_rejects_bad_probs(self):
-        a = integer_alphabet("x", 0, 1)
+        a = range(2)
         with pytest.raises(InputError):
             JointPMF([("x", a)], [[0], [1]], [0.7, 0.7])  # sums to 1.4
         with pytest.raises(InputError):
             JointPMF([("x", a)], [[0], [1]], [1.5, -0.5])
 
     def test_validation_rejects_duplicate_support_rows(self):
-        a = integer_alphabet("x", 0, 1)
+        a = range(2)
         with pytest.raises(InputError):
             JointPMF([("x", a)], [[0], [0]], [0.5, 0.5])
 
@@ -202,8 +202,8 @@ class TestJointPMF:
         np.testing.assert_allclose(m.probs, 0.25)
 
     def test_conditional_table(self):
-        a = integer_alphabet("x", 0, 2)
-        b = integer_alphabet("y", 0, 2)
+        a = range(3)
+        b = range(3)
         idx = [[0, 0], [1, 0], [2, 2]]
         pmf = JointPMF([("x", a), ("y", b)], idx, [0.25, 0.25, 0.5])
         w, P = conditional_table(pmf, "x", "y")
@@ -254,7 +254,7 @@ class TestJointPMF:
         # 7 variables of 1000 symbols: the product 1e21 passes 2**62, so no
         # integer key spans a grouping over all of them
         rng = np.random.default_rng(7)
-        variables = [integer_alphabet(f"v{i}", 0, 999) for i in range(7)]
+        variables = [(f"v{i}", range(1000)) for i in range(7)]
         draws = rng.integers(0, 1000, size=(60, 7))
         draws[:, :3] %= 2  # shared leading columns, so later columns order rows too
         rows = np.unique(draws, axis=0)
@@ -293,15 +293,15 @@ class TestAdjoin:
         assert values(back, "x2") == values(back, "x")
 
     def test_adjoin_map_quantizer_column(self):
-        a = integer_alphabet("x", 0, 7)
+        a = range(8)
         pmf = JointPMF([("x", a)], [[i] for i in range(8)], np.full(8, 0.125))
-        ext = adjoin_map(pmf, "x", quantizer_map(a, 4), integer_alphabet("xq", 0, 1), "xq")
+        ext = adjoin_map(pmf, "x", quantizer_map(a, 4), range(2), "xq")
         assert values(ext, "xq") == [0, 0, 0, 0, 1, 1, 1, 1]
 
     def test_adjoin_map_rejects_images_outside_the_alphabet(self):
-        a = integer_alphabet("x", 0, 3)
+        a = range(4)
         pmf = JointPMF([("x", a)], [[i] for i in range(4)], np.full(4, 0.25))
-        y = integer_alphabet("y", 0, 1)
+        y = range(2)
         for images in ([0, 1, 2, 3], [0, -1, 0, 1], [0, 1, 0], [0.0, 1.0, 0.0, 1.0]):
             with pytest.raises(InputError):
                 adjoin_map(pmf, "x", np.array(images), y, "y")  # 2, 3 and -1 escape
@@ -310,13 +310,13 @@ class TestAdjoin:
     def test_combined_index_marks_values_outside_the_alphabet(self, lo):
         # x in {lo, lo+1, lo+2}, xp = lo or lo+1, out = {0, 1} in index
         # terms: every alphabet starts at lo, so each symbol's offset shifts
-        x = integer_alphabet("x", lo, lo + 2)
-        xp = integer_alphabet("xp", lo, lo + 1)
+        x = range(lo, lo + 3)
+        xp = range(lo, lo + 2)
         pmf = JointPMF([("x", x), ("xp", xp)], [[0, 0], [0, 1], [1, 1], [2, 0]],
                        np.full(4, 0.25))
-        diff = integer_alphabet("diff", 0, 1)  # lacks -1 and 2
+        diff = range(2)  # lacks -1 and 2
         assert combined_index(pmf, "x", "xp", -1, diff).tolist() == [0, -1, 0, -1]
-        total = integer_alphabet("total", 2 * lo, 2 * lo + 1)  # lacks 2*lo + 2, + 3
+        total = range(2 * lo, 2 * lo + 2)  # lacks 2*lo + 2, + 3
         assert combined_index(pmf, "x", "xp", +1, total).tolist() == [0, 1, -1, -1]
 
     def test_adjoin_rejects_name_collision(self):
@@ -329,14 +329,14 @@ class TestAdjoin:
 
         pmf = uniform_pair(3)
         kernel = np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
-        out = integer_alphabet("z", 0, 1)
+        out = range(2)
         ext = adjoin_channel(pmf, "x", kernel, out, "z")
         # z depends on xp only through x
         assert conditional_mutual_information(ext, "z", "xp", "x") < 1e-12
 
     def test_adjoin_channel_validates_kernel(self):
         pmf = uniform_pair(3)
-        out = integer_alphabet("z", 0, 1)
+        out = range(2)
         with pytest.raises(InputError):
             adjoin_channel(pmf, "x", np.array([[0.5, 0.5]]), out, "z")
         with pytest.raises(InputError):
@@ -359,7 +359,7 @@ class TestRandomness:
         return list(zip(*(c.tolist() for c in sample_columns(pmf, n, seed))))
 
     def test_sample_deterministic_and_weighted(self):
-        a = integer_alphabet("x", 0, 1)
+        a = range(2)
         pmf = JointPMF([("x", a)], [[0], [1]], [0.9, 0.1])
         s1 = self.sample(pmf, 1000, seed=42)
         s2 = self.sample(pmf, 1000, seed=42)
@@ -379,7 +379,7 @@ class TestRandomness:
             return []
         rng = np.random.default_rng(seed)
         picks = rng.choice(pmf.n_points, size=n, p=pmf.probs / pmf.probs.sum())
-        columns = [[pmf.alphabet(name).symbols[i] for i in pmf.idx[:, c]]
+        columns = [[pmf.alphabet(name)[i] for i in pmf.idx[:, c]]
                    for c, name in enumerate(pmf.names)]
         return [tuple(col[i] for col in columns) for i in picks]
 
@@ -425,7 +425,7 @@ def grouping_cases(draw):
         n = draw(st.integers(2, 12))
         pmf = random_pmf((n, n), seed=rng, names=("x", "xp"))
         cells = quantizer_map(pmf.alphabet("xp"), 1.4)
-        pmf = adjoin_map(pmf, "xp", cells, integer_alphabet("xq", 0, int(cells[-1])), "xq")
+        pmf = adjoin_map(pmf, "xp", cells, range(int(cells[-1]) + 1), "xq")
     elif kind == "holes":
         n = draw(st.integers(2, 6))
         pmf = adjoin_difference(random_pmf((n, n), seed=rng, names=("x", "xp")),
@@ -433,7 +433,7 @@ def grouping_cases(draw):
         nr = len(pmf.alphabet("r"))
         kernel = rng.random((nr, nr)) * (rng.random((nr, nr)) < 0.4) + 0.1 * np.eye(nr)
         kernel /= kernel.sum(axis=1, keepdims=True)
-        pmf = adjoin_channel(pmf, "r", kernel, Alphabet("rt", pmf.alphabet("r").symbols), "rt")
+        pmf = adjoin_channel(pmf, "r", kernel, pmf.alphabet("r"), "rt")
     else:
         pmf = build_joint(PixelModelParams(p=0, Q=draw(st.sampled_from([1, 1.4, 2])),
                                            M=draw(st.integers(2, 16))))

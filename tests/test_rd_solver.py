@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from crlab import rd_solver
 from crlab.errors import DomainError, InputError, InternalConsistencyError
 from crlab.pixel_model import PARADIGMS, PixelModelParams, build_joint
-from crlab.prob_core import JointPMF, integer_alphabet, marginalize
+from crlab.prob_core import JointPMF, marginalize
 from crlab.rd_solver import (
     CONVEXITY_TOL,
     MAX_ITERS,
@@ -38,7 +38,7 @@ def h2(x: float) -> float:
 
 
 def binary_uniform():
-    a = integer_alphabet("u", 0, 1)
+    a = range(2)
     src = JointPMF([("u", a)], [[0], [1]], [0.5, 0.5])
     hamming = DistortionMatrix(a, a, np.array([[0.0, 1.0], [1.0, 0.0]]))
     return a, src, hamming
@@ -46,7 +46,7 @@ def binary_uniform():
 
 class TestConfigAndMatrices:
     def test_distortion_matrix_validation(self):
-        a = integer_alphabet("u", 0, 1)
+        a = range(2)
         with pytest.raises(InputError):
             DistortionMatrix(a, a, np.zeros((2, 3)))
         with pytest.raises(InputError):
@@ -55,7 +55,7 @@ class TestConfigAndMatrices:
             DistortionMatrix(a, a, np.array([[0.0, np.inf], [1.0, 0.0]]))
 
     def test_squared_error_values(self):
-        a = integer_alphabet("u", 0, 2)
+        a = range(3)
         d = squared_error(a, a).d
         assert d[0, 2] == 4.0 and d[1, 1] == 0.0 and d[2, 0] == 4.0
 
@@ -107,7 +107,7 @@ class TestBinaryOracle:
 
 class TestDegenerateSources:
     def test_point_mass_has_zero_rate(self):
-        a = integer_alphabet("u", 0, 3)
+        a = range(4)
         src = JointPMF([("u", a)], [[2]], [1.0])
         curve = conditional_rd_curve(src, src.names[0], None,
                                      squared_error(a, a), np.geomspace(0.01, 100, 9))
@@ -128,8 +128,8 @@ class TestDegenerateSources:
 
 class TestConditionalSolver:
     def test_independent_side_info_matches_unconditional(self):
-        a = integer_alphabet("u", 0, 1)
-        s = integer_alphabet("s", 0, 2)
+        a = range(2)
+        s = range(3)
         idx = [[i, j] for i in range(2) for j in range(3)]
         w = np.outer([0.5, 0.5], [0.2, 0.3, 0.5]).ravel()
         joint = JointPMF([("u", a), ("s", s)], idx, w)
@@ -142,8 +142,8 @@ class TestConditionalSolver:
             assert abs(pc.distortion - pf.distortion) < 1e-9
 
     def test_copied_side_info_kills_rate(self):
-        a = integer_alphabet("u", 0, 3)
-        s = integer_alphabet("s", 0, 3)
+        a = range(4)
+        s = range(4)
         idx = [[i, i] for i in range(4)]
         joint = JointPMF([("u", a), ("s", s)], idx, np.full(4, 0.25))
         curve = conditional_rd_curve(joint, "u", "s", squared_error(a, a),
@@ -192,7 +192,7 @@ class TestInputGuards:
     def test_alphabet_mismatch_rejected(self):
         # the distortion matrix must be over the coded variable's alphabet
         _, src, _ = binary_uniform()
-        other = integer_alphabet("v", 0, 2)
+        other = range(3)
         with pytest.raises(InputError):
             conditional_rd_curve(src, src.names[0], None, squared_error(other, other), [1.0])
 
@@ -240,7 +240,7 @@ class TestCertificates:
         # binary source p(1) = 0.2 under Hamming distortion: at slope s > 2
         # the optimum is D* = 1/(1 + 2^s), R* = h2(0.2) - h2(D*); after one
         # update, R + s*D exceeds the optimum by no more than gap_bits
-        a = integer_alphabet("u", 0, 1)
+        a = range(2)
         src = JointPMF([("u", a)], [[0], [1]], [0.8, 0.2])
         hamming = DistortionMatrix(a, a, np.array([[0.0, 1.0], [1.0, 0.0]]))
         slope = 4.0
@@ -282,12 +282,12 @@ def conditional_problems(draw):
     cells = draw(st.integers(1, 6))
     weights = draw(st.lists(st.integers(0, 9), min_size=n * cells, max_size=n * cells)
                    .filter(any))
-    u, s = integer_alphabet("u", 0, n - 1), integer_alphabet("s", 0, cells - 1)
+    u, s = range(n), range(cells)
     w = np.array(weights, dtype=np.float64)
     joint = JointPMF([("u", u), ("s", s)],
                      [[i, j] for i in range(n) for j in range(cells)], w / w.sum())
     costs = draw(st.lists(st.integers(0, 4), min_size=n * m, max_size=n * m))
-    dist = DistortionMatrix(u, integer_alphabet("v", 0, m - 1),
+    dist = DistortionMatrix(u, range(m),
                             np.array(costs, dtype=np.float64).reshape(n, m))
     grid = sorted(draw(st.sets(st.floats(-2.0, 1.5), min_size=1, max_size=6)))
     return joint, dist, [10.0 ** e for e in grid]

@@ -13,13 +13,11 @@ from crlab.errors import InputError, PreconditionError
 from crlab.info_measures import _CHUNK
 from crlab.pixel_model import PixelModelParams, build_joint
 from crlab.prob_core import (
-    Alphabet,
     JointPMF,
     adjoin_channel,
     adjoin_difference,
     adjoin_map,
     adjoin_sum,
-    integer_alphabet,
     quantizer_map,
     random_pmf,
 )
@@ -47,11 +45,11 @@ def trial_pmf(t_seed, shape):
     pmf = random_pmf(shape, seed=rng, names=("x", "xp"))
     k = int(rng.integers(1, shape[1] + 1))
     images = rng.integers(0, k, size=shape[1])
-    pmf = adjoin_map(pmf, "xp", images, integer_alphabet("xq_values", 0, k - 1), "xq")
+    pmf = adjoin_map(pmf, "xp", images, range(k), "xq")
     pmf = adjoin_difference(pmf, "x", "xp", "r")
     r_alph = pmf.alphabet("r")
     kernel = rng.dirichlet(np.ones(len(r_alph)), size=len(r_alph))
-    pmf = adjoin_channel(pmf, "r", kernel, Alphabet("rt_values", r_alph.symbols), "rt")
+    pmf = adjoin_channel(pmf, "r", kernel, r_alph, "rt")
     return adjoin_sum(pmf, "xp", "rt", "xt")
 
 
@@ -157,10 +155,10 @@ def offset_pmf(r_lo, r_values):
     cell of xp at step 2, and the given r values on the alphabet
     r_lo..r_lo+1."""
     pairs = [(2, 2), (1, 2), (3, 3)]
-    alphs = [integer_alphabet("x", 1, 3), integer_alphabet("xp", 2, 3),
-             integer_alphabet("xq", 0, 0), integer_alphabet("r", r_lo, r_lo + 1)]
+    variables = [("x", range(1, 4)), ("xp", range(2, 4)),
+                 ("xq", range(1)), ("r", range(r_lo, r_lo + 2))]
     idx = [[x - 1, xp - 2, 0, r - r_lo] for (x, xp), r in zip(pairs, r_values)]
-    return JointPMF(alphs, idx, [0.5, 0.25, 0.25])
+    return JointPMF(variables, idx, [0.5, 0.25, 0.25])
 
 
 class TestDifferencePrecondition:
@@ -186,14 +184,13 @@ class TestLossy:
     def test_identities_on_pixel_model(self, pixel_pmf):
         # check_lossy wants a reconstruction xt; attach a noisy channel on r
         import numpy as np
-        from crlab.prob_core import Alphabet, adjoin_channel, adjoin_sum
+        from crlab.prob_core import adjoin_channel, adjoin_sum
 
         r_alph = pixel_pmf.alphabet("r")
         nr = len(r_alph)
         rng = np.random.default_rng(3)
         kernel = rng.dirichlet(np.full(nr, 0.7), size=nr)
-        rt_alph = Alphabet("rt_vals", r_alph.symbols)
-        pmf = adjoin_channel(pixel_pmf, "r", kernel, rt_alph, "rt")
+        pmf = adjoin_channel(pixel_pmf, "r", kernel, r_alph, "rt")
         pmf = adjoin_sum(pmf, "xp", "rt", "xt")
         report = check_lossy(pmf)
         assert report.all_passed
@@ -202,9 +199,9 @@ class TestLossy:
         rng = np.random.default_rng(5)
         pmf = random_pmf((4, 4), seed=rng, names=("x", "xp"))
         pmf = adjoin_map(pmf, "xp", quantizer_map(pmf.alphabet("xp"), 2),
-                         integer_alphabet("xq", 0, 1), "xq")
+                         range(2), "xq")
         kernel = rng.dirichlet(np.ones(4), size=4)
-        pmf = adjoin_channel(pmf, "x", kernel, Alphabet("xt", (0, 1, 2, 3)), "xt")
+        pmf = adjoin_channel(pmf, "x", kernel, range(4), "xt")
         assert pmf.names == ("x", "xp", "xq", "xt")
         full = adjoin_difference(adjoin_difference(pmf, "x", "xp", "r"), "xt", "xp", "rt")
         assert repr(check_lossy(pmf)) == repr(check_lossy(full))
