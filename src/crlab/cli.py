@@ -56,7 +56,7 @@ from .pixel_model import (
     codec_paradigm,
     sweep_p,
 )
-from .prob_core import sample_columns
+from .prob_core import sample_symbols
 from .rd_solver import compare_paradigms, default_slope_grid
 from .theorem_suite import format_report, report_csv_rows, run_randomized_suite
 
@@ -184,7 +184,7 @@ def cmd_codec(args) -> int:
     require_encodable(params.M)
     joint = build_joint(params)
     model = build_model(params, row.name, joint)
-    x, xp = sample_columns(joint, args.n, args.seed)[:2]
+    x, xp = sample_symbols(joint, ("x", "xp"), args.n, args.seed)
 
     stream = encode(np.column_stack((x, xp)), row.name, model)
     wrong = np.flatnonzero(decode(stream, xp, model, as_array=True) != x)

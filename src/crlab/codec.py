@@ -52,7 +52,7 @@ from .prob_core import (
     JointPMF,
     conditional_table,
     quantizer_map,
-    sample_columns,
+    sample_symbols,
 )
 
 __all__ = [
@@ -421,5 +421,5 @@ def sample_pairs(params: PixelModelParams, n: int, seed) -> list[tuple[int, int]
     """n iid draws of the pixel joint's rows, which are its distinct
     (x, x_p) pairs, as pairs of Python ints, reproducibly by seed; it
     takes params, not a joint, for perfbench's codec check."""
-    x, xp = sample_columns(build_joint(params), n, seed)[:2]
+    x, xp = sample_symbols(build_joint(params), ("x", "xp"), n, seed)
     return list(zip(x.tolist(), xp.tolist()))

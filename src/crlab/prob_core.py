@@ -48,6 +48,7 @@ __all__ = [
     "require_stochastic",
     "require_unit_sums",
     "sample_columns",
+    "sample_symbols",
     "splitmix64",
     "sum_alphabet",
 ]
@@ -145,6 +146,9 @@ class JointStack:
     idx, probs: the support rows of joint 0, then those of joint 1, and so
     on, each in its joint's support order; the weights of each joint sum
     to 1. seg[i] is the joint of row i, and is None for a single joint.
+    idx and seg may be any signed integer dtype that holds twice the
+    largest alphabet size and the joint count: grouping keys widen to
+    int64, and combined_index works in idx's own dtype.
     """
 
     def __init__(self, variables, idx: np.ndarray, probs: np.ndarray, seg, sizes):
@@ -205,6 +209,9 @@ class JointPMF(JointStack):
     """
 
     def __init__(self, variables, idx, probs, *, _trusted: bool = False):
+        if not _trusted:
+            variables = tuple(variables)
+            _require_pairs(variables)
         variables = tuple((str(n), a) for n, a in variables)
         idx = np.ascontiguousarray(idx, dtype=np.intp)
         probs = np.ascontiguousarray(probs, dtype=np.float64)
@@ -251,6 +258,13 @@ class JointPMF(JointStack):
     def __repr__(self) -> str:
         vs = ", ".join(f"{n}[{len(a)}]" for n, a in self.variables)
         return f"JointPMF({vs}; {self.n_points} support points)"
+
+
+def _require_pairs(variables):
+    """Raise InputError unless every variable is a (name, alphabet) pair."""
+    for i, v in enumerate(variables):
+        if not isinstance(v, (tuple, list)) or len(v) != 2:
+            raise InputError(f"variable {i} must be a (name, alphabet) pair, got {v!r}")
 
 
 def _validate_pmf(variables, idx, probs):
@@ -484,16 +498,23 @@ def _as_seed(seed) -> int:
 def sample_columns(pmf: JointPMF, n: int, seed) -> tuple[np.ndarray, ...]:
     """Symbol values of n draws, one int64 array per variable in pmf
     order, reproducibly for a fixed seed."""
+    return sample_symbols(pmf, pmf.names, n, seed)
+
+
+def sample_symbols(pmf: JointPMF, names: Sequence[str], n: int,
+                   seed) -> tuple[np.ndarray, ...]:
+    """Symbol values of the named variables in n draws, one int64 array
+    per name: the draws of sample_columns, gathering only these columns."""
     if not isinstance(n, int) or n < 0:
         raise InputError(f"sample count must be a nonnegative integer, got {n!r}")
+    cols = [pmf.var_pos(name) for name in names]
     if n == 0:
-        rows = pmf.idx[:0]
+        rows = np.zeros(0, dtype=np.intp)
     else:
         rng = seed if isinstance(seed, np.random.Generator) \
             else np.random.default_rng(_as_seed(seed))
-        rows = pmf.idx[rng.choice(pmf.n_points, size=n, p=pmf.probs / pmf.probs.sum())]
-    return tuple(rows[:, c] + np.int64(alphabet[0])
-                 for c, (_, alphabet) in enumerate(pmf.variables))
+        rows = rng.choice(pmf.n_points, size=n, p=pmf.probs / pmf.probs.sum())
+    return tuple(pmf.idx[rows, c] + np.int64(pmf.variables[c][1][0]) for c in cols)
 
 
 def random_pmf(shape: Sequence[int], *, seed,

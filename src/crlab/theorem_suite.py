@@ -282,10 +282,20 @@ def trial_seed(seed: int, k: int) -> int:
     return splitmix64((seed + k * 0x9E3779B97F4A7C15) & MASK64)
 
 
-# support rows per block of stacked trials: 4 trials at 8x8, 960 rows each.
-# The trials of a block are grouped by one key; larger blocks cost memory
-# and gain little.
-_BLOCK_ROWS = 4096
+# support rows per block of stacked trials: 17 trials at 8x8, 960 rows
+# each. A block costs the same few dozen numpy calls whatever its size, so
+# larger blocks run faster until the rows' own work dominates: on 2 CPUs
+# a 250-trial `crlab verify` op at 8x8 took a median 0.180 perfbench
+# reference seconds at 4,096 rows and 0.107 at 16,384, and 32,768 rows
+# gained no more than the noise.
+# Narrow index columns (_index_dtype) keep its traced peak near 1.2 MB;
+# 8-byte ones would double it.
+_BLOCK_ROWS = 16384
+
+
+def _index_dtype(bound: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds -bound..bound."""
+    return np.min_scalar_type(-bound)
 
 
 def _trial_layout(shape: tuple[int, int]):
@@ -297,6 +307,8 @@ def _trial_layout(shape: tuple[int, int]):
     of each cell. Only the weights and xq differ between trials. The xq
     alphabet is the widest a bottleneck can reach; a trial with k symbols
     uses its first k.
+
+    columns has the narrowest dtype that a JointStack allows.
     """
     x_alph, xp_alph = range(shape[0]), range(shape[1])
     r_alph = difference_alphabet(x_alph, xp_alph)
@@ -309,7 +321,8 @@ def _trial_layout(shape: tuple[int, int]):
     x, xp, r = (np.repeat(c, nr) for c in (x, xp, r_of_cell))
     rt = np.tile(np.arange(nr), shape[0] * shape[1])
     xt = xp + rt + r_alph[0] - xt_alph[0]
-    columns = np.stack([x, xp, np.zeros_like(x), r, rt, xt]).astype(np.intp)
+    dtype = _index_dtype(2 * max(len(a) for _, a in variables))
+    columns = np.stack([x, xp, np.zeros_like(x), r, rt, xt]).astype(dtype)
     # one layout serves every block of a run
     columns.flags.writeable = r_of_cell.flags.writeable = False
     return variables, columns, r_of_cell
@@ -323,7 +336,8 @@ def _trial_stack(t_seeds: Sequence[int], shape: tuple[int, int], layout) -> Join
     from a flat Dirichlet, the bottleneck size k uniform in 1..|xp|, the
     image of each xp uniform in 0..k-1, and one flat-Dirichlet row of the
     residual channel p(rt | r) per r. Its support is (x, xp, rt) in that
-    order, without the points of weight 0, and xt = xp + rt.
+    order, without the points of weight 0, and xt = xp + rt. The rows keep
+    the layout's index dtype, and seg the narrowest that holds n.
     """
     variables, columns, r_of_cell = layout
     n, nr = len(t_seeds), len(variables[3][1])
@@ -344,7 +358,7 @@ def _trial_stack(t_seeds: Sequence[int], shape: tuple[int, int], layout) -> Join
     probs = (p[:, :, None] * kernel[:, r_of_cell, :]).ravel()
     stacked = np.tile(columns, n)
     stacked[2] = images[:, columns[1]].ravel()
-    seg = np.repeat(np.arange(n), columns.shape[1])
+    seg = np.repeat(np.arange(n, dtype=_index_dtype(n)), columns.shape[1])
     keep = probs > 0.0
     if not keep.all():
         stacked, probs, seg = stacked[:, keep], probs[keep], seg[keep]

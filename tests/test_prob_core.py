@@ -27,6 +27,7 @@ from crlab.prob_core import (
     quantizer_map,
     random_pmf,
     sample_columns,
+    sample_symbols,
     splitmix64,
     sum_alphabet,
 )
@@ -188,6 +189,13 @@ class TestJointPMF:
         a = range(2)
         with pytest.raises(InputError):
             JointPMF([("x", a)], [[0], [0]], [0.5, 0.5])
+
+    @pytest.mark.parametrize("variable", [range(3), ("x",), range(2), ("x", range(2), 0)],
+                             ids=["range3", "1-tuple", "range2", "3-tuple"])
+    def test_rejects_variable_that_is_not_a_pair(self, variable):
+        # a range of two symbols unpacks as a pair; it must not name a variable 0
+        with pytest.raises(InputError, match=r"variable 0 must be a \(name, alphabet\) pair"):
+            JointPMF([variable], [[0], [1]], [0.5, 0.5])
 
     def test_names(self):
         pmf = uniform_pair(3)
@@ -402,6 +410,19 @@ class TestRandomness:
         assert list(zip(*(c.tolist() for c in cols))) == self.sample(pmf, 300, 5)
         assert [c.dtype for c in cols] == [np.int64] * 4
         assert set(cols[pmf.var_pos("xq")].tolist()) <= set(range(11))  # 15*5//7 = 10
+
+    @pytest.mark.parametrize("n", [0, 1, 700])
+    def test_sample_symbols_are_columns_of_the_same_draw(self, n):
+        pmf = build_joint(PixelModelParams(p=0.3, Q=Fraction(7, 5), M=16))
+        cols = sample_columns(pmf, n, 5)
+        for names in (("x", "xp"), ("r",), ("xq", "x")):
+            got = sample_symbols(pmf, names, n, 5)
+            assert len(got) == len(names)
+            for name, col in zip(names, got):
+                assert col.dtype == np.int64
+                np.testing.assert_array_equal(col, cols[pmf.var_pos(name)])
+        with pytest.raises(InputError):
+            sample_symbols(pmf, ("x", "nope"), n, 5)
 
     def test_random_pmf_shape_and_determinism(self):
         pmf = random_pmf((3, 4), seed=7)

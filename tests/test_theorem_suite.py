@@ -1,6 +1,9 @@
 """Identity and inequality checks on hand-built and randomized joints."""
 
 import math
+import sys
+import tracemalloc
+from itertools import count
 
 import numpy as np
 import pytest
@@ -121,6 +124,27 @@ def bits(report):
         [(x.trial_index, x.trial_seed, x.check_id, f(x.value)) for x in report.failures],
         report.trial_count, report.seed,
     )
+
+
+def trial_rows(shape):
+    """Support rows of one suite trial of the given shape before zero
+    weights are dropped: every (x, xp, rt) point."""
+    return shape[0] * shape[1] * (shape[0] + shape[1] - 1)
+
+
+def block_trials(shape):
+    """Trials in a full block of the suite at the given shape."""
+    return max(1, theorem_suite._BLOCK_ROWS // trial_rows(shape))
+
+
+def spanning(shape):
+    """A trial count that fills two blocks at the given shape and starts
+    a third."""
+    return 2 * block_trials(shape) + 1
+
+
+# the smallest square shape of which one trial exceeds the block budget
+OVER_BUDGET = next((s, s) for s in count(1) if trial_rows((s, s)) > theorem_suite._BLOCK_ROWS)
 
 
 @pytest.fixture(scope="module")
@@ -260,8 +284,8 @@ class TestRandomizedSuite:
         check_lossy(pmf)
         assert calls == lossy
         calls.clear()
-        # four 8x8 trials to a block: 9 trials make 3 blocks
-        run_randomized_suite(9, (8, 8), seed=0)
+        # two full blocks of 8x8 trials and a partial third
+        run_randomized_suite(spanning((8, 8)), (8, 8), seed=0)
         assert calls == lossy * 3
 
     def test_small_fuzz_run_passes(self):
@@ -283,27 +307,60 @@ class TestRandomizedSuite:
                [(c.check_id, c.value) for c in b.checks]
 
     def test_replay_reproduces_one_trial(self):
-        # 8x8 trials run four to a block: k = 4, 5, 7 sit first, inside and
-        # last in the second block of the suite run
-        suite = run_randomized_suite(12, (8, 8), seed=21)
-        for k in (4, 5, 7):
+        # k = b, b + 1 and 2b - 1 sit first, inside and last in the second
+        # block of b trials of the suite run
+        b = block_trials((8, 8))
+        suite = run_randomized_suite(3 * b, (8, 8), seed=21)
+        for k in (b, b + 1, 2 * b - 1):
             single = replay_trial(seed=21, k=k, shape=(8, 8))
             assert single.seed == trial_seed(21, k)
             assert single.all_passed == suite.all_passed
             assert bits(single) == bits(reference_replay(21, k, (8, 8)))
 
     @pytest.mark.parametrize("trials, shape, seed", [
-        (9, (8, 8), 17),    # blocks of 4, 4 and 1 trials
+        (spanning((8, 8)), (8, 8), 17),
         (30, (5, 4), 3),
         (5, (1, 1), 0),
-        (2, (16, 16), 8),   # 7,936 rows: one trial exceeds the block budget
-        (200, (3, 2), 1),   # blocks of 170 and 30; H(R) < H(X) on some trials
+        (2, (16, 16), 8),               # 7,936 rows a trial, two to a block
+        (spanning((3, 2)), (3, 2), 1),  # H(R) < H(X) on some trials
+        (2, OVER_BUDGET, 8),            # one trial exceeds the block budget
     ])
     def test_blocks_match_one_joint_at_a_time(self, trials, shape, seed):
         """Stacked trials give every value, pass count, observation and
         failure bit for bit as check_lossless/check_lossy trial by trial."""
         assert bits(run_randomized_suite(trials, shape, seed)) == \
             bits(reference_suite(trials, shape, seed))
+
+    @pytest.mark.parametrize("shape, seed", [((8, 8), 2), ((3, 2), 6)])
+    def test_block_size_never_changes_a_bit(self, monkeypatch, shape, seed):
+        """One trial a block, the old 4,096 rows, the budget and one block
+        for the whole run give the same report bit for bit."""
+        trials = spanning(shape)
+        budgets = (1, 4096, theorem_suite._BLOCK_ROWS, sys.maxsize)
+        reports = []
+        for rows in budgets:
+            monkeypatch.setattr(theorem_suite, "_BLOCK_ROWS", rows)
+            reports.append(bits(run_randomized_suite(trials, shape, seed)))
+        assert all(r == reports[0] for r in reports[1:])
+
+    def test_narrow_columns_hold_wide_alphabets(self):
+        # xt of a (130, 2) trial has 132 symbols, past what int8 holds
+        assert theorem_suite._trial_layout((130, 2))[1].dtype.itemsize == 2
+        assert bits(run_randomized_suite(2, (130, 2), 6)) == \
+            bits(reference_suite(2, (130, 2), 6))
+
+    def test_block_memory_stays_small(self):
+        # intp index columns would take about 2.4 MB, and all 250 trials
+        # in one block about 18 MB; a first small run leaves out what the
+        # first call allocates once (about 0.8 MB)
+        run_randomized_suite(2, (8, 8), seed=0)
+        tracemalloc.start()
+        try:
+            run_randomized_suite(250, (8, 8), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6, f"peak {peak / 1e6:.2f} MB"
 
     @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1e-16, -1e-16, 2.0]),
                               st.sampled_from([0.0, -0.0, 1e-16, -1e-16, 2.0])),
@@ -331,12 +388,15 @@ class TestRandomizedSuite:
         # a tolerance below the rounding residue of the identities makes
         # some of them fail on some trials
         monkeypatch.setattr(theorem_suite, "CHECK_TOL", 1e-15)
-        report = run_randomized_suite(9, (8, 8), seed=4)
+        trials = spanning((8, 8))
+        report = run_randomized_suite(trials, (8, 8), seed=4)
         order = {c.check_id: i for i, c in enumerate(report.checks)}
         keys = [(f.trial_index, order[f.check_id]) for f in report.failures]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
-        assert 0 < len({f.trial_index for f in report.failures}) < 9
-        assert bits(report) == bits(reference_suite(9, (8, 8), 4))
+        assert 0 < len({f.trial_index for f in report.failures}) < trials
+        # and they span more than one block
+        assert len({f.trial_index // block_trials((8, 8)) for f in report.failures}) > 1
+        assert bits(report) == bits(reference_suite(trials, (8, 8), 4))
 
     def test_cli_prints_replay_keys_and_fails(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(theorem_suite, "CHECK_TOL", 1e-15)
