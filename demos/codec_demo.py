@@ -37,7 +37,7 @@ for p, Q in [(0.25, 2), (0.25, 1), (1.0, 1)]:
         model = build_model(params, paradigm)
         stream = encode(pairs, paradigm, model)
         assert decode(stream, xp_seq, model) == x_seq, "round trip broke"
-        rate = measure_rate(stream, n)
+        rate = measure_rate(stream)
         print(f"{p:<5g} {Q:<3g} {paradigm:<24} {h:>8.4f}  {rate:>8.4f}"
               f"  {rate - h:>+8.4f}")
     print()

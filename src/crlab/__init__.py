@@ -23,18 +23,13 @@ from .errors import (
 )
 from .prob_core import (
     JointPMF,
-    adjoin_channel,
     adjoin_difference,
     adjoin_map,
-    marginalize,
     quantizer_map,
-    random_pmf,
 )
 from .info_measures import (
     conditional_entropy,
-    conditional_mutual_information,
     entropy,
-    mutual_information,
 )
 from .pixel_model import (
     PARADIGMS,

@@ -193,7 +193,7 @@ def cmd_codec(args) -> int:
               file=sys.stderr)
         return 2
 
-    rate = measure_rate(stream, args.n)
+    rate = measure_rate(stream)
     bound = conditional_entropy(joint, row.coded, row.context or ())
     expected = expected_rate(model, joint)
 

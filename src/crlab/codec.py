@@ -410,11 +410,11 @@ def decode(bs: Bitstream, x_p_seq, model: ProbabilityModel, *,
     return x if as_array else x.tolist()
 
 
-def measure_rate(bs: Bitstream, n: int) -> float:
-    """Payload bits per symbol."""
-    if n < 1:
-        raise InputError(f"symbol count must be >= 1, got {n}")
-    return 8.0 * len(bs.payload) / n
+def measure_rate(bs: Bitstream) -> float:
+    """Payload bits per symbol of the stream."""
+    if bs.n == 0:
+        raise InputError("a stream of 0 symbols has no rate per symbol")
+    return 8.0 * len(bs.payload) / bs.n
 
 
 def sample_pairs(params: PixelModelParams, n: int, seed) -> list[tuple[int, int]]:

@@ -1,10 +1,12 @@
 """Shannon measures over exact joint PMFs.
 
-Entropy, conditional entropy, mutual information, and conditional mutual
-information, all in bits, all evaluated from one shared log-sum kernel so
-that identities formed by subtracting measures cancel rounding
-consistently. 0*log(0) is 0 throughout. Results are clamped at -1e-12:
-anything more negative indicates a defect and raises instead of clamping.
+Entropy and conditional entropy of one joint, and the memoized entropies
+of every joint of a stack with the mutual informations formed from them,
+all in bits, all evaluated from one shared log-sum kernel so that
+identities formed by subtracting measures cancel rounding consistently.
+0*log(0) is 0 throughout. Entropies and conditional entropies are clamped
+at -1e-12: anything more negative indicates a defect and raises instead
+of clamping.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ __all__ = [
     "EntropyMemo",
     "TwoMassEntropies",
     "conditional_entropy",
-    "conditional_mutual_information",
     "entropy",
-    "mutual_information",
 ]
 
 NEG_TOL = 1e-12
@@ -140,34 +140,11 @@ def conditional_entropy(pmf: JointPMF, target, given=()) -> float:
     return _clamp_bits(entropy(pmf, t + g) - entropy(pmf, g), f"H({t}|{g})")
 
 
-def mutual_information(pmf: JointPMF, a, b) -> float:
-    """I(a; b) = H(a) + H(b) - H(a, b)."""
-    na, nb = _names(a), _names(b)
-    _disjoint(na, nb)
-    value = entropy(pmf, na) + entropy(pmf, nb) - entropy(pmf, na + nb)
-    return _clamp_bits(value, f"I({na};{nb})")
-
-
-def conditional_mutual_information(pmf: JointPMF, a, b, given=()) -> float:
-    """I(a; b | given) via the four-entropy expansion."""
-    na, nb = _names(a), _names(b)
-    g = _names(given) if given else ()
-    _disjoint(na, nb, g)
-    if not g:
-        return mutual_information(pmf, na, nb)
-    value = (
-        entropy(pmf, na + g)
-        + entropy(pmf, nb + g)
-        - entropy(pmf, na + nb + g)
-        - entropy(pmf, g)
-    )
-    return _clamp_bits(value, f"I({na};{nb}|{g})")
-
-
 class EntropyMemo:
     """Memoized joint entropies of every joint of a JointStack, one array
     entry per joint (one entry for a JointPMF), keyed by the sorted name
-    tuple. The measures below are the same expressions, joint by joint."""
+    tuple. cond, mi and cmi are unclamped differences of these entropies,
+    joint by joint."""
 
     def __init__(self, pmf: JointStack):
         self.pmf = pmf

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, InternalConsistencyError
-from .info_measures import EntropyMemo, TwoMassEntropies
+from .info_measures import TwoMassEntropies
 from .prob_core import (
     JointPMF,
     adjoin_difference,
@@ -125,11 +125,12 @@ REPORT_FIELDS = tuple(f.name for f in fields(EntropyReport))
 
 
 def entropy_report(params: PixelModelParams) -> EntropyReport:
-    """Evaluate the nine entropy/information measures on the exact joint."""
-    return _reports(EntropyMemo(build_joint(params)), [params])[0]
+    """The nine entropy/information measures at one grid point: the
+    sweep_p row of (p, Q), so every EntropyReport has one evaluator."""
+    return sweep_p([params.p], [params.Q], params.M)[0]
 
 
-def _reports(h: EntropyMemo, grid: Sequence[PixelModelParams]) -> list[EntropyReport]:
+def _reports(h: TwoMassEntropies, grid: Sequence[PixelModelParams]) -> list[EntropyReport]:
     """One EntropyReport per grid point, from entry t of every entropy of h
     for grid[t].
 

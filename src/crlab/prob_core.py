@@ -35,19 +35,14 @@ __all__ = [
     "JointPMF",
     "JointStack",
     "adjoin_difference",
-    "adjoin_channel",
     "adjoin_map",
-    "adjoin_sum",
     "as_exact",
     "combined_index",
     "conditional_table",
     "difference_alphabet",
-    "marginalize",
     "quantizer_map",
-    "random_pmf",
     "require_stochastic",
     "require_unit_sums",
-    "sample_columns",
     "sample_symbols",
     "splitmix64",
     "sum_alphabet",
@@ -183,10 +178,10 @@ class JointStack:
         named variables, joint t's in weights[bounds[t]:bounds[t + 1]].
 
         The joint is the most significant digit of one grouping key. Each
-        slice holds, bit for bit and in key order, the nonzero weights of
-        group_weights on that joint alone, and may hold zeros for keys that
-        no support row takes. Entropy needs only these, so this kernel
-        builds no rows.
+        slice holds, bit for bit and in key order, the nonzero group
+        weights of that joint alone, and may hold zeros for keys that no
+        support row takes. Entropy needs only these, so this kernel builds
+        no rows.
         """
         cols, radix = _columns(self, names)
         n = len(self)
@@ -350,30 +345,6 @@ def _group_rows(idx: np.ndarray, probs: np.ndarray, cols: Sequence[int],
     return np.bincount(inverse, weights=probs, minlength=groups.size), groups
 
 
-def group_weights(pmf: JointPMF, names: Sequence[str]):
-    """Unique sub-rows over the named variables and their total weights.
-
-    Returns (rows, weights) with rows sorted by mixed-radix key. This is the
-    grouping kernel behind marginalization.
-    """
-    cols, radix = _columns(pmf, names)
-    weights, groups = _group_rows(pmf.idx, pmf.probs, cols, radix)
-    if groups is None:
-        groups = np.flatnonzero(weights)
-        weights = weights[groups]
-    return np.column_stack(np.unravel_index(groups, radix)), weights
-
-
-def marginalize(pmf: JointPMF, keep: Sequence[str]) -> JointPMF:
-    """Sum out every variable not named in keep; result follows keep order."""
-    if isinstance(keep, str):
-        keep = [keep]
-    rows, weights = group_weights(pmf, keep)
-    variables = [(n, pmf.alphabet(n)) for n in keep]
-    # weights of grouped positive rows stay positive and keys are unique
-    return JointPMF(variables, rows, weights, _trusted=True)
-
-
 def conditional_table(pmf: JointPMF, target: str, given: str | None = None):
     """Dense p(target | given) over the whole alphabet of target.
 
@@ -425,54 +396,15 @@ def combined_index(pmf: JointPMF, a: str, b: str, sign: int,
     return np.where((col >= 0) & (col < len(alphabet)), col, -1)
 
 
-def _adjoin_combined(pmf: JointPMF, a: str, b: str, new_var: str, sign: int,
-                     codomain: range) -> JointPMF:
-    """codomain is the full cross set, so every index is found."""
-    _check_new_name(pmf, new_var)
-    idx = np.column_stack([pmf.idx, combined_index(pmf, a, b, sign, codomain)])
-    variables = list(pmf.variables) + [(new_var, codomain)]
-    return JointPMF(variables, idx, pmf.probs, _trusted=True)
-
-
 def adjoin_difference(pmf: JointPMF, minuend: str, subtrahend: str,
                       new_var: str) -> JointPMF:
-    """Add new_var = minuend - subtrahend; alphabet is the full cross set."""
+    """Add new_var = minuend - subtrahend; alphabet is the full cross set,
+    so every index is found."""
     codomain = difference_alphabet(pmf.alphabet(minuend), pmf.alphabet(subtrahend))
-    return _adjoin_combined(pmf, minuend, subtrahend, new_var, -1, codomain)
-
-
-def adjoin_sum(pmf: JointPMF, a: str, b: str, new_var: str) -> JointPMF:
-    """Add new_var = a + b; alphabet is the full cross set."""
-    codomain = sum_alphabet(pmf.alphabet(a), pmf.alphabet(b))
-    return _adjoin_combined(pmf, a, b, new_var, +1, codomain)
-
-
-def adjoin_channel(pmf: JointPMF, given: str, kernel: np.ndarray,
-                   alphabet: range, new_var: str) -> JointPMF:
-    """Extend by a conditional distribution: new_var ~ kernel[given, :].
-
-    kernel rows must be indexed by the alphabet of `given` and sum to 1. The
-    new variable is conditionally independent of everything else given
-    `given`, which is exactly the memoryless test channel construction.
-    """
     _check_new_name(pmf, new_var)
-    _require_alphabet(new_var, alphabet)
-    c = pmf.var_pos(given)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.shape != (len(pmf.alphabet(given)), len(alphabet)):
-        raise InputError(
-            f"kernel shape {kernel.shape} does not match |{given}| x |{new_var}|"
-        )
-    require_stochastic(kernel)
-    m = len(alphabet)
-    n = pmf.n_points
-    idx = np.repeat(pmf.idx, m, axis=0)
-    new_col = np.tile(np.arange(m, dtype=np.intp), n)
-    probs = (pmf.probs[:, None] * kernel[pmf.idx[:, c], :]).ravel()
-    keep = probs > 0
-    idx = np.column_stack([idx[keep], new_col[keep]])
-    variables = list(pmf.variables) + [(new_var, alphabet)]
-    return JointPMF(variables, idx, probs[keep], _trusted=True)
+    idx = np.column_stack([pmf.idx, combined_index(pmf, minuend, subtrahend, -1, codomain)])
+    variables = list(pmf.variables) + [(new_var, codomain)]
+    return JointPMF(variables, idx, pmf.probs, _trusted=True)
 
 
 MASK64 = (1 << 64) - 1
@@ -495,16 +427,11 @@ def _as_seed(seed) -> int:
     return seed
 
 
-def sample_columns(pmf: JointPMF, n: int, seed) -> tuple[np.ndarray, ...]:
-    """Symbol values of n draws, one int64 array per variable in pmf
-    order, reproducibly for a fixed seed."""
-    return sample_symbols(pmf, pmf.names, n, seed)
-
-
 def sample_symbols(pmf: JointPMF, names: Sequence[str], n: int,
                    seed) -> tuple[np.ndarray, ...]:
-    """Symbol values of the named variables in n draws, one int64 array
-    per name: the draws of sample_columns, gathering only these columns."""
+    """Symbol values of the named variables in n draws of support rows,
+    one int64 array per name, reproducibly for a fixed seed. The rows
+    drawn depend on n and seed only, not on which names are gathered."""
     if not isinstance(n, int) or n < 0:
         raise InputError(f"sample count must be a nonnegative integer, got {n!r}")
     cols = [pmf.var_pos(name) for name in names]
@@ -515,22 +442,3 @@ def sample_symbols(pmf: JointPMF, names: Sequence[str], n: int,
             else np.random.default_rng(_as_seed(seed))
         rows = rng.choice(pmf.n_points, size=n, p=pmf.probs / pmf.probs.sum())
     return tuple(pmf.idx[rows, c] + np.int64(pmf.variables[c][1][0]) for c in cols)
-
-
-def random_pmf(shape: Sequence[int], *, seed,
-               names: Sequence[str] | None = None) -> JointPMF:
-    """Flat-Dirichlet joint over a full integer grid of the given shape."""
-    shape = [int(s) for s in shape]
-    if not shape or any(s < 1 for s in shape):
-        raise InputError(f"all alphabet sizes must be >= 1, got {shape}")
-    if names is None:
-        names = [f"v{i}" for i in range(len(shape))]
-    if len(names) != len(shape):
-        raise InputError("need one name per alphabet size")
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(_as_seed(seed))
-    cells = int(np.prod(shape))
-    probs = rng.dirichlet(np.ones(cells))
-    idx = np.indices(shape).reshape(len(shape), -1).T
-    variables = [(n, range(s)) for n, s in zip(names, shape)]
-    return JointPMF(variables, idx, probs)

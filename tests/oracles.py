@@ -1,0 +1,99 @@
+"""Reference joint operations that the tests compare against or build
+fixtures with. Nothing in crlab calls them; tests/test_prob_core.py
+checks them.
+
+group_weights groups a joint's rows the way JointStack.group_probs does,
+and also returns the rows. adjoin_channel and adjoin_sum extend a joint
+by a test channel and by a sum, as the theorem suite's lossy trials do.
+random_pmf draws a flat-Dirichlet joint over a full grid.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from crlab.errors import InputError
+from crlab.prob_core import (
+    JointPMF,
+    _as_seed,
+    _check_new_name,
+    _columns,
+    _group_rows,
+    _require_alphabet,
+    combined_index,
+    require_stochastic,
+    sum_alphabet,
+)
+
+
+def group_weights(pmf: JointPMF, names: Sequence[str]):
+    """Unique sub-rows over the named variables and their total weights.
+
+    Returns (rows, weights) with rows sorted by mixed-radix key.
+    """
+    cols, radix = _columns(pmf, names)
+    weights, groups = _group_rows(pmf.idx, pmf.probs, cols, radix)
+    if groups is None:
+        groups = np.flatnonzero(weights)
+        weights = weights[groups]
+    return np.column_stack(np.unravel_index(groups, radix)), weights
+
+
+def adjoin_sum(pmf: JointPMF, a: str, b: str, new_var: str) -> JointPMF:
+    """Add new_var = a + b; alphabet is the full cross set, so every
+    index is found."""
+    codomain = sum_alphabet(pmf.alphabet(a), pmf.alphabet(b))
+    _check_new_name(pmf, new_var)
+    idx = np.column_stack([pmf.idx, combined_index(pmf, a, b, +1, codomain)])
+    variables = list(pmf.variables) + [(new_var, codomain)]
+    return JointPMF(variables, idx, pmf.probs, _trusted=True)
+
+
+def adjoin_channel(pmf: JointPMF, given: str, kernel: np.ndarray,
+                   alphabet: range, new_var: str) -> JointPMF:
+    """Extend by a conditional distribution: new_var ~ kernel[given, :].
+
+    kernel rows must be indexed by the alphabet of `given` and sum to 1. The
+    new variable is conditionally independent of everything else given
+    `given`, which is exactly the memoryless test channel construction.
+    """
+    _check_new_name(pmf, new_var)
+    _require_alphabet(new_var, alphabet)
+    c = pmf.var_pos(given)
+    kernel = np.asarray(kernel, dtype=np.float64)
+    if kernel.shape != (len(pmf.alphabet(given)), len(alphabet)):
+        raise InputError(
+            f"kernel shape {kernel.shape} does not match |{given}| x |{new_var}|"
+        )
+    require_stochastic(kernel)
+    m = len(alphabet)
+    n = pmf.n_points
+    idx = np.repeat(pmf.idx, m, axis=0)
+    new_col = np.tile(np.arange(m, dtype=np.intp), n)
+    probs = (pmf.probs[:, None] * kernel[pmf.idx[:, c], :]).ravel()
+    keep = probs > 0
+    idx = np.column_stack([idx[keep], new_col[keep]])
+    variables = list(pmf.variables) + [(new_var, alphabet)]
+    return JointPMF(variables, idx, probs[keep], _trusted=True)
+
+
+def random_pmf(shape: Sequence[int], *, seed,
+               names: Sequence[str] | None = None) -> JointPMF:
+    """Flat-Dirichlet joint over a full integer grid of the given shape;
+    seed is an integer or a numpy Generator."""
+    shape = [int(s) for s in shape]
+    if not shape or any(s < 1 for s in shape):
+        raise InputError(f"all alphabet sizes must be >= 1, got {shape}")
+    if names is None:
+        names = [f"v{i}" for i in range(len(shape))]
+    if len(names) != len(shape):
+        raise InputError("need one name per alphabet size")
+    rng = seed if isinstance(seed, np.random.Generator) \
+        else np.random.default_rng(_as_seed(seed))
+    cells = int(np.prod(shape))
+    probs = rng.dirichlet(np.ones(cells))
+    idx = np.indices(shape).reshape(len(shape), -1).T
+    variables = [(n, range(s)) for n, s in zip(names, shape)]
+    return JointPMF(variables, idx, probs)

@@ -41,7 +41,7 @@ from crlab.analysis import QualityCurve, bd_rate
 from crlab.codec import build_model, decode, encode, measure_rate, sample_pairs
 from crlab.info_measures import entropy
 from crlab.pixel_model import PixelModelParams, build_joint, entropy_report, sweep_p
-from crlab.prob_core import JointPMF, marginalize
+from crlab.prob_core import JointPMF
 from crlab.rd_solver import (
     TOL,
     DistortionMatrix,
@@ -138,7 +138,7 @@ def test_criterion_5_rd_solver_oracle():
     joint = JointPMF([("u", a), ("s", s)], idx, w)
     grid = np.geomspace(0.3, 30, 16)
     cond = conditional_rd_curve(joint, "u", "s", hamming, grid)
-    flat = conditional_rd_curve(marginalize(joint, ["u"]), "u", None, hamming, grid)
+    flat = conditional_rd_curve(joint, "u", None, hamming, grid)
     worst = max(max(abs(pc.rate - pf.rate), abs(pc.distortion - pf.distortion))
                 for pc, pf in zip(cond.points, flat.points))
     assert worst < RD_MATCH_TOL, f"independent side info gap {worst}"
@@ -264,7 +264,7 @@ def test_criterion_7_codec_realization():
                 stream = encode(pairs, paradigm, model)
                 assert decode(stream, xp_seq, model) == x_seq, \
                     f"round trip broke at p={p} Q={Q} {paradigm}"
-                rate = measure_rate(stream, n)
+                rate = measure_rate(stream)
                 measured[(p, Q, paradigm)] = rate
                 assert abs(rate - h) <= 0.02 * h + 64 / n, \
                     f"p={p} Q={Q} {paradigm}: rate {rate} vs bound {h}"

@@ -253,8 +253,7 @@ class TestCodec:
             raise AssertionError("the codec op evaluated more than its joint")
 
         swaps = {"build_joint": (real, counted),
-                 "_reports": (crlab.pixel_model._reports, forbidden),
-                 "marginalize": (crlab.prob_core.marginalize, forbidden)}
+                 "_reports": (crlab.pixel_model._reports, forbidden)}
         # every crlab module that holds one of them by name
         for mod in list(sys.modules.values()):
             if getattr(mod, "__name__", "").startswith("crlab"):

@@ -36,7 +36,7 @@ from crlab.pixel_model import (
     codec_paradigm,
     entropy_report,
 )
-from crlab.prob_core import marginalize, sample_columns
+from crlab.prob_core import JointPMF, conditional_table, sample_symbols
 
 CODEC_NAMES = sorted(row.name for row in PARADIGMS if row.byte is not None)
 
@@ -442,15 +442,26 @@ class TestModel:
             build_model(small_params(), "wavelet")
 
     def test_expected_rate_close_to_entropy(self):
-        params = small_params(p=0.5, Q=2, M=64)
-        rep = entropy_report(params)
-        pairs = [("residual", rep.H_R),
-                 ("conditional", rep.H_X_given_Xphat),
-                 ("conditional-residual", rep.H_R_given_Xphat)]
-        for paradigm, h in pairs:
-            model = build_model(params, paradigm)
-            # 16-bit frequency quantization costs a hair of cross-entropy
-            assert h <= expected_rate(model, build_joint(params)) <= h + 1e-3
+        # 16-bit frequency quantization costs a hair of cross-entropy, and
+        # nothing where every count is its probability times TOTAL: then
+        # rate and bound are one number, summed in two orders. Every count
+        # is exact at the first cell and none of the three models is at
+        # the second
+        for params, exact in ((small_params(p=0.5, Q=2, M=64), True),
+                              (small_params(p=0.3, Q=1.4, M=64), False)):
+            joint = build_joint(params)
+            rep = entropy_report(params)
+            for row in PARADIGMS:
+                if row.byte is None:
+                    continue
+                model = build_model(params, row.name, joint)
+                _, P = conditional_table(joint, row.coded, row.context)
+                assert np.array_equal(model.freq, P * TOTAL) == exact, row.name
+                h, rate = getattr(rep, row.bound), expected_rate(model, joint)
+                if exact:
+                    assert abs(rate - h) <= 1e-12, row.name
+                else:
+                    assert h < rate <= h + 1e-3, row.name
 
     def test_tables_must_match_the_quantizer_cells(self):
         def flat(rows, cols):
@@ -481,8 +492,11 @@ class TestEndToEnd:
         # the joint's rows are its distinct (x, x_p) pairs, in order, so
         # drawing rows of the joint draws the pairs
         joint = build_joint(small_params(p=p, Q=Q, M=16))
-        x, xp = sample_columns(joint, 500, seed=4)[:2]
-        want = sample_columns(marginalize(joint, ["x", "xp"]), 500, 4)
+        x, xp = sample_symbols(joint, ("x", "xp"), 500, seed=4)
+        # the (x, x_p) joint, which JointPMF rejects if a pair repeats
+        pair_joint = JointPMF([("x", joint.alphabet("x")), ("xp", joint.alphabet("xp"))],
+                              joint.idx[:, :2], joint.probs)
+        want = sample_symbols(pair_joint, pair_joint.names, 500, 4)
         assert x.dtype == xp.dtype == np.int64
         assert np.array_equal(x, want[0]) and np.array_equal(xp, want[1])
         assert list(zip(x.tolist(), xp.tolist())) == \
@@ -506,7 +520,7 @@ class TestEndToEnd:
         model = build_model(params, "conditional-residual")
         pairs = sample_pairs(params, 20000, seed=5)
         stream = encode(pairs, "conditional-residual", model)
-        rate = measure_rate(stream, len(pairs))
+        rate = measure_rate(stream)
         assert abs(rate - rep.H_R_given_Xphat) < 0.02 * rep.H_R_given_Xphat + 64 / 20000
 
     def test_empty_sequence(self):
@@ -651,9 +665,9 @@ class TestInputGuards:
 
     def test_measure_rate_validates_n(self):
         stream = Bitstream(codec_paradigm("residual").byte, 16, 4, b"abcd")
-        assert measure_rate(stream, 4) == 8.0
+        assert measure_rate(stream) == 8.0
         with pytest.raises(InputError):
-            measure_rate(stream, 0)
+            measure_rate(Bitstream(codec_paradigm("residual").byte, 16, 0, b""))
 
     def test_paradigm_model_mismatch(self):
         params = small_params()

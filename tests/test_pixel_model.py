@@ -13,7 +13,7 @@ import pytest
 from crlab import info_measures, pixel_model, prob_core
 from crlab.analysis import render_cell
 from crlab.errors import InputError, InternalConsistencyError
-from crlab.info_measures import conditional_entropy, entropy
+from crlab.info_measures import EntropyMemo, conditional_entropy, entropy
 from crlab.pixel_model import (
     PARADIGMS,
     REPORT_FIELDS,
@@ -33,6 +33,12 @@ H_R_P025 = 2.980837066633
 LOSS_Q2 = 1.0
 LOSS_Q14 = 0.5703125
 LOSS_Q64 = 6.0
+
+
+def per_row_report(params):
+    """The EntropyReport summed over the support rows of the built joint:
+    the cross-check reference for sweep_p's sums over count classes."""
+    return pixel_model._reports(EntropyMemo(build_joint(params)), [params])[0]
 
 
 class TestParams:
@@ -140,7 +146,7 @@ class TestReportInvariants:
         # the per-row and the signature path, and no crash
         for p in (0.05, 0.3, 0.7):
             for Q in (256, 300, 1000):
-                for rep in (entropy_report(PixelModelParams(p=p, Q=Q, M=256)),
+                for rep in (per_row_report(PixelModelParams(p=p, Q=Q, M=256)),
                             sweep_p([p], [Q], M=256)[0]):
                     assert rep.I_X_Xphat == 0.0 and rep.I_R_Xphat == 0.0
                     assert rep.H_R_given_Xphat == rep.H_R
@@ -185,9 +191,19 @@ class TestSweep:
         with pytest.raises(InternalConsistencyError, match="ladder"):
             sweep_p([0.3], [2], M=16)
 
+    @pytest.mark.parametrize("M,p,Q", [(2, 0, 1), (3, 1e-12, 1.4), (16, 0.3, 2),
+                                       (256, 0.01, 1), (256, 0.3, 2), (256, 0.7, 1.4),
+                                       (256, 0.99, 64), (256, 1, 1000)])
+    def test_report_is_the_sweep_row(self, M, p, Q):
+        # one evaluator: the report of (p, Q) is its sweep row, bit for bit
+        got = entropy_report(PixelModelParams(p=p, Q=Q, M=M))
+        want = sweep_p([p], [Q], M=M)[0]
+        assert [getattr(got, f).hex() for f in REPORT_FIELDS] == \
+            [getattr(want, f).hex() for f in REPORT_FIELDS]
+
     @pytest.mark.parametrize("Q", [1, 1.4, 2, 64, "M", 1000])
     def test_shared_support_matches_per_point_reports(self, Q):
-        # the sweep sums over count classes and the report over support
+        # the sweep sums over count classes and the reference over support
         # rows: the two orders of summation agree to 1e-12 bits
         ps = [0, 1e-300, 1e-12, 0.01, 0.3, 0.5, 0.7, 0.99, 1]
         for M in (2, 3, 16, 256):
@@ -195,7 +211,7 @@ class TestSweep:
             swept = sweep_p(ps, [q], M=M)
             assert [(r.Q, r.p) for r in swept] == [(float(q), float(p)) for p in ps]
             for p, got in zip(ps, swept):
-                want = entropy_report(PixelModelParams(p=p, Q=q, M=M))
+                want = per_row_report(PixelModelParams(p=p, Q=q, M=M))
                 for field in REPORT_FIELDS:
                     assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, \
                         (M, q, p, field)
@@ -222,8 +238,8 @@ def _minus_plogp(mp, w):
 class TestHighPrecisionReference:
     """The sweep against closed forms at 50 digits. The masses are rounded
     to float64 once and about 500 terms are summed, so the sweep stays
-    within 3e-15 bits here; the per-row sums of entropy_report drift by
-    4e-15 to 6e-14 bits on these cells."""
+    within 3e-15 bits here; per_row_report's sums over support rows drift
+    by 4e-15 to 6e-14 bits on these cells."""
 
     TOL = 3e-15
 

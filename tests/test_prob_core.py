@@ -10,28 +10,23 @@ from hypothesis import strategies as st
 
 from crlab import prob_core
 from crlab.errors import InputError
-from crlab.info_measures import entropy
+from crlab.info_measures import EntropyMemo, entropy
 from crlab.pixel_model import PARADIGMS, PixelModelParams, build_joint
 from crlab.prob_core import (
     JointPMF,
-    adjoin_channel,
     adjoin_difference,
     adjoin_map,
-    adjoin_sum,
     as_exact,
     combined_index,
     conditional_table,
     difference_alphabet,
-    group_weights,
-    marginalize,
     quantizer_map,
-    random_pmf,
-    sample_columns,
     sample_symbols,
     splitmix64,
     sum_alphabet,
 )
 from crlab.rd_solver import DistortionMatrix
+from oracles import adjoin_channel, adjoin_sum, group_weights, random_pmf
 
 
 def _table_by_rows(pmf, target, given):
@@ -203,12 +198,6 @@ class TestJointPMF:
         with pytest.raises(InputError):
             pmf.var_pos("nope")
 
-    def test_marginalize_sums_out(self):
-        pmf = uniform_pair(4)
-        m = marginalize(pmf, ["x"])
-        assert m.names == ("x",)
-        np.testing.assert_allclose(m.probs, 0.25)
-
     def test_conditional_table(self):
         a = range(3)
         b = range(3)
@@ -276,13 +265,12 @@ class TestJointPMF:
             JointPMF(variables, np.vstack([rows, rows[-1:]]),
                      np.append(probs[:-1], [probs[-1] / 2] * 2))
 
-        m = marginalize(pmf, ["v6", "v2"])
+        groups, weights = group_weights(pmf, ["v6", "v2"])
         want = {}
         for (a, b), w in zip(rows[:, [6, 2]].tolist(), probs.tolist()):
             want[a, b] = want.get((a, b), 0.0) + w
-        assert m.names == ("v6", "v2")
-        assert m.idx.tolist() == sorted(map(list, want))
-        assert m.probs.tolist() == [want[a, b] for a, b in m.idx.tolist()]
+        assert groups.tolist() == sorted(map(list, want))
+        assert weights.tolist() == [want[a, b] for a, b in groups.tolist()]
 
         with pytest.raises(InputError, match=r"2\*\*62"):
             entropy(pmf, pmf.names)
@@ -333,14 +321,12 @@ class TestAdjoin:
             adjoin_difference(pmf, "x", "xp", "x")
 
     def test_adjoin_channel_builds_conditional_independence(self):
-        from crlab.info_measures import conditional_mutual_information
-
         pmf = uniform_pair(3)
         kernel = np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
         out = range(2)
         ext = adjoin_channel(pmf, "x", kernel, out, "z")
         # z depends on xp only through x
-        assert conditional_mutual_information(ext, "z", "xp", "x") < 1e-12
+        assert EntropyMemo(ext).cmi("z", "xp", "x")[0] < 1e-12
 
     def test_adjoin_channel_validates_kernel(self):
         pmf = uniform_pair(3)
@@ -349,6 +335,14 @@ class TestAdjoin:
             adjoin_channel(pmf, "x", np.array([[0.5, 0.5]]), out, "z")
         with pytest.raises(InputError):
             adjoin_channel(pmf, "x", np.full((3, 2), 0.7), out, "z")
+
+
+def pair_joint(params):
+    """The (x, xp) joint of the pixel joint, from its first two columns;
+    JointPMF rejects it unless its rows are distinct pairs."""
+    joint = build_joint(params)
+    return JointPMF([("x", joint.alphabet("x")), ("xp", joint.alphabet("xp"))],
+                    joint.idx[:, :2], joint.probs)
 
 
 class TestRandomness:
@@ -363,8 +357,9 @@ class TestRandomness:
 
     @staticmethod
     def sample(pmf, n, seed):
-        """Draws as one tuple of symbol values each, from sample_columns."""
-        return list(zip(*(c.tolist() for c in sample_columns(pmf, n, seed))))
+        """Draws as one tuple of symbol values each, from sample_symbols
+        over every variable."""
+        return list(zip(*(c.tolist() for c in sample_symbols(pmf, pmf.names, n, seed))))
 
     def test_sample_deterministic_and_weighted(self):
         a = range(2)
@@ -382,7 +377,7 @@ class TestRandomness:
 
     @staticmethod
     def per_draw_sample(pmf, n, seed):
-        """The one-tuple-per-draw sampler that sample_columns replaced."""
+        """A sampler that builds one tuple per draw, symbol by symbol."""
         if n == 0:
             return []
         rng = np.random.default_rng(seed)
@@ -393,7 +388,7 @@ class TestRandomness:
 
     @pytest.mark.parametrize("pmf", [
         random_pmf((3, 4), seed=7),
-        marginalize(build_joint(PixelModelParams(p=0.3, Q=2, M=16)), ["x", "xp"]),
+        pair_joint(PixelModelParams(p=0.3, Q=2, M=16)),
         # the 7/5 step gives cells of one and two symbols
         build_joint(PixelModelParams(p=0.3, Q=Fraction(7, 5), M=16)),
     ], ids=["random", "pixel-int", "pixel-7/5"])
@@ -404,17 +399,10 @@ class TestRandomness:
         assert got == want
         assert [tuple(map(type, t)) for t in got] == [tuple(map(type, t)) for t in want]
 
-    def test_sample_columns_are_the_same_draw(self):
-        pmf = build_joint(PixelModelParams(p=0.3, Q=Fraction(7, 5), M=16))
-        cols = sample_columns(pmf, 300, 5)
-        assert list(zip(*(c.tolist() for c in cols))) == self.sample(pmf, 300, 5)
-        assert [c.dtype for c in cols] == [np.int64] * 4
-        assert set(cols[pmf.var_pos("xq")].tolist()) <= set(range(11))  # 15*5//7 = 10
-
     @pytest.mark.parametrize("n", [0, 1, 700])
     def test_sample_symbols_are_columns_of_the_same_draw(self, n):
         pmf = build_joint(PixelModelParams(p=0.3, Q=Fraction(7, 5), M=16))
-        cols = sample_columns(pmf, n, 5)
+        cols = sample_symbols(pmf, pmf.names, n, 5)
         for names in (("x", "xp"), ("r",), ("xq", "x")):
             got = sample_symbols(pmf, names, n, 5)
             assert len(got) == len(names)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from crlab import rd_solver
 from crlab.errors import DomainError, InputError, InternalConsistencyError
 from crlab.pixel_model import PARADIGMS, PixelModelParams, build_joint
-from crlab.prob_core import JointPMF, marginalize
+from crlab.prob_core import JointPMF
 from crlab.rd_solver import (
     CONVEXITY_TOL,
     MAX_ITERS,
@@ -136,7 +136,7 @@ class TestConditionalSolver:
         hamming = DistortionMatrix(a, a, np.array([[0.0, 1.0], [1.0, 0.0]]))
         grid = np.geomspace(0.3, 30, 12)
         cond = conditional_rd_curve(joint, "u", "s", hamming, grid)
-        flat = conditional_rd_curve(marginalize(joint, ["u"]), "u", None, hamming, grid)
+        flat = conditional_rd_curve(joint, "u", None, hamming, grid)
         for pc, pf in zip(cond.points, flat.points):
             assert abs(pc.rate - pf.rate) < 1e-9
             assert abs(pc.distortion - pf.distortion) < 1e-9

@@ -15,15 +15,7 @@ from crlab.cli import main
 from crlab.errors import InputError, PreconditionError
 from crlab.info_measures import _CHUNK
 from crlab.pixel_model import PixelModelParams, build_joint
-from crlab.prob_core import (
-    JointPMF,
-    adjoin_channel,
-    adjoin_difference,
-    adjoin_map,
-    adjoin_sum,
-    quantizer_map,
-    random_pmf,
-)
+from crlab.prob_core import JointPMF, adjoin_difference, adjoin_map, quantizer_map
 from crlab.theorem_suite import (
     CHECK_TOL,
     IDENTITY,
@@ -39,11 +31,12 @@ from crlab.theorem_suite import (
     run_randomized_suite,
     trial_seed,
 )
+from oracles import adjoin_channel, adjoin_sum, random_pmf
 
 
 def trial_pmf(t_seed, shape):
-    """The joint of one suite trial, built one public call at a time, with
-    the suite's order of draws."""
+    """The joint of one suite trial, built one joint operation at a time,
+    with the suite's order of draws."""
     rng = np.random.default_rng(t_seed)
     pmf = random_pmf(shape, seed=rng, names=("x", "xp"))
     k = int(rng.integers(1, shape[1] + 1))
@@ -167,8 +160,6 @@ class TestLossless:
                 assert c.value >= -1e-9, c.check_id
 
     def test_missing_variable_rejected(self):
-        from crlab.prob_core import random_pmf
-
         pmf = random_pmf((3, 3), seed=1, names=["x", "y"])
         with pytest.raises((InputError, PreconditionError)):
             check_lossless(pmf)
@@ -207,9 +198,6 @@ class TestDifferencePrecondition:
 class TestLossy:
     def test_identities_on_pixel_model(self, pixel_pmf):
         # check_lossy wants a reconstruction xt; attach a noisy channel on r
-        import numpy as np
-        from crlab.prob_core import adjoin_channel, adjoin_sum
-
         r_alph = pixel_pmf.alphabet("r")
         nr = len(r_alph)
         rng = np.random.default_rng(3)
