@@ -103,23 +103,28 @@ def _disjoint(*groups: Sequence[str]):
             seen.add(n)
 
 
-def _checked_bits(h: list, caps: list, names: tuple[str, ...]) -> np.ndarray:
+def _checked_bits(h: np.ndarray, caps: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
     """The entropies h of names, one per joint, each checked against its
     joint's log2 alphabet bound in caps and clamped at 0."""
     what = f"H{names}"
-    for value, cap in zip(h, caps):
-        if value > cap + 1e-9:
-            raise InternalConsistencyError(f"{what} = {value} above log2 alphabet bound {cap}")
-    return np.array([_clamp_bits(value, what) for value in h])
+    over = np.flatnonzero(h > caps + 1e-9)
+    if over.size:
+        t = over[0]
+        raise InternalConsistencyError(
+            f"{what} = {float(h[t])} above log2 alphabet bound {float(caps[t])}")
+    negative = np.flatnonzero(h < -NEG_TOL)
+    if negative.size:
+        _clamp_bits(float(h[negative[0]]), what)  # raises
+    # as _clamp_bits: a value below 0.0 becomes 0.0, and -0.0 stays
+    return np.where(h < 0.0, 0.0, h)
 
 
 def _entropies(stack: JointStack, names: tuple[str, ...]) -> np.ndarray:
     """H(names) in bits of each joint of stack, each bit for bit what that
     joint alone gives."""
-    h = _plogp_sum(*stack.group_probs(names)).tolist()
+    h = _plogp_sum(*stack.group_probs(names))
     cols = [stack.var_pos(n) for n in names]
-    caps = [sum(math.log2(sizes[c]) for c in cols) for sizes in stack.sizes.tolist()]
-    return _checked_bits(h, caps, names)
+    return _checked_bits(h, np.log2(stack.sizes[:, cols]).sum(axis=1), names)
 
 
 def entropy(pmf: JointPMF, vars_) -> float:
@@ -193,7 +198,7 @@ class TwoMassEntropies(EntropyMemo):
         a, b, m = self.pmf.count_signature(names, self.on)
         n = len(self.masses)
         w = np.multiply.outer(self.masses[:, 0], a) + np.multiply.outer(self.masses[:, 1], b)
-        h = _plogp_sum(w.ravel(), np.arange(n + 1) * a.size, np.tile(m, n)).tolist()
+        h = _plogp_sum(w.ravel(), np.arange(n + 1) * a.size, np.tile(m, n))
         sizes = self.pmf.sizes[0]
         cap = sum(math.log2(sizes[self.pmf.var_pos(x)]) for x in names)
-        return _checked_bits(h, [cap] * n, names)
+        return _checked_bits(h, np.full(n, cap), names)

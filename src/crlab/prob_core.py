@@ -140,7 +140,9 @@ class JointStack:
     the same symbol in every joint.
     idx, probs: the support rows of joint 0, then those of joint 1, and so
     on, each in its joint's support order; the weights of each joint sum
-    to 1. seg[i] is the joint of row i, and is None for a single joint.
+    to 1. A stack may also hold rows of weight 0: each adds +0.0 to its
+    group, so no group weight changes. seg[i] is the joint of row i, and is
+    None for a single joint.
     idx and seg may be any signed integer dtype that holds twice the
     largest alphabet size and the joint count: grouping keys widen to
     int64, and combined_index works in idx's own dtype.
@@ -180,17 +182,23 @@ class JointStack:
         The joint is the most significant digit of one grouping key. Each
         slice holds, bit for bit and in key order, the nonzero group
         weights of that joint alone, and may hold zeros for keys that no
-        support row takes. Entropy needs only these, so this kernel builds
-        no rows.
+        row of positive weight takes. Entropy needs only these, so this
+        kernel builds no rows.
         """
         cols, radix = _columns(self, names)
-        n = len(self)
+        n, span = len(self), math.prod(radix)
+        weights, groups = _group_rows(self._group_key(cols, radix), self.probs, n * span)
         if n == 1:
-            weights, _ = _group_rows(self.idx, self.probs, cols, radix)
             return weights, np.array([0, weights.size])
-        weights, groups = _group_rows(self.idx, self.probs, cols, radix, (self.seg, n))
-        bounds = np.arange(n + 1) * math.prod(radix)
+        bounds = np.arange(n + 1) * span
         return weights, bounds if groups is None else np.searchsorted(groups, bounds)
+
+    def _group_key(self, cols: list[int], radix: list[int]) -> np.ndarray:
+        """The int64 grouping key of each row: the joint, when the stack
+        holds more than one, above the mixed-radix digits of the given
+        columns."""
+        lead = None if len(self) == 1 else (self.seg, len(self))
+        return _ravel_rows(self.idx, cols, radix, lead)
 
 
 class JointPMF(JointStack):
@@ -326,20 +334,17 @@ def _columns(joint: JointStack, names: Iterable[str]) -> tuple[list[int], list[i
 _DENSE_SPAN = 8
 
 
-def _group_rows(idx: np.ndarray, probs: np.ndarray, cols: Sequence[int],
-                sizes: Sequence[int], lead=None):
-    """(weights, groups) of the grouping of weighted rows over the given
-    columns, with lead as in _ravel_rows.
+def _group_rows(key: np.ndarray, probs: np.ndarray, span: int):
+    """(weights, groups) of the grouping of weighted rows by their int64
+    key, each in 0..span-1.
 
-    Dense path: groups is None and weights has one bin per mixed-radix key,
-    0 where no row falls. Otherwise weights lists the occupied groups only,
+    Dense path: groups is None and weights has one bin per key value, 0
+    where no row falls. Otherwise weights lists the occupied groups only,
     and groups gives their keys. Either way the groups come in key order
     and each weight sums its rows in row order, so both paths give the same
     weights.
     """
-    span = math.prod(sizes) * (1 if lead is None else lead[1])
-    key = _ravel_rows(idx, cols, sizes, lead)
-    if span <= _DENSE_SPAN * idx.shape[0]:
+    if span <= _DENSE_SPAN * key.size:
         return np.bincount(key, weights=probs, minlength=span), None
     groups, inverse = np.unique(key, return_inverse=True)
     return np.bincount(inverse, weights=probs, minlength=groups.size), groups
@@ -428,17 +433,16 @@ def _as_seed(seed) -> int:
 
 
 def sample_symbols(pmf: JointPMF, names: Sequence[str], n: int,
-                   seed) -> tuple[np.ndarray, ...]:
+                   seed: int) -> tuple[np.ndarray, ...]:
     """Symbol values of the named variables in n draws of support rows,
     one int64 array per name, reproducibly for a fixed seed. The rows
     drawn depend on n and seed only, not on which names are gathered."""
     if not isinstance(n, int) or n < 0:
         raise InputError(f"sample count must be a nonnegative integer, got {n!r}")
     cols = [pmf.var_pos(name) for name in names]
+    rng = np.random.default_rng(_as_seed(seed))
     if n == 0:
         rows = np.zeros(0, dtype=np.intp)
     else:
-        rng = seed if isinstance(seed, np.random.Generator) \
-            else np.random.default_rng(_as_seed(seed))
         rows = rng.choice(pmf.n_points, size=n, p=pmf.probs / pmf.probs.sum())
     return tuple(pmf.idx[rows, c] + np.int64(pmf.variables[c][1][0]) for c in cols)

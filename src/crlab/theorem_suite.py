@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .prob_core import (
     MASK64,
     JointPMF,
     JointStack,
+    _ravel_rows,
     adjoin_difference,
     combined_index,
     difference_alphabet,
@@ -161,6 +162,22 @@ def _require_lossy(pmf: JointStack):
     _require_difference(pmf, "rt", "xt", "xp")
 
 
+class _BottleneckMemo(EntropyMemo):
+    """EntropyMemo of joints on which xq is a function of xp; build one
+    only after _require_deterministic(pmf, "xp", "xq") has passed.
+
+    There every xp group holds one xq, so a name set that holds xp groups
+    its rows the same with xq or without it. xq's key digit comes right
+    after xp's, so the groups also come in the same order:
+    H(S, xp, xq) is H(S, xp) bit for bit, and is read from it.
+    """
+
+    def _evaluate(self, names: tuple[str, ...]) -> np.ndarray:
+        if "xp" in names and "xq" in names:
+            return self(*(n for n in names if n != "xq"))
+        return super()._evaluate(names)
+
+
 def _lossless(pmf: JointStack, h: EntropyMemo):
     """Checks as (id, kind, value per joint) and observations as (id, value
     per joint, premise per joint) of the lossless relations on every joint
@@ -258,7 +275,7 @@ def check_lossless(pmf: JointPMF) -> TheoremReport:
     r = x - xp.
     """
     _require_lossless(pmf)
-    return _one_joint(*_lossless(pmf, EntropyMemo(pmf)))
+    return _one_joint(*_lossless(pmf, _BottleneckMemo(pmf)))
 
 
 def check_lossy(pmf: JointPMF) -> TheoremReport:
@@ -274,7 +291,7 @@ def check_lossy(pmf: JointPMF) -> TheoremReport:
     if "rt" not in pmf.names:
         pmf = adjoin_difference(pmf, "xt", "xp", "rt")
     _require_lossy(pmf)
-    return _one_joint(*_lossy(pmf, EntropyMemo(pmf)))
+    return _one_joint(*_lossy(pmf, _BottleneckMemo(pmf)))
 
 
 def trial_seed(seed: int, k: int) -> int:
@@ -285,11 +302,10 @@ def trial_seed(seed: int, k: int) -> int:
 # support rows per block of stacked trials: 17 trials at 8x8, 960 rows
 # each. A block costs the same few dozen numpy calls whatever its size, so
 # larger blocks run faster until the rows' own work dominates: on 2 CPUs
-# a 250-trial `crlab verify` op at 8x8 took a median 0.180 perfbench
-# reference seconds at 4,096 rows and 0.107 at 16,384, and 32,768 rows
-# gained no more than the noise.
-# Narrow index columns (_index_dtype) keep its traced peak near 1.2 MB;
-# 8-byte ones would double it.
+# (Python 3.11, numpy 2.4) a 250-trial run at 8x8 took a median 90 ms in
+# process at 4,096 rows, 50 ms at 16,384 and 51 ms at 32,768.
+# Narrow index columns (_index_dtype) keep its traced peak near 1.1 MB;
+# 8-byte ones would raise it to 2.6 MB.
 _BLOCK_ROWS = 16384
 
 
@@ -298,15 +314,25 @@ def _index_dtype(bound: int) -> np.dtype:
     return np.min_scalar_type(-bound)
 
 
-def _trial_layout(shape: tuple[int, int]):
-    """(variables, columns, r_of_cell) of a trial of the given shape.
+class _Layout(NamedTuple):
+    """The rows of every trial of a run; see _trial_layout."""
 
-    columns holds, one row per variable, the support points of a trial
-    before zero weights are dropped: every (x, xp) cell in grid order, each
-    followed by every rt symbol, with xq left 0. r_of_cell is the r index
-    of each cell. Only the weights and xq differ between trials. The xq
-    alphabet is the widest a bottleneck can reach; a trial with k symbols
-    uses its first k.
+    variables: tuple
+    columns: np.ndarray
+    r_of_cell: np.ndarray
+    # the grouping key of columns over each column tuple, built on first use
+    keys: dict
+
+
+def _trial_layout(shape: tuple[int, int]) -> _Layout:
+    """(variables, columns, r_of_cell, keys) of a trial of the given shape.
+
+    columns holds, one row per variable, the rows of a trial: every
+    (x, xp) cell in grid order, each followed by every rt symbol, with xq
+    left 0. r_of_cell is the r index of each cell. Only the weights and xq
+    differ between trials. The xq alphabet is the widest a bottleneck can
+    reach; a trial with k symbols uses its first k. keys starts empty, and
+    _TrialBlock fills it with one key per column tuple for the whole run.
 
     columns has the narrowest dtype that a JointStack allows.
     """
@@ -325,21 +351,57 @@ def _trial_layout(shape: tuple[int, int]):
     columns = np.stack([x, xp, np.zeros_like(x), r, rt, xt]).astype(dtype)
     # one layout serves every block of a run
     columns.flags.writeable = r_of_cell.flags.writeable = False
-    return variables, columns, r_of_cell
+    return _Layout(variables, columns, r_of_cell, {})
 
 
-def _trial_stack(t_seeds: Sequence[int], shape: tuple[int, int], layout) -> JointStack:
+_XQ = 2  # the column of xq in a trial layout
+
+
+class _TrialBlock(JointStack):
+    """Trials of one run stacked in order: the run's layout once per
+    trial, each with its own weights and xq = images[t][xp].
+
+    Its grouping key over a column tuple is the layout's, built once per
+    run, tiled with the trial above it, plus the xq digit when the tuple
+    holds xq. It equals, key for key, the one JointStack builds from idx
+    and seg.
+    """
+
+    def __init__(self, layout: _Layout, images: np.ndarray, probs: np.ndarray, sizes):
+        n = len(sizes)
+        idx = np.tile(layout.columns, n)
+        idx[_XQ] = images.astype(idx.dtype)[:, layout.columns[1]].ravel()
+        seg = np.repeat(np.arange(n, dtype=_index_dtype(n)), layout.columns.shape[1])
+        # column-major rows: each key digit is read from contiguous memory
+        super().__init__(layout.variables, idx.T, probs, seg, sizes)
+        self.layout = layout
+
+    def _group_key(self, cols: list[int], radix: list[int]) -> np.ndarray:
+        span = math.prod(radix)
+        base = self.layout.keys.get(tuple(cols))
+        if base is None:
+            # the layout's xq is 0, so its digit stays out of this key
+            base = self.layout.keys[tuple(cols)] = _ravel_rows(self.layout.columns.T, cols, radix)
+        key = (base + np.arange(0, len(self) * span, span)[:, None]).ravel()
+        if _XQ in cols:
+            key += self.idx[:, _XQ] * np.int64(math.prod(radix[cols.index(_XQ) + 1:]))
+        return key
+
+
+def _trial_stack(t_seeds: Sequence[int], shape: tuple[int, int],
+                 layout: _Layout) -> _TrialBlock:
     """The trials seeded by t_seeds, stacked in order; layout is
     _trial_layout(shape).
 
     Trial t draws from default_rng(t_seeds[t]), in this order: p(x, xp)
     from a flat Dirichlet, the bottleneck size k uniform in 1..|xp|, the
     image of each xp uniform in 0..k-1, and one flat-Dirichlet row of the
-    residual channel p(rt | r) per r. Its support is (x, xp, rt) in that
-    order, without the points of weight 0, and xt = xp + rt. The rows keep
-    the layout's index dtype, and seg the narrowest that holds n.
+    residual channel p(rt | r) per r. Its rows are the layout's, (x, xp, rt)
+    in that order with xt = xp + rt, and keep their points of weight 0,
+    which change no entropy. The rows keep the layout's index dtype, and
+    seg the narrowest that holds n.
     """
-    variables, columns, r_of_cell = layout
+    variables, r_of_cell = layout.variables, layout.r_of_cell
     n, nr = len(t_seeds), len(variables[3][1])
     flat_cells, flat_r = np.ones(r_of_cell.size), np.ones(nr)
     p = np.empty((n, r_of_cell.size))
@@ -356,16 +418,9 @@ def _trial_stack(t_seeds: Sequence[int], shape: tuple[int, int], layout) -> Join
     require_stochastic(kernel)
 
     probs = (p[:, :, None] * kernel[:, r_of_cell, :]).ravel()
-    stacked = np.tile(columns, n)
-    stacked[2] = images[:, columns[1]].ravel()
-    seg = np.repeat(np.arange(n, dtype=_index_dtype(n)), columns.shape[1])
-    keep = probs > 0.0
-    if not keep.all():
-        stacked, probs, seg = stacked[:, keep], probs[keep], seg[keep]
     sizes = np.tile([len(a) for _, a in variables], (n, 1))
-    sizes[:, 2] = k
-    # column-major rows: each key digit is read from contiguous memory
-    return JointStack(variables, stacked.T, probs, seg, sizes)
+    sizes[:, _XQ] = k
+    return _TrialBlock(layout, images, probs, sizes)
 
 
 def _shape(shape: Sequence[int]) -> tuple[int, int]:
@@ -387,12 +442,12 @@ def _blocks(seed: int, trials: range, shape: tuple[int, int]):
     the trial's joint alone.
     """
     layout = _trial_layout(shape)
-    per_block = max(1, _BLOCK_ROWS // layout[1].shape[1])
+    per_block = max(1, _BLOCK_ROWS // layout.columns.shape[1])
     for first in range(trials.start, trials.stop, per_block):
         t_seeds = [trial_seed(seed, k) for k in range(first, min(first + per_block, trials.stop))]
         stack = _trial_stack(t_seeds, shape, layout)
         _require_lossy(stack)
-        h = EntropyMemo(stack)
+        h = _BottleneckMemo(stack)
         (ll, ll_obs), (ly, ly_obs) = _lossless(stack, h), _lossy(stack, h)
         yield first, ll + ly, ll_obs + ly_obs
 

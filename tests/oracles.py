@@ -10,6 +10,7 @@ random_pmf draws a flat-Dirichlet joint over a full grid.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +22,7 @@ from crlab.prob_core import (
     _check_new_name,
     _columns,
     _group_rows,
+    _ravel_rows,
     _require_alphabet,
     combined_index,
     require_stochastic,
@@ -34,7 +36,8 @@ def group_weights(pmf: JointPMF, names: Sequence[str]):
     Returns (rows, weights) with rows sorted by mixed-radix key.
     """
     cols, radix = _columns(pmf, names)
-    weights, groups = _group_rows(pmf.idx, pmf.probs, cols, radix)
+    weights, groups = _group_rows(_ravel_rows(pmf.idx, cols, radix), pmf.probs,
+                                  math.prod(radix))
     if groups is None:
         groups = np.flatnonzero(weights)
         weights = weights[groups]

@@ -11,6 +11,7 @@ from crlab.errors import InputError, InternalConsistencyError
 from crlab.info_measures import (
     EntropyMemo,
     TwoMassEntropies,
+    _checked_bits,
     _entropies,
     _plogp_sum,
     conditional_entropy,
@@ -147,6 +148,18 @@ def test_lone_group_adds_nothing_from_either_side_of_one():
     assert _plogp_sum(np.array([0.25]), mult=np.array([4])).tolist() == [2.0]
     with pytest.raises(InternalConsistencyError):
         _plogp_sum(np.array([1.0 + 2e-9]), mult=np.array([1]))
+
+
+def test_checked_bits_bounds_and_clamps_each_joint():
+    caps = np.array([1.0, 1.0, 1.0, 2.0])
+    h = _checked_bits(np.array([0.5, -1e-13, -0.0, 2.0]), caps, ("a", "b"))
+    assert [v.hex() for v in h.tolist()] == [v.hex() for v in (0.5, 0.0, -0.0, 2.0)]
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^H\('a',\) = 1.5 above log2 alphabet bound 1.0$"):
+        _checked_bits(np.array([1.5, 3.0]), np.array([1.0, 2.0]), ("a",))
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^H\('a',\) = -2e-12 is negative beyond 1e-12$"):
+        _checked_bits(np.array([0.5, -1e-13, -2e-12, -3e-12]), caps, ("a",))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -412,6 +412,13 @@ class TestRandomness:
         with pytest.raises(InputError):
             sample_symbols(pmf, ("x", "nope"), n, 5)
 
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_sample_seed_is_an_integer(self, n):
+        pmf = random_pmf((3, 4), seed=7)
+        for seed in (np.random.default_rng(1), 1.0, True):
+            with pytest.raises(InputError, match="seed must be an integer"):
+                sample_symbols(pmf, pmf.names, n, seed)
+
     def test_random_pmf_shape_and_determinism(self):
         pmf = random_pmf((3, 4), seed=7)
         assert pmf.names == ("v0", "v1")

@@ -3,19 +3,19 @@
 import math
 import sys
 import tracemalloc
-from itertools import count
+from itertools import combinations, count
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crlab import theorem_suite
+from crlab import prob_core, theorem_suite
 from crlab.cli import main
 from crlab.errors import InputError, PreconditionError
-from crlab.info_measures import _CHUNK
+from crlab.info_measures import _CHUNK, EntropyMemo, _entropies
 from crlab.pixel_model import PixelModelParams, build_joint
-from crlab.prob_core import JointPMF, adjoin_difference, adjoin_map, quantizer_map
+from crlab.prob_core import JointPMF, JointStack, adjoin_difference, adjoin_map, quantizer_map
 from crlab.theorem_suite import (
     CHECK_TOL,
     IDENTITY,
@@ -222,7 +222,7 @@ class TestLossy:
         with pytest.raises(PreconditionError):
             check_lossy(pixel_pmf)
 
-    def test_broken_premise_rejected(self):
+    def test_broken_premise_rejected(self, monkeypatch):
         pmf = trial_pmf(trial_seed(0, 1), (4, 4))
         assert check_lossy(pmf).all_passed
         xq, rt = pmf.var_pos("xq"), pmf.var_pos("rt")
@@ -233,9 +233,15 @@ class TestLossy:
         # every rt moved by one symbol: rt != xt - xp
         shifted = pmf.idx.copy()
         shifted[:, rt] = (shifted[:, rt] + 1) % len(pmf.alphabet("rt"))
+        # the premise fails before any memo that reads xq through xp exists
+        built = []
+        monkeypatch.setattr(theorem_suite, "_BottleneckMemo", built.append)
         for idx in (split, shifted):
             with pytest.raises(PreconditionError):
                 check_lossy(JointPMF(pmf.variables, idx, pmf.probs))
+        with pytest.raises(PreconditionError):
+            check_lossless(JointPMF(pmf.variables, split, pmf.probs))
+        assert built == []
 
     def test_identities_on_arbitrary_joint(self):
         # nothing pixel-specific: random 6x6 joint, random bottleneck
@@ -422,6 +428,115 @@ class TestRandomizedSuite:
         # certified counterexamples in both directions
         assert "conditional_condres_gap" in ids
         assert "optimal_coder_leakage" in ids
+
+
+# every name tuple that holds xp and xq, in sorted order
+XP_XQ_TUPLES = [tuple(sorted(("xp", "xq") + rest))
+                for k in range(5) for rest in combinations(("r", "rt", "x", "xt"), k)]
+
+
+def first_block(seed, trials, shape):
+    """The block of the first trials of the run seeded by seed."""
+    layout = theorem_suite._trial_layout(shape)
+    return theorem_suite._trial_stack([trial_seed(seed, k) for k in range(trials)],
+                                      shape, layout)
+
+
+def own_keys(stack):
+    """stack as a JointStack that builds its grouping keys from its own rows."""
+    return JointStack(stack.variables, stack.idx, stack.probs, stack.seg, stack.sizes)
+
+
+def hexes(values):
+    return [v.hex() for v in np.asarray(values).tolist()]
+
+
+class TestLayoutGrouping:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 2**32 - 1),
+           st.integers(1, 3))
+    @example(16, 16, 8, 2)
+    def test_xq_read_through_xp_is_bit_exact(self, nx, nxp, seed, trials):
+        """Once xq is known to be a function of xp, the suite's memo gives
+        every entropy over xp and xq bit for bit as grouping by both."""
+        shape = (nx, nxp)
+        for pmf in (first_block(seed, trials, shape), trial_pmf(trial_seed(seed, 0), shape)):
+            theorem_suite._require_lossy(pmf)
+            h = theorem_suite._BottleneckMemo(pmf)
+            for names in XP_XQ_TUPLES:
+                assert hexes(h(*names)) == hexes(_entropies(pmf, names)), names
+
+    @pytest.mark.parametrize("shape", [(8, 8), (3, 2), (1, 1), (16, 16)])
+    def test_zero_weight_rows_change_no_entropy(self, shape):
+        """Rows of weight 0 among a stack's rows, and keys tiled from the
+        run's layout, leave every entropy the checks use bit for bit."""
+        block = first_block(7, 3, shape)
+        memo = EntropyMemo(block)
+        theorem_suite._lossless(block, memo)
+        theorem_suite._lossy(block, memo)
+        assert len(memo.memo) == 21
+        # a zero-weight row of random symbols before every third row, in
+        # the joint of that row
+        rng = np.random.default_rng(0)
+        at = np.arange(0, block.n_points, 3)
+        rows = np.column_stack([rng.integers(0, len(a), at.size) for _, a in block.variables])
+        zeros = JointStack(block.variables,
+                           np.insert(block.idx, at, rows.astype(block.idx.dtype), axis=0),
+                           np.insert(block.probs, at, 0.0),
+                           np.insert(block.seg, at, block.seg[at]), block.sizes)
+        for names in memo.memo:
+            want = hexes(_entropies(own_keys(block), names))
+            assert hexes(_entropies(block, names)) == want, names
+            assert hexes(_entropies(zeros, names)) == want, names
+
+    def test_trial_with_a_zero_weight_matches_one_joint_at_a_time(self, monkeypatch):
+        """A trial whose p(x, xp) weighs one cell exactly 0 keeps that
+        cell's rows in its block; the report stays bit for bit."""
+        seed, trials = 3, spanning((8, 8))
+        zeroed = trial_seed(seed, block_trials((8, 8)) + 1)  # in the second block
+        default_rng = np.random.default_rng
+
+        class OneZeroCell(np.random.Generator):
+            def dirichlet(self, alpha, size=None):
+                out = super().dirichlet(alpha, size)
+                if size is None:  # p(x, xp): the first cell's mass moves to the second
+                    out[1] += out[0]
+                    out[0] = 0.0
+                return out
+
+        def rng(s=None):
+            return OneZeroCell(np.random.PCG64(s)) if s == zeroed else default_rng(s)
+
+        monkeypatch.setattr(np.random, "default_rng", rng)
+        assert trial_pmf(zeroed, (8, 8)).n_points < trial_rows((8, 8))
+        # the suite keeps the zero cell's 15 rows, one per rt symbol
+        alone = theorem_suite._trial_stack([zeroed], (8, 8), theorem_suite._trial_layout((8, 8)))
+        assert np.count_nonzero(alone.probs == 0.0) == 15
+        assert bits(run_randomized_suite(trials, (8, 8), seed)) == \
+            bits(reference_suite(trials, (8, 8), seed))
+
+    def test_spanning_run_groups_densely_on_keys_built_once(self, monkeypatch):
+        """At 8x8 no grouping of a run sorts its keys, and each layout key
+        is built once for the run, not once per block."""
+        dense, built = [], []
+        group_rows, ravel_rows = prob_core._group_rows, prob_core._ravel_rows
+
+        def grouping(key, probs, span):
+            weights, groups = group_rows(key, probs, span)
+            dense.append(groups is None)
+            return weights, groups
+
+        def ravel(idx, cols, sizes, lead=None):
+            built.append(tuple(cols))
+            return ravel_rows(idx, cols, sizes, lead)
+
+        monkeypatch.setattr(prob_core, "_group_rows", grouping)
+        for module in (prob_core, theorem_suite):
+            monkeypatch.setattr(module, "_ravel_rows", ravel)
+        run_randomized_suite(spanning((8, 8)), (8, 8), seed=0)
+        assert dense and all(dense)
+        # three blocks, each grouping by at least every key built
+        assert len(set(built)) == len(built) and 3 * len(built) <= len(dense)
 
 
 class TestReporting:
