@@ -9,7 +9,7 @@ the current directory; `--plain` prints tables to stdout instead of
 writing files.
 
 Exit codes: 0 success, 1 verification failure, 2 codec integrity
-failure, 64 usage error.
+failure, 64 usage error or a run too large for memory.
 """
 
 from __future__ import annotations
@@ -313,6 +313,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 64
+    except MemoryError as e:
+        print(f"error: out of memory: {str(e) or 'allocation failed'}", file=sys.stderr)
         return 64
     except (IntegrityError, FormatError, ModelCoverageError) as e:
         print(f"codec integrity failure: {e}", file=sys.stderr)

@@ -130,38 +130,28 @@ def quantizer_map(domain: range, step) -> np.ndarray:
 
 
 class JointStack:
-    """Joints over the same named variables with their support rows
-    stacked, one segment per joint, so that one key groups all of them at
-    once. A JointPMF is the stack of one joint.
+    """Joints over the same named variables, grouped at once by one key
+    with the joint as its most significant digit. A subclass gives that
+    key (_group_key). A JointPMF is the stack of one joint, and the only
+    kind that stores support rows.
 
     variables: ordered (name, alphabet) pairs shared by the joints, each
     alphabet a range of consecutive integers. Joint t uses the first
     sizes[t][v] symbols of the alphabet of variable v, so an index names
     the same symbol in every joint.
-    idx, probs: the support rows of joint 0, then those of joint 1, and so
-    on, each in its joint's support order; the weights of each joint sum
-    to 1. A stack may also hold rows of weight 0: each adds +0.0 to its
-    group, so no group weight changes. seg[i] is the joint of row i, and is
-    None for a single joint.
-    idx and seg may be any signed integer dtype that holds twice the
-    largest alphabet size and the joint count: grouping keys widen to
-    int64, and combined_index works in idx's own dtype.
+    probs: the weights of the rows of joint 0, then those of joint 1, and
+    so on; the weights of each joint sum to 1. A stack may also hold rows
+    of weight 0: each adds +0.0 to its group, so no group weight changes.
     """
 
-    def __init__(self, variables, idx: np.ndarray, probs: np.ndarray, seg, sizes):
+    def __init__(self, variables, probs: np.ndarray, sizes):
         self.variables = tuple(variables)
-        self.idx = idx
         self.probs = probs
-        self.seg = seg
         self.sizes = np.asarray(sizes, dtype=np.intp)
 
     @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.variables)
-
-    @property
-    def n_points(self) -> int:
-        return self.idx.shape[0]
 
     def var_pos(self, name: str) -> int:
         try:
@@ -197,13 +187,12 @@ class JointStack:
         """The int64 grouping key of each row: the joint, when the stack
         holds more than one, above the mixed-radix digits of the given
         columns."""
-        lead = None if len(self) == 1 else (self.seg, len(self))
-        return _ravel_rows(self.idx, cols, radix, lead)
+        raise NotImplementedError
 
 
 class JointPMF(JointStack):
     """Joint distribution over named finite variables, support-point form:
-    the JointStack of one joint, with seg None and sizes the alphabet sizes.
+    the JointStack of one joint, with sizes the alphabet sizes.
 
     variables: ordered (name, alphabet) pairs, each alphabet a nonempty
     range with step 1; index i of a variable is symbol alphabet[i].
@@ -222,7 +211,15 @@ class JointPMF(JointStack):
             variables, idx, probs = _validate_pmf(variables, idx, probs)
         idx.flags.writeable = False
         probs.flags.writeable = False
-        super().__init__(variables, idx, probs, None, [[len(a) for _, a in variables]])
+        super().__init__(variables, probs, [[len(a) for _, a in variables]])
+        self.idx = idx
+
+    @property
+    def n_points(self) -> int:
+        return self.idx.shape[0]
+
+    def _group_key(self, cols: list[int], radix: list[int]) -> np.ndarray:
+        return _ravel_rows(self.idx, cols, radix)
 
     def count_signature(self, names: Sequence[str], on: np.ndarray):
         """(a, b, m) of the grouping over the named variables: the distinct
@@ -235,8 +232,7 @@ class JointPMF(JointStack):
         Counted by bincounts over the grouping key and over the ranks of
         the a and b values, without sorting.
         """
-        cols, radix = _columns(self, names)
-        key = _ravel_rows(self.idx, cols, radix)
+        key = self._group_key(*_columns(self, names))
         on_key = key[on]
         a = np.bincount(key)  # rows per key, less those where on holds below
         del key  # free the row keys before the second count over the key range
@@ -298,22 +294,16 @@ def _validate_pmf(variables, idx, probs):
     return tuple(variables), idx, probs
 
 
-def _ravel_rows(idx: np.ndarray, cols: Sequence[int], sizes: Sequence[int],
-                lead=None):
-    """Mixed-radix int64 key of each row over the given columns. lead,
-    when given, is (digits, radix): one more digit per row, placed above
-    all the others. Raises InputError if the radix product passes 2**62."""
-    columns = [idx[:, c] for c in cols]
-    if lead is not None:
-        columns.insert(0, lead[0])
-        sizes = [lead[1], *sizes]
+def _ravel_rows(idx: np.ndarray, cols: Sequence[int], sizes: Sequence[int]):
+    """Mixed-radix int64 key of each row over the given columns. Raises
+    InputError if the radix product passes 2**62."""
     if math.prod(sizes) > 2**62:
         raise InputError(f"alphabet sizes {list(sizes)} multiply past 2**62; "
                          "no integer key groups them")
     key = np.zeros(idx.shape[0], dtype=np.int64)
-    for column, s in zip(columns, sizes):
+    for c, s in zip(cols, sizes):
         key *= s
-        key += column
+        key += idx[:, c]
     return key
 
 

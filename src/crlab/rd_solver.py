@@ -549,17 +549,14 @@ def _slope_grid(slope_grid) -> np.ndarray:
 
 
 def conditional_rd_curve(joint: JointPMF, source_var: str, cond_var: str | None,
-                         dist: DistortionMatrix, slope_grid=None,
-                         label: str | None = None) -> RDCurve:
+                         dist: DistortionMatrix, slope_grid=None) -> RDCurve:
     """Envelope of the conditional problem: per slope, solve each condition
     cell independently and weight rate and distortion by the cell mass.
     cond_var=None codes source_var unconditionally, as one cell."""
     if dist.source != joint.alphabet(source_var):
         raise InputError("distortion matrix source alphabet mismatch")
     grid = _slope_grid(slope_grid)
-    if label is None:
-        label = f"{source_var}|{cond_var}"
-
+    label = f"{source_var}|{cond_var}"
     w, P = conditional_table(joint, source_var, cond_var)
     return _stack_curves([(label, w, P)], dist.d, grid)[label]
 

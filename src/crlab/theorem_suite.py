@@ -33,7 +33,6 @@ from .prob_core import (
     MASK64,
     JointPMF,
     JointStack,
-    _ravel_rows,
     adjoin_difference,
     combined_index,
     difference_alphabet,
@@ -141,7 +140,7 @@ def _require_deterministic(pmf: JointStack, src: str, out: str):
         )
 
 
-def _require_difference(pmf: JointStack, out: str, a: str, b: str):
+def _require_difference(pmf: JointPMF, out: str, a: str, b: str):
     """out must equal a - b exactly on every support point."""
     diff = combined_index(pmf, a, b, -1, pmf.alphabet(out))
     bad = int(np.count_nonzero(diff != pmf.idx[:, pmf.var_pos(out)]))
@@ -149,14 +148,14 @@ def _require_difference(pmf: JointStack, out: str, a: str, b: str):
         raise PreconditionError(f"{out!r} != {a!r} - {b!r} on {bad} support points")
 
 
-def _require_lossless(pmf: JointStack):
+def _require_lossless(pmf: JointPMF):
     """The premises of _lossless: xq is a function of xp and r = x - xp."""
     _require_vars(pmf, ("x", "xp", "xq", "r"))
     _require_deterministic(pmf, "xp", "xq")
     _require_difference(pmf, "r", "x", "xp")
 
 
-def _require_lossy(pmf: JointStack):
+def _require_lossy(pmf: JointPMF):
     """The premises of _lossless and _lossy: those above and rt = xt - xp."""
     _require_lossless(pmf)
     _require_difference(pmf, "rt", "xt", "xp")
@@ -303,38 +302,30 @@ def trial_seed(seed: int, k: int) -> int:
 # each. A block costs the same few dozen numpy calls whatever its size, so
 # larger blocks run faster until the rows' own work dominates: on 2 CPUs
 # (Python 3.11, numpy 2.4) a 250-trial run at 8x8 took a median 90 ms in
-# process at 4,096 rows, 50 ms at 16,384 and 51 ms at 32,768.
-# Narrow index columns (_index_dtype) keep its traced peak near 1.1 MB;
-# 8-byte ones would raise it to 2.6 MB.
+# process at 4,096 rows, 50 ms at 16,384 and 51 ms at 32,768. A block
+# keeps one xq column and the weights of its rows, so its traced peak
+# stays near 1.2 MB.
 _BLOCK_ROWS = 16384
-
-
-def _index_dtype(bound: int) -> np.dtype:
-    """The narrowest signed integer dtype that holds -bound..bound."""
-    return np.min_scalar_type(-bound)
 
 
 class _Layout(NamedTuple):
     """The rows of every trial of a run; see _trial_layout."""
 
-    variables: tuple
-    columns: np.ndarray
+    rows: JointPMF
     r_of_cell: np.ndarray
-    # the grouping key of columns over each column tuple, built on first use
+    # the grouping key of rows over each column tuple, built on first use
     keys: dict
 
 
 def _trial_layout(shape: tuple[int, int]) -> _Layout:
-    """(variables, columns, r_of_cell, keys) of a trial of the given shape.
+    """(rows, r_of_cell, keys) of a trial of the given shape.
 
-    columns holds, one row per variable, the rows of a trial: every
-    (x, xp) cell in grid order, each followed by every rt symbol, with xq
-    left 0. r_of_cell is the r index of each cell. Only the weights and xq
-    differ between trials. The xq alphabet is the widest a bottleneck can
-    reach; a trial with k symbols uses its first k. keys starts empty, and
+    rows is the uniform joint over the rows of a trial: every (x, xp)
+    cell in grid order, each followed by every rt symbol, with xq left 0.
+    r_of_cell is the r index of each cell. Only the weights and xq differ
+    between trials. The xq alphabet is the widest a bottleneck can reach;
+    a trial with k symbols uses its first k. keys starts empty, and
     _TrialBlock fills it with one key per column tuple for the whole run.
-
-    columns has the narrowest dtype that a JointStack allows.
     """
     x_alph, xp_alph = range(shape[0]), range(shape[1])
     r_alph = difference_alphabet(x_alph, xp_alph)
@@ -347,11 +338,11 @@ def _trial_layout(shape: tuple[int, int]) -> _Layout:
     x, xp, r = (np.repeat(c, nr) for c in (x, xp, r_of_cell))
     rt = np.tile(np.arange(nr), shape[0] * shape[1])
     xt = xp + rt + r_alph[0] - xt_alph[0]
-    dtype = _index_dtype(2 * max(len(a) for _, a in variables))
-    columns = np.stack([x, xp, np.zeros_like(x), r, rt, xt]).astype(dtype)
+    idx = np.column_stack([x, xp, np.zeros_like(x), r, rt, xt])
+    rows = JointPMF(variables, idx, np.full(x.size, 1.0 / x.size), _trusted=True)
     # one layout serves every block of a run
-    columns.flags.writeable = r_of_cell.flags.writeable = False
-    return _Layout(variables, columns, r_of_cell, {})
+    r_of_cell.flags.writeable = False
+    return _Layout(rows, r_of_cell, {})
 
 
 _XQ = 2  # the column of xq in a trial layout
@@ -362,29 +353,24 @@ class _TrialBlock(JointStack):
     trial, each with its own weights and xq = images[t][xp].
 
     Its grouping key over a column tuple is the layout's, built once per
-    run, tiled with the trial above it, plus the xq digit when the tuple
-    holds xq. It equals, key for key, the one JointStack builds from idx
-    and seg.
+    run, with the trial above it, plus the xq digit when the tuple holds
+    xq: the key of the trial's own rows with the trial on top.
     """
 
     def __init__(self, layout: _Layout, images: np.ndarray, probs: np.ndarray, sizes):
-        n = len(sizes)
-        idx = np.tile(layout.columns, n)
-        idx[_XQ] = images.astype(idx.dtype)[:, layout.columns[1]].ravel()
-        seg = np.repeat(np.arange(n, dtype=_index_dtype(n)), layout.columns.shape[1])
-        # column-major rows: each key digit is read from contiguous memory
-        super().__init__(layout.variables, idx.T, probs, seg, sizes)
+        super().__init__(layout.rows.variables, probs, sizes)
         self.layout = layout
+        self.xq = images[:, layout.rows.idx[:, 1]].ravel()
 
     def _group_key(self, cols: list[int], radix: list[int]) -> np.ndarray:
         span = math.prod(radix)
         base = self.layout.keys.get(tuple(cols))
         if base is None:
             # the layout's xq is 0, so its digit stays out of this key
-            base = self.layout.keys[tuple(cols)] = _ravel_rows(self.layout.columns.T, cols, radix)
+            base = self.layout.keys[tuple(cols)] = self.layout.rows._group_key(cols, radix)
         key = (base + np.arange(0, len(self) * span, span)[:, None]).ravel()
         if _XQ in cols:
-            key += self.idx[:, _XQ] * np.int64(math.prod(radix[cols.index(_XQ) + 1:]))
+            key += self.xq * np.int64(math.prod(radix[cols.index(_XQ) + 1:]))
         return key
 
 
@@ -398,10 +384,9 @@ def _trial_stack(t_seeds: Sequence[int], shape: tuple[int, int],
     image of each xp uniform in 0..k-1, and one flat-Dirichlet row of the
     residual channel p(rt | r) per r. Its rows are the layout's, (x, xp, rt)
     in that order with xt = xp + rt, and keep their points of weight 0,
-    which change no entropy. The rows keep the layout's index dtype, and
-    seg the narrowest that holds n.
+    which change no entropy.
     """
-    variables, r_of_cell = layout.variables, layout.r_of_cell
+    variables, r_of_cell = layout.rows.variables, layout.r_of_cell
     n, nr = len(t_seeds), len(variables[3][1])
     flat_cells, flat_r = np.ones(r_of_cell.size), np.ones(nr)
     p = np.empty((n, r_of_cell.size))
@@ -439,14 +424,17 @@ def _blocks(seed: int, trials: range, shape: tuple[int, int]):
     gives them, lossless then lossy.
 
     Every value is bit for bit what check_lossless and check_lossy give on
-    the trial's joint alone.
+    the trial's joint alone. The rows of every block are the layout's, so
+    r = x - xp and rt = xt - xp are checked once, on the layout.
     """
     layout = _trial_layout(shape)
-    per_block = max(1, _BLOCK_ROWS // layout.columns.shape[1])
+    _require_difference(layout.rows, "r", "x", "xp")
+    _require_difference(layout.rows, "rt", "xt", "xp")
+    per_block = max(1, _BLOCK_ROWS // layout.rows.n_points)
     for first in range(trials.start, trials.stop, per_block):
         t_seeds = [trial_seed(seed, k) for k in range(first, min(first + per_block, trials.stop))]
         stack = _trial_stack(t_seeds, shape, layout)
-        _require_lossy(stack)
+        _require_deterministic(stack, "xp", "xq")
         h = _BottleneckMemo(stack)
         (ll, ll_obs), (ly, ly_obs) = _lossless(stack, h), _lossy(stack, h)
         yield first, ll + ly, ll_obs + ly_obs

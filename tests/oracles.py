@@ -1,11 +1,14 @@
 """Reference joint operations that the tests compare against or build
 fixtures with. Nothing in crlab calls them; tests/test_prob_core.py
-checks them.
+checks them, and tests/test_info_measures.py checks SegmentedStack.
 
 group_weights groups a joint's rows the way JointStack.group_probs does,
-and also returns the rows. adjoin_channel and adjoin_sum extend a joint
-by a test channel and by a sum, as the theorem suite's lossy trials do.
-random_pmf draws a flat-Dirichlet joint over a full grid.
+and also returns the rows. SegmentedStack stacks the rows of several
+joints and groups them by a key built from those rows alone: the
+reference for the stacks that the theorem suite groups. adjoin_channel
+and adjoin_sum extend a joint by a test channel and by a sum, as the
+theorem suite's lossy trials do. random_pmf draws a flat-Dirichlet joint
+over a full grid.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 from crlab.errors import InputError
 from crlab.prob_core import (
     JointPMF,
+    JointStack,
     _as_seed,
     _check_new_name,
     _columns,
@@ -42,6 +46,34 @@ def group_weights(pmf: JointPMF, names: Sequence[str]):
         groups = np.flatnonzero(weights)
         weights = weights[groups]
     return np.column_stack(np.unravel_index(groups, radix)), weights
+
+
+class SegmentedStack(JointStack):
+    """Joints over the same variables with their rows stacked, one segment
+    per joint: idx and probs hold joint 0's rows, then joint 1's, and so
+    on, and seg[i] is the joint of row i. Its grouping key is that of the
+    rows with the joint as one more digit on top."""
+
+    def __init__(self, variables, idx: np.ndarray, probs: np.ndarray, seg, sizes):
+        super().__init__(variables, probs, sizes)
+        self.idx = idx
+        self.seg = np.asarray(seg)
+
+    @classmethod
+    def of(cls, joints: Sequence[JointPMF]) -> "SegmentedStack":
+        """The stack of joints that share their variables and alphabets."""
+        return cls(joints[0].variables, np.concatenate([j.idx for j in joints]),
+                   np.concatenate([j.probs for j in joints]),
+                   np.repeat(np.arange(len(joints)), [j.n_points for j in joints]),
+                   [[len(a) for _, a in joints[0].variables]] * len(joints))
+
+    @property
+    def n_points(self) -> int:
+        return self.idx.shape[0]
+
+    def _group_key(self, cols, radix):
+        rows = np.column_stack([self.seg, self.idx])
+        return _ravel_rows(rows, [0, *(c + 1 for c in cols)], [len(self), *radix])
 
 
 def adjoin_sum(pmf: JointPMF, a: str, b: str, new_var: str) -> JointPMF:

@@ -277,6 +277,23 @@ class TestCodec:
         assert "16 bits" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, module", [
+        (["codec", "--p", "0.5", "--Q", "1.4", "--M", "65535", "--n", "1",
+          "--paradigm", "res"], crlab.cli),
+        (["sweep", "--p", "0.5", "--Q", "1.4", "--M", "70000"], crlab.pixel_model),
+    ])
+    def test_alphabet_beyond_memory_exits_64(self, capsys, tmp_path, monkeypatch,
+                                             argv, module):
+        def no_memory(params):
+            raise MemoryError(f"no room for {params.M}x{params.M} points")
+
+        monkeypatch.setattr(module, "build_joint", no_memory)
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        M = argv[argv.index("--M") + 1]
+        assert code == 64
+        assert err == f"error: out of memory: no room for {M}x{M} points\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_format_error_is_integrity_failure(self, capsys, tmp_path, monkeypatch):
         def bad_decode(*args, **kwargs):
             raise FormatError("header does not match")

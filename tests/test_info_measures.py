@@ -17,8 +17,8 @@ from crlab.info_measures import (
     conditional_entropy,
     entropy,
 )
-from crlab.prob_core import JointPMF, JointStack
-from oracles import random_pmf
+from crlab.prob_core import JointPMF
+from oracles import SegmentedStack, random_pmf
 
 
 def dense_probs(pmf, shape):
@@ -220,17 +220,9 @@ def test_segments_sum_as_if_alone():
     assert expected != -float(partials.sum())
 
 
-def _stack(joints):
-    """The JointStack of joints that share their variables and alphabets."""
-    return JointStack(joints[0].variables, np.concatenate([j.idx for j in joints]),
-                      np.concatenate([j.probs for j in joints]),
-                      np.repeat(np.arange(len(joints)), [j.n_points for j in joints]),
-                      [[len(a) for _, a in joints[0].variables]] * len(joints))
-
-
 def test_stack_entropies_match_each_joint():
     joints = [random_pmf((3, 4), seed=s, names=["a", "b"]) for s in range(3)]
-    stack = _stack(joints)
+    stack = SegmentedStack.of(joints)
     for names in (["a"], ["b", "a"], ["a", "b"]):
         assert [float(v).hex() for v in _entropies(stack, tuple(names))] == \
                [entropy(j, names).hex() for j in joints]
@@ -238,12 +230,12 @@ def test_stack_entropies_match_each_joint():
 
 def test_float_measures_reject_a_stack_of_several_joints():
     joints = [random_pmf((3, 4, 2), seed=s, names=["a", "b", "c"]) for s in range(2)]
-    stack = _stack(joints)
+    stack = SegmentedStack.of(joints)
     for measure in (lambda: entropy(stack, ["a", "b"]),
                     lambda: conditional_entropy(stack, "a", "b")):
         with pytest.raises(InputError):
             measure()
     # a stack of one joint is that joint
-    one = _stack(joints[:1])
+    one = SegmentedStack.of(joints[:1])
     assert entropy(one, ["a", "b"]) == entropy(joints[0], ["a", "b"])
     assert isinstance(entropy(joints[0], "a"), float)

@@ -15,7 +15,7 @@ from crlab.cli import main
 from crlab.errors import InputError, PreconditionError
 from crlab.info_measures import _CHUNK, EntropyMemo, _entropies
 from crlab.pixel_model import PixelModelParams, build_joint
-from crlab.prob_core import JointPMF, JointStack, adjoin_difference, adjoin_map, quantizer_map
+from crlab.prob_core import JointPMF, adjoin_difference, adjoin_map, quantizer_map
 from crlab.theorem_suite import (
     CHECK_TOL,
     IDENTITY,
@@ -31,7 +31,7 @@ from crlab.theorem_suite import (
     run_randomized_suite,
     trial_seed,
 )
-from oracles import adjoin_channel, adjoin_sum, random_pmf
+from oracles import SegmentedStack, adjoin_channel, adjoin_sum, random_pmf
 
 
 def trial_pmf(t_seed, shape):
@@ -255,8 +255,9 @@ class TestLossy:
 class TestRandomizedSuite:
     def test_premises_checked_once_per_joint_or_block(self, monkeypatch):
         """Each premise check groups or scans a whole joint: check_lossless
-        and check_lossy check theirs once, and a block of stacked trials
-        checks the lossy premises, which hold the lossless ones, once."""
+        and check_lossy check theirs once. Every block of a run holds the
+        layout's rows, so a run checks r = x - xp and rt = xt - xp once,
+        on the layout, and each block checks that xq is a function of xp."""
         calls = []
 
         def counting(name):
@@ -280,7 +281,28 @@ class TestRandomizedSuite:
         calls.clear()
         # two full blocks of 8x8 trials and a partial third
         run_randomized_suite(spanning((8, 8)), (8, 8), seed=0)
-        assert calls == lossy * 3
+        assert calls == [("r", "x", "xp"), ("rt", "xt", "xp")] + [("xp", "xq")] * 3
+
+    @pytest.mark.parametrize("column", ["r", "rt"])
+    def test_layout_off_its_differences_stops_the_run(self, monkeypatch, column):
+        """A layout row with r != x - xp or rt != xt - xp stops a run with
+        PreconditionError before any block is built or grouped."""
+        trial_layout = theorem_suite._trial_layout
+
+        def broken(shape):
+            layout = trial_layout(shape)
+            rows = layout.rows
+            idx = rows.idx.copy()
+            c = rows.var_pos(column)
+            idx[5, c] = (idx[5, c] + 1) % len(rows.variables[c][1])
+            return layout._replace(rows=JointPMF(rows.variables, idx, rows.probs, _trusted=True))
+
+        built = []
+        monkeypatch.setattr(theorem_suite, "_trial_layout", broken)
+        monkeypatch.setattr(theorem_suite, "_trial_stack", lambda *args: built.append(args))
+        with pytest.raises(PreconditionError, match=f"'{column}' != "):
+            run_randomized_suite(3, (4, 4), seed=0)
+        assert built == []
 
     def test_small_fuzz_run_passes(self):
         report = run_randomized_suite(60, (6, 5), seed=11)
@@ -337,16 +359,15 @@ class TestRandomizedSuite:
             reports.append(bits(run_randomized_suite(trials, shape, seed)))
         assert all(r == reports[0] for r in reports[1:])
 
-    def test_narrow_columns_hold_wide_alphabets(self):
-        # xt of a (130, 2) trial has 132 symbols, past what int8 holds
-        assert theorem_suite._trial_layout((130, 2))[1].dtype.itemsize == 2
+    def test_wide_alphabet_matches_one_joint_at_a_time(self):
+        # xt of a (130, 2) trial has 132 symbols
         assert bits(run_randomized_suite(2, (130, 2), 6)) == \
             bits(reference_suite(2, (130, 2), 6))
 
     def test_block_memory_stays_small(self):
-        # intp index columns would take about 2.4 MB, and all 250 trials
-        # in one block about 18 MB; a first small run leaves out what the
-        # first call allocates once (about 0.8 MB)
+        # all 250 trials in one block would take about 14 MB; a first
+        # small run leaves out what the first call allocates once (about
+        # 0.8 MB)
         run_randomized_suite(2, (8, 8), seed=0)
         tracemalloc.start()
         try:
@@ -442,9 +463,14 @@ def first_block(seed, trials, shape):
                                       shape, layout)
 
 
-def own_keys(stack):
-    """stack as a JointStack that builds its grouping keys from its own rows."""
-    return JointStack(stack.variables, stack.idx, stack.probs, stack.seg, stack.sizes)
+def own_keys(block):
+    """block as a SegmentedStack: every trial's rows in full, grouped by
+    keys built from those rows."""
+    n, rows = len(block), block.layout.rows
+    idx = np.tile(rows.idx, (n, 1))
+    idx[:, rows.var_pos("xq")] = block.xq
+    return SegmentedStack(rows.variables, idx, block.probs,
+                          np.repeat(np.arange(n), rows.n_points), block.sizes)
 
 
 def hexes(values):
@@ -460,15 +486,17 @@ class TestLayoutGrouping:
         """Once xq is known to be a function of xp, the suite's memo gives
         every entropy over xp and xq bit for bit as grouping by both."""
         shape = (nx, nxp)
-        for pmf in (first_block(seed, trials, shape), trial_pmf(trial_seed(seed, 0), shape)):
-            theorem_suite._require_lossy(pmf)
+        block, pmf = first_block(seed, trials, shape), trial_pmf(trial_seed(seed, 0), shape)
+        theorem_suite._require_deterministic(block, "xp", "xq")
+        theorem_suite._require_lossy(pmf)
+        for pmf in (block, pmf):
             h = theorem_suite._BottleneckMemo(pmf)
             for names in XP_XQ_TUPLES:
                 assert hexes(h(*names)) == hexes(_entropies(pmf, names)), names
 
     @pytest.mark.parametrize("shape", [(8, 8), (3, 2), (1, 1), (16, 16)])
     def test_zero_weight_rows_change_no_entropy(self, shape):
-        """Rows of weight 0 among a stack's rows, and keys tiled from the
+        """Rows of weight 0 among a stack's rows, and keys built from the
         run's layout, leave every entropy the checks use bit for bit."""
         block = first_block(7, 3, shape)
         memo = EntropyMemo(block)
@@ -478,14 +506,14 @@ class TestLayoutGrouping:
         # a zero-weight row of random symbols before every third row, in
         # the joint of that row
         rng = np.random.default_rng(0)
-        at = np.arange(0, block.n_points, 3)
-        rows = np.column_stack([rng.integers(0, len(a), at.size) for _, a in block.variables])
-        zeros = JointStack(block.variables,
-                           np.insert(block.idx, at, rows.astype(block.idx.dtype), axis=0),
-                           np.insert(block.probs, at, 0.0),
-                           np.insert(block.seg, at, block.seg[at]), block.sizes)
+        own = own_keys(block)
+        at = np.arange(0, own.n_points, 3)
+        rows = np.column_stack([rng.integers(0, len(a), at.size) for _, a in own.variables])
+        zeros = SegmentedStack(own.variables, np.insert(own.idx, at, rows, axis=0),
+                               np.insert(own.probs, at, 0.0),
+                               np.insert(own.seg, at, own.seg[at]), own.sizes)
         for names in memo.memo:
-            want = hexes(_entropies(own_keys(block), names))
+            want = hexes(_entropies(own, names))
             assert hexes(_entropies(block, names)) == want, names
             assert hexes(_entropies(zeros, names)) == want, names
 
@@ -526,13 +554,12 @@ class TestLayoutGrouping:
             dense.append(groups is None)
             return weights, groups
 
-        def ravel(idx, cols, sizes, lead=None):
+        def ravel(idx, cols, sizes):
             built.append(tuple(cols))
-            return ravel_rows(idx, cols, sizes, lead)
+            return ravel_rows(idx, cols, sizes)
 
         monkeypatch.setattr(prob_core, "_group_rows", grouping)
-        for module in (prob_core, theorem_suite):
-            monkeypatch.setattr(module, "_ravel_rows", ravel)
+        monkeypatch.setattr(prob_core, "_ravel_rows", ravel)
         run_randomized_suite(spanning((8, 8)), (8, 8), seed=0)
         assert dense and all(dense)
         # three blocks, each grouping by at least every key built
