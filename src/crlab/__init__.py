@@ -24,7 +24,6 @@ from .errors import (
 from .prob_core import (
     JointPMF,
     adjoin_difference,
-    adjoin_map,
     quantizer_map,
 )
 from .info_measures import (

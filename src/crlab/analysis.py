@@ -186,7 +186,7 @@ def write_csv(path, header, rows, provenance: str) -> None:
     try:
         with open(path, "w", newline="") as fh:
             fh.write(f"# {provenance}\n")
-            w = csv.writer(fh)
+            w = csv.writer(fh, lineterminator="\n")
             w.writerow(header)
             for row in rows:
                 w.writerow([render_cell(v) for v in row])

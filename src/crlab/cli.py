@@ -15,6 +15,7 @@ failure, 64 usage error or a run too large for memory.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import shlex
 import sys
@@ -110,12 +111,10 @@ def cmd_sweep(args) -> int:
                 args.provenance)
 
     # Crossovers of H(X|Xphat) - H(R): where the bottlenecked conditional
-    # coder starts losing to plain residual coding.
-    by_q: dict[float, list] = {}
-    for r in reports:
-        by_q.setdefault(r.Q, []).append(r)
-    for q, group in by_q.items():
-        group.sort(key=lambda r: r.p)
+    # coder starts losing to plain residual coding. The rows come ordered
+    # by (Q, p).
+    for q, group in itertools.groupby(reports, key=lambda r: r.Q):
+        group = list(group)
         prev_d = prev_p = None
         for r in group:
             d = r.H_X_given_Xphat - r.H_R

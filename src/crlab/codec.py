@@ -50,6 +50,7 @@ from .errors import (
 from .pixel_model import PARADIGMS, PixelModelParams, build_joint, codec_paradigm
 from .prob_core import (
     JointPMF,
+    _as_int,
     conditional_table,
     quantizer_map,
     sample_symbols,
@@ -273,10 +274,10 @@ class Bitstream:
     payload: bytes
 
     def __post_init__(self):
-        if self.paradigm not in _BY_BYTE:
+        if _as_int(self.paradigm, "paradigm byte") not in _BY_BYTE:
             raise InputError(f"unknown paradigm byte {self.paradigm!r}")
         require_encodable(self.M)
-        if self.n < 0:
+        if _as_int(self.n, "symbol count") < 0:
             raise InputError(f"negative symbol count {self.n}")
 
     def to_bytes(self) -> bytes:
@@ -303,7 +304,7 @@ class Bitstream:
 
 def require_encodable(M: int) -> None:
     """InputError unless the 16-bit header field can carry alphabet size M."""
-    if not 2 <= M <= MAX_M:
+    if not 2 <= _as_int(M, "alphabet size") <= MAX_M:
         raise InputError(f"alphabet size {M} not encodable in 16 bits")
 
 

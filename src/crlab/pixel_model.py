@@ -26,9 +26,9 @@ from .errors import InputError, InternalConsistencyError
 from .info_measures import TwoMassEntropies
 from .prob_core import (
     JointPMF,
-    adjoin_difference,
-    adjoin_map,
+    _as_int,
     as_exact,
+    difference_alphabet,
     quantizer_map,
 )
 
@@ -62,7 +62,7 @@ class PixelModelParams:
     def __post_init__(self):
         object.__setattr__(self, "p", as_exact(self.p))
         object.__setattr__(self, "Q", as_exact(self.Q))
-        object.__setattr__(self, "M", int(self.M))
+        object.__setattr__(self, "M", _as_int(self.M, "alphabet size"))
         if self.M < 2:
             raise InputError(f"alphabet size must be >= 2, got {self.M}")
         if not 0 <= self.p <= 1:
@@ -85,16 +85,16 @@ def build_joint(params: PixelModelParams) -> JointPMF:
     M = params.M
     if params.p == 0:
         # every off-diagonal pair has mass 0: the support is x == xp
-        idx = np.repeat(np.arange(M, dtype=np.intp)[:, None], 2, axis=1)
+        x = xp = np.arange(M, dtype=np.intp)
     else:
-        idx = np.indices((M, M), dtype=np.intp).reshape(2, -1).T
-    off, diag = _masses(params)
-    probs = np.where(idx[:, 0] == idx[:, 1], diag, off)
-
-    pmf = JointPMF((("x", range(M)), ("xp", range(M))), idx, probs, _trusted=True)
+        x, xp = np.indices((M, M), dtype=np.intp).reshape(2, -1)
     cells = quantizer_map(range(M), params.Q)
-    pmf = adjoin_map(pmf, "xp", cells, range(int(cells[-1]) + 1), "xq")
-    return adjoin_difference(pmf, "x", "xp", "r")
+    r = difference_alphabet(range(M), range(M))
+    variables = (("x", range(M)), ("xp", range(M)), ("xq", range(int(cells[-1]) + 1)),
+                 ("r", r))
+    idx = np.column_stack([x, xp, cells[xp], x - xp - r[0]])
+    off, diag = _masses(params)
+    return JointPMF(variables, idx, np.where(x == xp, diag, off), _trusted=True)
 
 
 @dataclass(frozen=True)

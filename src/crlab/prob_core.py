@@ -23,6 +23,7 @@ Sampling takes an explicit seed per call; there is no hidden global state.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -35,9 +36,7 @@ __all__ = [
     "JointPMF",
     "JointStack",
     "adjoin_difference",
-    "adjoin_map",
     "as_exact",
-    "combined_index",
     "conditional_table",
     "difference_alphabet",
     "quantizer_map",
@@ -90,6 +89,17 @@ def as_exact(value) -> int | Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse {value!r} as an exact number") from exc
     raise InputError(f"unsupported number type: {type(value).__name__}")
+
+
+def _as_int(value, what: str) -> int:
+    """value as an int, or InputError naming it as what unless it is an
+    integer; numpy integers pass, bools do not."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InputError(f"{what} must be an integer, got {type(value).__name__}")
 
 
 def _require_alphabet(name: str, alphabet):
@@ -178,8 +188,6 @@ class JointStack:
         cols, radix = _columns(self, names)
         n, span = len(self), math.prod(radix)
         weights, groups = _group_rows(self._group_key(cols, radix), self.probs, n * span)
-        if n == 1:
-            return weights, np.array([0, weights.size])
         bounds = np.arange(n + 1) * span
         return weights, bounds if groups is None else np.searchsorted(groups, bounds)
 
@@ -364,31 +372,11 @@ def _check_new_name(pmf: JointPMF, new_var: str):
         raise InputError(f"variable name {new_var!r} already in use")
 
 
-def adjoin_map(pmf: JointPMF, source_var: str, images, alphabet: range,
-               new_var: str) -> JointPMF:
-    """Add new_var = f(source_var) as a derived column: images lists, for
-    each symbol of source_var in alphabet order, the index of its image
-    in alphabet."""
-    _check_new_name(pmf, new_var)
-    _require_alphabet(new_var, alphabet)
-    c = pmf.var_pos(source_var)
-    images = np.asarray(images)
-    if images.shape != (len(pmf.variables[c][1]),) or images.dtype.kind not in "iu":
-        raise InputError(f"map must list one integer image per symbol of {source_var!r}")
-    if images.min() < 0 or images.max() >= len(alphabet):
-        raise InputError(f"map images fall outside the alphabet of {new_var!r}")
-    idx = np.column_stack([pmf.idx, images.astype(np.intp)[pmf.idx[:, c]]])
-    variables = list(pmf.variables) + [(new_var, alphabet)]
-    return JointPMF(variables, idx, pmf.probs, _trusted=True)
-
-
-def combined_index(pmf: JointPMF, a: str, b: str, sign: int,
-                   alphabet: range) -> np.ndarray:
-    """Index in alphabet of a + sign*b (sign is +1 or -1) at every support
-    point, or -1 where that value is not in alphabet."""
-    offset = pmf.alphabet(a)[0] + sign * pmf.alphabet(b)[0] - alphabet[0]
-    col = pmf.idx[:, pmf.var_pos(a)] + sign * pmf.idx[:, pmf.var_pos(b)] + offset
-    return np.where((col >= 0) & (col < len(alphabet)), col, -1)
+def _difference_index(pmf: JointPMF, a: str, b: str, alphabet: range) -> np.ndarray:
+    """Index in alphabet of a - b at every support point; a value outside
+    alphabet gets an index outside 0..len(alphabet)-1."""
+    offset = pmf.alphabet(a)[0] - pmf.alphabet(b)[0] - alphabet[0]
+    return pmf.idx[:, pmf.var_pos(a)] - pmf.idx[:, pmf.var_pos(b)] + offset
 
 
 def adjoin_difference(pmf: JointPMF, minuend: str, subtrahend: str,
@@ -397,7 +385,7 @@ def adjoin_difference(pmf: JointPMF, minuend: str, subtrahend: str,
     so every index is found."""
     codomain = difference_alphabet(pmf.alphabet(minuend), pmf.alphabet(subtrahend))
     _check_new_name(pmf, new_var)
-    idx = np.column_stack([pmf.idx, combined_index(pmf, minuend, subtrahend, -1, codomain)])
+    idx = np.column_stack([pmf.idx, _difference_index(pmf, minuend, subtrahend, codomain)])
     variables = list(pmf.variables) + [(new_var, codomain)]
     return JointPMF(variables, idx, pmf.probs, _trusted=True)
 
@@ -415,8 +403,7 @@ def splitmix64(state: int) -> int:
 
 
 def _as_seed(seed) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InputError(f"seed must be an integer, got {type(seed).__name__}")
+    seed = _as_int(seed, "seed")
     if not 0 <= seed <= MASK64:
         raise InputError("seed must fit in 64 bits")
     return seed
@@ -427,12 +414,10 @@ def sample_symbols(pmf: JointPMF, names: Sequence[str], n: int,
     """Symbol values of the named variables in n draws of support rows,
     one int64 array per name, reproducibly for a fixed seed. The rows
     drawn depend on n and seed only, not on which names are gathered."""
-    if not isinstance(n, int) or n < 0:
+    n = _as_int(n, "sample count")
+    if n < 0:
         raise InputError(f"sample count must be a nonnegative integer, got {n!r}")
     cols = [pmf.var_pos(name) for name in names]
     rng = np.random.default_rng(_as_seed(seed))
-    if n == 0:
-        rows = np.zeros(0, dtype=np.intp)
-    else:
-        rows = rng.choice(pmf.n_points, size=n, p=pmf.probs / pmf.probs.sum())
+    rows = rng.choice(pmf.n_points, size=n, p=pmf.probs / pmf.probs.sum())
     return tuple(pmf.idx[rows, c] + np.int64(pmf.variables[c][1][0]) for c in cols)

@@ -33,8 +33,10 @@ from .prob_core import (
     MASK64,
     JointPMF,
     JointStack,
+    _as_int,
+    _as_seed,
+    _difference_index,
     adjoin_difference,
-    combined_index,
     difference_alphabet,
     require_stochastic,
     require_unit_sums,
@@ -142,7 +144,7 @@ def _require_deterministic(pmf: JointStack, src: str, out: str):
 
 def _require_difference(pmf: JointPMF, out: str, a: str, b: str):
     """out must equal a - b exactly on every support point."""
-    diff = combined_index(pmf, a, b, -1, pmf.alphabet(out))
+    diff = _difference_index(pmf, a, b, pmf.alphabet(out))
     bad = int(np.count_nonzero(diff != pmf.idx[:, pmf.var_pos(out)]))
     if bad:
         raise PreconditionError(f"{out!r} != {a!r} - {b!r} on {bad} support points")
@@ -409,7 +411,7 @@ def _trial_stack(t_seeds: Sequence[int], shape: tuple[int, int],
 
 
 def _shape(shape: Sequence[int]) -> tuple[int, int]:
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(_as_int(s, "alphabet size") for s in shape)
     if len(shape) != 2:
         raise InputError(f"shape must give the two alphabet sizes (x, xp), got {shape}")
     if any(s < 1 for s in shape):
@@ -455,7 +457,7 @@ def run_randomized_suite(trials: int, shape: Sequence[int] = (8, 8),
     block folded into the report in trial order; every value is bit for bit
     that of check_lossless and check_lossy run trial by trial.
     """
-    trials = int(trials)
+    trials, seed = _as_int(trials, "trial count"), _as_seed(seed)
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
     shape = _shape(shape)
@@ -485,6 +487,9 @@ def run_randomized_suite(trials: int, shape: Sequence[int] = (8, 8),
 
 def replay_trial(seed: int, k: int, shape: Sequence[int] = (8, 8)) -> TheoremReport:
     """Re-run trial k of a suite run bit-for-bit; see run_randomized_suite."""
+    seed, k = _as_seed(seed), _as_int(k, "trial index")
+    if k < 0:
+        raise InputError(f"trial index must be >= 0, got {k}")
     t_seed = trial_seed(seed, k)
     [(_, checks, observations)] = _blocks(seed, range(k, k + 1), _shape(shape))
     return replace(_one_joint(checks, observations), seed=t_seed,

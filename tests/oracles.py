@@ -5,10 +5,11 @@ checks them, and tests/test_info_measures.py checks SegmentedStack.
 group_weights groups a joint's rows the way JointStack.group_probs does,
 and also returns the rows. SegmentedStack stacks the rows of several
 joints and groups them by a key built from those rows alone: the
-reference for the stacks that the theorem suite groups. adjoin_channel
-and adjoin_sum extend a joint by a test channel and by a sum, as the
-theorem suite's lossy trials do. random_pmf draws a flat-Dirichlet joint
-over a full grid.
+reference for the stacks that the theorem suite groups. adjoin_map,
+adjoin_channel and adjoin_sum extend a joint by a deterministic map, a
+test channel and a sum: the quantizer column of pixel_model.build_joint
+and the lossy trials of the theorem suite. random_pmf draws a
+flat-Dirichlet joint over a full grid.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from crlab.prob_core import (
     _group_rows,
     _ravel_rows,
     _require_alphabet,
-    combined_index,
     require_stochastic,
     sum_alphabet,
 )
@@ -76,12 +76,32 @@ class SegmentedStack(JointStack):
         return _ravel_rows(rows, [0, *(c + 1 for c in cols)], [len(self), *radix])
 
 
+def adjoin_map(pmf: JointPMF, source_var: str, images, alphabet: range,
+               new_var: str) -> JointPMF:
+    """Add new_var = f(source_var) as a derived column: images lists, for
+    each symbol of source_var in alphabet order, the index of its image
+    in alphabet."""
+    _check_new_name(pmf, new_var)
+    _require_alphabet(new_var, alphabet)
+    c = pmf.var_pos(source_var)
+    images = np.asarray(images)
+    if images.shape != (len(pmf.variables[c][1]),) or images.dtype.kind not in "iu":
+        raise InputError(f"map must list one integer image per symbol of {source_var!r}")
+    if images.min() < 0 or images.max() >= len(alphabet):
+        raise InputError(f"map images fall outside the alphabet of {new_var!r}")
+    idx = np.column_stack([pmf.idx, images.astype(np.intp)[pmf.idx[:, c]]])
+    variables = list(pmf.variables) + [(new_var, alphabet)]
+    return JointPMF(variables, idx, pmf.probs, _trusted=True)
+
+
 def adjoin_sum(pmf: JointPMF, a: str, b: str, new_var: str) -> JointPMF:
     """Add new_var = a + b; alphabet is the full cross set, so every
     index is found."""
     codomain = sum_alphabet(pmf.alphabet(a), pmf.alphabet(b))
     _check_new_name(pmf, new_var)
-    idx = np.column_stack([pmf.idx, combined_index(pmf, a, b, +1, codomain)])
+    offset = pmf.alphabet(a)[0] + pmf.alphabet(b)[0] - codomain[0]
+    col = pmf.idx[:, pmf.var_pos(a)] + pmf.idx[:, pmf.var_pos(b)] + offset
+    idx = np.column_stack([pmf.idx, col])
     variables = list(pmf.variables) + [(new_var, codomain)]
     return JointPMF(variables, idx, pmf.probs, _trusted=True)
 

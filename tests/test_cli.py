@@ -170,6 +170,21 @@ class TestPlainMatchesCsv:
             want = [",".join(header), *(",".join(r) for r in rows)]
             assert printed[:len(want)] == want, name
 
+    @pytest.mark.parametrize("argv,name", [
+        (["sweep", "--p", "0.3", "1.0", "--Q", "1.4", "64", "--M", "16"], "sweep.csv"),
+        (["verify", "--trials", "20"], "verify.csv"),
+    ], ids=["sweep", "verify"])
+    def test_file_after_provenance_is_the_plain_table(self, capsys, tmp_path, argv, name):
+        """Byte for byte, line endings included: both end lines with \\n."""
+        assert run(capsys, *argv, "--out", str(tmp_path))[0] == 0
+        code, out, _ = run(capsys, *argv, "--plain")
+        assert code == 0
+        body = (tmp_path / name).read_bytes().split(b"\n", 1)[1]
+        lines = out.splitlines(keepends=True)
+        start = next(i for i, line in enumerate(lines) if line.startswith("# ")) + 1
+        printed = "".join(lines[start:start + body.count(b"\n")])
+        assert body == printed.encode()
+
 
 class TestCodec:
     def test_roundtrip_writes_bitstream(self, capsys, tmp_path):

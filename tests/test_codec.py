@@ -479,6 +479,13 @@ class TestModel:
         # the shape derives from M, so an M the header cannot carry is refused
         with pytest.raises(InputError, match="16 bits"):
             codec.ProbabilityModel("residual", 0x10000, 1, flat(1, 1))
+        # so is an M that is no integer, where it used to fail later with TypeError
+        for M in (16.0, 2.5, "16", True):
+            with pytest.raises(InputError, match="alphabet size must be an integer"):
+                codec.ProbabilityModel("residual", M, 2, flat(1, 31))
+            with pytest.raises(InputError, match="alphabet size must be an integer"):
+                codec.require_encodable(M)
+        codec.require_encodable(np.uint16(16))
 
     def test_expected_rate_rejects_another_joint(self):
         model = build_model(small_params(Q=2), "conditional")
@@ -668,6 +675,13 @@ class TestInputGuards:
         assert measure_rate(stream) == 8.0
         with pytest.raises(InputError):
             measure_rate(Bitstream(codec_paradigm("residual").byte, 16, 0, b""))
+        # no header field takes a float, which the header would fail to pack
+        byte = codec_paradigm("residual").byte
+        for fields in ((byte, 16, 2.5), (byte, 2.5, 4), (float(byte), 16, 4), (byte, 16, True)):
+            with pytest.raises(InputError, match="must be an integer"):
+                Bitstream(*fields, b"abcd")
+        assert Bitstream(np.uint8(byte), np.int64(16), np.int64(4), b"abcd").to_bytes() \
+            == stream.to_bytes()
 
     def test_paradigm_model_mismatch(self):
         params = small_params()

@@ -2,13 +2,17 @@
 
 The frozen constants below were computed with an independent script that
 builds the joint from scratch (dense mixture kernel, direct -sum p log p),
-not through this package's adjoin pipeline.
+not through this package's build_joint.
 """
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crlab import info_measures, pixel_model, prob_core
 from crlab.analysis import render_cell
@@ -22,6 +26,8 @@ from crlab.pixel_model import (
     entropy_report,
     sweep_p,
 )
+from crlab.prob_core import JointPMF, adjoin_difference, quantizer_map
+from oracles import adjoin_map
 
 # independent-oracle values, M=256
 H_X_GIVEN_XP_P05 = 4.981551739955
@@ -58,6 +64,13 @@ class TestParams:
             PixelModelParams(p=0.5, Q=0.5)
         with pytest.raises(InputError):
             PixelModelParams(p=0.5, Q=1, M=1)
+        # M is an integer: not truncated from a float, parsed from a
+        # string, or read from a bool
+        for M in (16.7, 16.0, "16", True):
+            with pytest.raises(InputError, match="alphabet size must be an integer"):
+                PixelModelParams(p=0.5, Q=1, M=M)
+        params = PixelModelParams(p=0.5, Q=1, M=np.int64(16))
+        assert params.M == 16 and type(params.M) is int
 
 
 class TestJointStructure:
@@ -87,6 +100,47 @@ class TestJointStructure:
     def test_x_marginal_uniform(self):
         pmf = build_joint(PixelModelParams(p=0.7, Q=2, M=32))
         assert math.isclose(entropy(pmf, "x"), 5.0, abs_tol=1e-12)
+
+    @staticmethod
+    def chained_joint(params):
+        """The pixel joint built one joint operation at a time: the (x, xp)
+        pairs of the support, then xq by the quantizer map, then r."""
+        M = params.M
+        idx = [(x, xp) for x in range(M) for xp in range(M) if params.p or x == xp]
+        off, diag = pixel_model._masses(params)
+        pmf = JointPMF((("x", range(M)), ("xp", range(M))), idx,
+                       [diag if x == xp else off for x, xp in idx])
+        cells = quantizer_map(range(M), params.Q)
+        pmf = adjoin_map(pmf, "xp", cells, range(int(cells[-1]) + 1), "xq")
+        return adjoin_difference(pmf, "x", "xp", "r")
+
+    @given(st.integers(2, 64), st.integers(1, 300), st.integers(1, 40),
+           st.one_of(st.sampled_from([0, 1]), st.fractions(0, 1, max_denominator=1000)))
+    @example(256, 7, 5, 1)
+    @example(256, 2, 1, Fraction(3, 10))
+    @example(3, 1000, 1, 0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_joint_built_by_adjoins(self, M, a, b, p):
+        """Q = a/b >= 1, up to well past M, where one cell holds every xp."""
+        params = PixelModelParams(p=p, Q=Fraction(max(a, b), min(a, b)), M=M)
+        got, want = build_joint(params), self.chained_joint(params)
+        assert got.variables == want.variables
+        assert got.idx.dtype == want.idx.dtype and got.idx.shape == want.idx.shape
+        assert got.idx.tobytes() == want.idx.tobytes()
+        assert got.probs.tobytes() == want.probs.tobytes()
+
+    def test_memory_peak(self):
+        # the index (2 MB) and weights (0.5 MB) of the 65,536 rows, plus the
+        # (x, xp) grid and two of its columns while the index is filled
+        params = PixelModelParams(p=1, Q=Fraction(7, 5), M=256)
+        build_joint(params)
+        tracemalloc.start()
+        try:
+            build_joint(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestFrozenOracles:

@@ -15,9 +15,7 @@ from crlab.pixel_model import PARADIGMS, PixelModelParams, build_joint
 from crlab.prob_core import (
     JointPMF,
     adjoin_difference,
-    adjoin_map,
     as_exact,
-    combined_index,
     conditional_table,
     difference_alphabet,
     quantizer_map,
@@ -26,7 +24,7 @@ from crlab.prob_core import (
     sum_alphabet,
 )
 from crlab.rd_solver import DistortionMatrix
-from oracles import adjoin_channel, adjoin_sum, group_weights, random_pmf
+from oracles import adjoin_channel, adjoin_map, adjoin_sum, group_weights, random_pmf
 
 
 def _table_by_rows(pmf, target, given):
@@ -302,19 +300,6 @@ class TestAdjoin:
             with pytest.raises(InputError):
                 adjoin_map(pmf, "x", np.array(images), y, "y")  # 2, 3 and -1 escape
 
-    @pytest.mark.parametrize("lo", [1, -2])
-    def test_combined_index_marks_values_outside_the_alphabet(self, lo):
-        # x in {lo, lo+1, lo+2}, xp = lo or lo+1, out = {0, 1} in index
-        # terms: every alphabet starts at lo, so each symbol's offset shifts
-        x = range(lo, lo + 3)
-        xp = range(lo, lo + 2)
-        pmf = JointPMF([("x", x), ("xp", xp)], [[0, 0], [0, 1], [1, 1], [2, 0]],
-                       np.full(4, 0.25))
-        diff = range(2)  # lacks -1 and 2
-        assert combined_index(pmf, "x", "xp", -1, diff).tolist() == [0, -1, 0, -1]
-        total = range(2 * lo, 2 * lo + 2)  # lacks 2*lo + 2, + 3
-        assert combined_index(pmf, "x", "xp", +1, total).tolist() == [0, 1, -1, -1]
-
     def test_adjoin_rejects_name_collision(self):
         pmf = uniform_pair(3)
         with pytest.raises(InputError):
@@ -374,6 +359,10 @@ class TestRandomness:
             self.sample(pmf, -1, seed=1)
         with pytest.raises(InputError):
             self.sample(pmf, 5, seed=-3)
+        for n in (True, 2.5, 3.0, "5"):
+            with pytest.raises(InputError, match="sample count must be an integer"):
+                self.sample(pmf, n, seed=1)
+        assert self.sample(pmf, np.int64(7), seed=np.uint64(42)) == self.sample(pmf, 7, seed=42)
 
     @staticmethod
     def per_draw_sample(pmf, n, seed):

@@ -15,7 +15,7 @@ from crlab.cli import main
 from crlab.errors import InputError, PreconditionError
 from crlab.info_measures import _CHUNK, EntropyMemo, _entropies
 from crlab.pixel_model import PixelModelParams, build_joint
-from crlab.prob_core import JointPMF, adjoin_difference, adjoin_map, quantizer_map
+from crlab.prob_core import JointPMF, adjoin_difference, quantizer_map
 from crlab.theorem_suite import (
     CHECK_TOL,
     IDENTITY,
@@ -31,7 +31,7 @@ from crlab.theorem_suite import (
     run_randomized_suite,
     trial_seed,
 )
-from oracles import SegmentedStack, adjoin_channel, adjoin_sum, random_pmf
+from oracles import SegmentedStack, adjoin_channel, adjoin_map, adjoin_sum, random_pmf
 
 
 def trial_pmf(t_seed, shape):
@@ -193,6 +193,18 @@ class TestDifferencePrecondition:
         pmf = offset_pmf(0, (0, 1, 0))
         with pytest.raises(PreconditionError):
             check_lossless(pmf)
+
+    @pytest.mark.parametrize("lo", [1, -2])
+    def test_residual_off_only_outside_its_alphabet_rejected(self, lo):
+        # x in lo..lo+2 and xp in lo..lo+1, so x - xp is 0, -1, 0, 2 at the
+        # four rows; r's alphabet 0..1 lacks -1 and 2, and r matches x - xp
+        # at every row where the alphabet holds it
+        variables = [("x", range(lo, lo + 3)), ("xp", range(lo, lo + 2)), ("r", range(2))]
+        pmf = JointPMF(variables, [[0, 0, 0], [0, 1, 0], [1, 1, 0], [2, 0, 1]],
+                       np.full(4, 0.25))
+        assert prob_core._difference_index(pmf, "x", "xp", range(2)).tolist() == [0, -1, 0, 2]
+        with pytest.raises(PreconditionError, match="on 2 support points"):
+            theorem_suite._require_difference(pmf, "r", "x", "xp")
 
 
 class TestLossy:
@@ -436,6 +448,26 @@ class TestRandomizedSuite:
             run_randomized_suite(0, (4, 4))
         with pytest.raises(InputError):
             run_randomized_suite(5, (4, 4, 4))
+        # counts, sizes, seeds and trial indices are integers, never
+        # truncated, parsed or read modulo 2**64
+        for trials, shape, seed, what in [
+                (2.7, (4, 4), 0, "trial count must be an integer"),
+                ("5", (4, 4), 0, "trial count must be an integer"),
+                (True, (4, 4), 0, "trial count must be an integer"),
+                (2, (2.5, 3), 0, "alphabet size must be an integer"),
+                (2, ("a", 2), 0, "alphabet size must be an integer"),
+                (2, (4, 4), 1.5, "seed must be an integer"),
+                (2, (4, 4), -1, "seed must fit in 64 bits"),
+                (2, (4, 4), 2**64, "seed must fit in 64 bits")]:
+            with pytest.raises(InputError, match=what):
+                run_randomized_suite(trials, shape, seed)
+        for seed, k, what in [(0, -1, "trial index must be >= 0"),
+                              (0, 1.0, "trial index must be an integer"),
+                              (2**64, 0, "seed must fit in 64 bits")]:
+            with pytest.raises(InputError, match=what):
+                replay_trial(seed, k, (4, 4))
+        assert repr(run_randomized_suite(np.int64(3), (np.int8(4), 4), np.uint64(5))) == \
+            repr(run_randomized_suite(3, (4, 4), 5))
 
     @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
     def test_empty_alphabet_rejected(self, shape):
