@@ -300,6 +300,21 @@ class TestAdjoin:
             with pytest.raises(InputError):
                 adjoin_map(pmf, "x", np.array(images), y, "y")  # 2, 3 and -1 escape
 
+    @pytest.mark.parametrize("lo", [1, -2])
+    def test_combined_index_marks_values_outside_the_alphabet(self, lo):
+        # x in {lo, lo+1, lo+2}, xp = lo or lo+1: every alphabet starts at
+        # lo, so each symbol's offset shifts. x - xp is 0, -1, 0, 2 at the
+        # four rows; {0, 1} lacks -1 and 2, whose indices fall outside 0..1
+        x = range(lo, lo + 3)
+        xp = range(lo, lo + 2)
+        pmf = JointPMF([("x", x), ("xp", xp)], [[0, 0], [0, 1], [1, 1], [2, 0]],
+                       np.full(4, 0.25))
+        assert prob_core._difference_index(pmf, "x", "xp", range(2)).tolist() == [0, -1, 0, 2]
+        # the full cross set holds every difference: -1..2, indices 1, 0, 1, 3
+        full = difference_alphabet(x, xp)
+        assert full == range(-1, 3)
+        assert prob_core._difference_index(pmf, "x", "xp", full).tolist() == [1, 0, 1, 3]
+
     def test_adjoin_rejects_name_collision(self):
         pmf = uniform_pair(3)
         with pytest.raises(InputError):
