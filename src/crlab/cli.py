@@ -143,8 +143,6 @@ def cmd_rd(args) -> int:
     if args.M > 64 and not args.force:
         raise UsageError(
             f"M={args.M} makes the solve expensive; pass --force to override")
-    if args.slopes < 1:
-        raise UsageError(f"need at least one slope, got --slopes {args.slopes}")
     params = PixelModelParams(p=args.p, Q=args.Q, M=args.M)
     curves = compare_paradigms(params, default_slope_grid(args.slopes))
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, InternalConsistencyError
 from .pixel_model import PARADIGMS, PixelModelParams, build_joint
-from .prob_core import JointPMF, _require_alphabet, conditional_table
+from .prob_core import JointPMF, _as_int, _require_alphabet, conditional_table
 
 __all__ = [
     "CONVEXITY_TOL",
@@ -158,6 +158,9 @@ class RDCurve:
 
 def default_slope_grid(count: int = 64) -> np.ndarray:
     """count slopes, log-spaced over 1e-3 .. 1e3 bits per unit distortion."""
+    count = _as_int(count, "slope count")
+    if count < 1:
+        raise InputError(f"need at least one slope, got {count}")
     return np.geomspace(1e-3, 1e3, count)
 
 
@@ -425,7 +428,7 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray):
     # no entry underflows to zero, so every partition function stays
     # positive however little mass a source symbol or column holds
     np.maximum(K, np.finfo(np.float64).tiny, out=K)
-    prob = _BAProblem(K, np.tile(P, (S, 1)), np.repeat(np.arange(S), C))
+    stack = prob = _BAProblem(K, np.tile(P, (S, 1)), np.repeat(np.arange(S), C))
     qout = np.full((R, m), 1.0 / m)
     done = np.zeros(R, dtype=bool)
     row_iters = np.zeros(R, dtype=np.int64)
@@ -488,32 +491,25 @@ def _ba_stack(P: np.ndarray, d: np.ndarray, slopes: np.ndarray):
         qout[act] = q
         row_iters[act] = iters
 
-    # evaluated one slope at a time: an (S*C, n, m) temporary would cost
-    # S times the memory of the solve itself
-    src_mask = P > 0.0
-    rates, dists, gaps = np.empty((S, C)), np.empty((S, C)), np.empty((S, C))
-    for s in range(S):
-        q = qout[s * C:(s + 1) * C]
-        A = q[:, None, :] * K[s][None, :, :]
-        Z = A.sum(axis=2)
-        if not np.all(Z[src_mask] > 0.0):
-            raise InternalConsistencyError("partition function underflowed to zero")
-        safe_Z = np.where(Z > 0.0, Z, 1.0)
-        W = A / safe_Z[:, :, None]
-        q_m = np.einsum("cn,cnm->cm", P, W)
-        # q_m can underflow to 0 beneath a denormal W; such cells carry no
-        # mass. W / q_m passes the float range only where P * W is below
-        # the smallest normal, so capping it there costs no visible rate
-        mask = src_mask[:, :, None] & (W > 0.0) & (q_m[:, None, :] > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = np.minimum(np.where(mask, W, 1.0) / q_m[:, None, :],
-                               np.finfo(np.float64).max)
-            terms = np.where(mask, W * np.log2(ratio), 0.0)
-        rates[s] = np.einsum("cn,cnm->c", P, terms)
-        dists[s] = np.einsum("cn,cnm->c", P, W * d[None, :, :])
-        gaps[s] = (np.where(src_mask, P / safe_Z, 0.0) @ K[s]).max(axis=1) - 1.0
-    return (np.maximum(rates, 0.0), dists, np.maximum(gaps, 0.0),
-            row_iters.reshape(S, C), done.reshape(S, C))
+    # every point from the two products that certify it, over all rows as
+    # step takes them: Z = q K_s^T and c = (P/Z) K_s. The channel
+    # W = q K_s / Z has output marginal q*c, so its distortion is
+    # q . [(P/Z)(K_s*d)] and its rate, sum P W log2(W / (q*c)), is
+    # q . [(P/Z)(K_s*log2 K_s)] - P . log2 Z - (q*c) . log2 c
+    Z = _per_slope(qout, K.transpose(0, 2, 1), stack.segments)
+    if not np.all(Z > 0.0):
+        raise InternalConsistencyError("partition function underflowed to zero")
+    ratio = stack.P / Z
+    c = _per_slope(ratio, K, stack.segments)
+    rates = -(np.einsum("rn,rn->r", stack.P, np.log2(Z))
+              + np.einsum("rm,rm->r", qout * c, np.log2(c)))
+    dists = np.empty(R)
+    for s, a, b in stack.segments:
+        dists[a:b] = np.einsum("rm,rm->r", qout[a:b], ratio[a:b] @ (K[s] * d))
+        rates[a:b] += np.einsum("rm,rm->r", qout[a:b], ratio[a:b] @ (K[s] * np.log2(K[s])))
+    gaps = np.maximum(c.max(axis=1) - 1.0, 0.0)
+    return tuple(a.reshape(S, C) for a in (np.maximum(rates, 0.0), dists, gaps,
+                                            row_iters, done))
 
 
 def _stack_curves(tables, d: np.ndarray, grid: np.ndarray) -> dict[str, RDCurve]:

@@ -411,9 +411,12 @@ def _trial_stack(t_seeds: Sequence[int], shape: tuple[int, int],
 
 
 def _shape(shape: Sequence[int]) -> tuple[int, int]:
-    shape = tuple(_as_int(s, "alphabet size") for s in shape)
-    if len(shape) != 2:
-        raise InputError(f"shape must give the two alphabet sizes (x, xp), got {shape}")
+    try:
+        x, xp = shape
+    except (TypeError, ValueError):
+        raise InputError(
+            f"shape must give the two alphabet sizes (x, xp), got {shape!r}") from None
+    shape = (_as_int(x, "alphabet size"), _as_int(xp, "alphabet size"))
     if any(s < 1 for s in shape):
         raise InputError(f"all alphabet sizes must be >= 1, got {list(shape)}")
     return shape

@@ -201,6 +201,14 @@ class TestInputGuards:
         assert len(g) == 64
         assert g[0] == pytest.approx(1e-3) and g[-1] == pytest.approx(1e3)
 
+    @pytest.mark.parametrize("count,what", [(True, "slope count must be an integer"),
+                                            (2.5, "slope count must be an integer"),
+                                            (0, "at least one slope"),
+                                            (-1, "at least one slope")])
+    def test_default_grid_count_validated(self, count, what):
+        with pytest.raises(InputError, match=what):
+            default_slope_grid(count)
+
     @pytest.mark.parametrize("grid", [[], [1.0, 0.0], [1.0, -2.0], [1.0, math.nan],
                                       [1.0, math.inf], [[1.0, 2.0]]])
     def test_bad_slope_grid_rejected_before_any_solve(self, grid, monkeypatch):
@@ -250,6 +258,15 @@ class TestCertificates:
         d_opt = 1 / (1 + 2 ** slope)
         excess = pt.rate + slope * pt.distortion - (h2(0.2) - h2(d_opt) + slope * d_opt)
         assert 1e-6 < excess <= pt.gap_bits + 1e-12
+        # the point is the channel W ~ q * 2^(-s*d) at the q of one
+        # update from uniform: its mutual information and mean distortion
+        P, K = np.array([0.8, 0.2]), 2.0 ** (-slope * hamming.d)
+        q = np.full(2, 0.5)
+        for _ in range(2):
+            W = q * K / (K @ q)[:, None]
+            q = P @ W
+        assert pt.rate == pytest.approx((P[:, None] * W * np.log2(W / q)).sum(), abs=1e-12)
+        assert pt.distortion == pytest.approx((P[:, None] * W * hamming.d).sum(), rel=1e-12)
 
 
     def test_polish_step_length_overflow_is_silent(self, monkeypatch):
@@ -336,15 +353,22 @@ class TestSlopeStacking:
         assert built == [(15, 15), (8, 8)]  # r for res and condres, x for the others
 
     def test_kernel_is_never_copied_per_row(self):
-        # a copy of its slope's (n, m) kernel for each row of the r stack
-        # would take 64 slopes x 17 cells x 63 x 63 x 8 bytes = 34.5 MB
-        tracemalloc.start()
-        try:
-            compare_paradigms(PixelModelParams(p=0.3, Q=2, M=32))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 17e6, f"peak {peak / 1e6:.1f} MB"
+        for params, grid, bound in [
+                # a copy of its slope's (n, m) kernel for each row of the r
+                # stack would take 64 slopes x 17 cells x 63 x 63 x 8 bytes
+                # = 34.5 MB
+                (PixelModelParams(p=0.3, Q=2, M=32), None, 17e6),
+                # nor is one built per cell when the points are evaluated:
+                # at one slope a (cells, n, m) array of the r stack takes
+                # 49 x 95 x 95 x 8 bytes = 3.5 MB
+                (PixelModelParams(p=0.3, Q=1, M=48), [1.0], 6e6)]:
+            tracemalloc.start()
+            try:
+                compare_paradigms(params, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, f"{params}: peak {peak / 1e6:.1f} MB"
 
 
 def reference_polish(P_row, src_row, K, q0):

@@ -455,16 +455,18 @@ class TestRandomizedSuite:
                 (True, (4, 4), 0, "trial count must be an integer"),
                 (2, (2.5, 3), 0, "alphabet size must be an integer"),
                 (2, ("a", 2), 0, "alphabet size must be an integer"),
+                (3, 8, 0, "the two alphabet sizes"),
                 (2, (4, 4), 1.5, "seed must be an integer"),
                 (2, (4, 4), -1, "seed must fit in 64 bits"),
                 (2, (4, 4), 2**64, "seed must fit in 64 bits")]:
             with pytest.raises(InputError, match=what):
                 run_randomized_suite(trials, shape, seed)
-        for seed, k, what in [(0, -1, "trial index must be >= 0"),
-                              (0, 1.0, "trial index must be an integer"),
-                              (2**64, 0, "seed must fit in 64 bits")]:
+        for seed, k, shape, what in [(0, -1, (4, 4), "trial index must be >= 0"),
+                                     (0, 1.0, (4, 4), "trial index must be an integer"),
+                                     (2**64, 0, (4, 4), "seed must fit in 64 bits"),
+                                     (0, 0, 8, "the two alphabet sizes")]:
             with pytest.raises(InputError, match=what):
-                replay_trial(seed, k, (4, 4))
+                replay_trial(seed, k, shape)
         assert repr(run_randomized_suite(np.int64(3), (np.int8(4), 4), np.uint64(5))) == \
             repr(run_randomized_suite(3, (4, 4), 5))
 
